@@ -62,7 +62,7 @@ from ..core.reduction import (BLOCK_PARSE_COST, COMBINE_ELEMENT_COST,
 from ..core.runtime import CCResult
 from ..check.faults import check_recovery_coverage
 from ..check.flags import checks_enabled
-from ..errors import CollectiveComputingError, RecoveryError
+from ..errors import CollectiveComputingError, IOLayerError, RecoveryError
 from ..io import AccessRequest
 from ..io.hints import CollectiveHints
 from ..io.requests import RunPlacer
@@ -331,6 +331,16 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
     return got, [], {}
 
 
+def _refuse_two_level(hints: CollectiveHints, where: str) -> None:
+    """The round-based exchange has no node-leader routing: refuse
+    ``two_level`` instead of silently running the one-level protocol."""
+    if hints.two_level:
+        raise IOLayerError(
+            f"{where} does not support CollectiveHints(two_level=True): "
+            "the resilient exchange (faults or integrity) runs one-level "
+            "only; pass two_level=False")
+
+
 # -- raw two-phase read -----------------------------------------------------
 def resilient_collective_read(ctx: RankContext, file: PFSFile,
                               request: AccessRequest,
@@ -343,9 +353,11 @@ def resilient_collective_read(ctx: RankContext, file: PFSFile,
     Same contract — returns this rank's packed ``uint8`` buffer, bit
     identical to an independent read of ``request`` — but survives slow
     or failed OSTs, lost shuffle messages and crashed aggregators via
-    the round-based exchange of this module.
+    the round-based exchange of this module.  Raises
+    :class:`~repro.errors.IOLayerError` for ``hints.two_level``.
     """
     hints = hints or CollectiveHints()
+    _refuse_two_level(hints, "resilient_collective_read")
     policy = policy or RecoveryPolicy()
     plan = yield from make_plan(ctx, request.runs, file, hints)
 
@@ -454,12 +466,14 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
     but the pipeline survives injected OST, aggregator and message
     faults.  Both reduce modes are supported; partial results travel
     rank-addressed (no node-leader batching: per-window timed receives
-    need an unambiguous server for each expected message).
+    need an unambiguous server for each expected message), so
+    ``oio.hints.two_level`` raises :class:`~repro.errors.IOLayerError`.
     """
     if oio.block:
         raise CollectiveComputingError(
             "resilient_cc_read_compute got block=True; use "
             "resilient_object_get, which dispatches automatically")
+    _refuse_two_level(oio.hints, "resilient_cc_read_compute")
     policy = policy or RecoveryPolicy()
     request = AccessRequest.from_subarray(oio.spec, oio.sub)
     grid = (oio.spec.file_offset, oio.spec.itemsize)
@@ -667,7 +681,9 @@ def resilient_object_get(ctx: RankContext, file: PFSFile, oio: ObjectIO,
 
     ``block=True`` (or ``mode="independent"``) runs the recoverable
     traditional path; ``block=False, mode="collective"`` runs the
-    resilient collective-computing pipeline.
+    resilient collective-computing pipeline.  Either collective path
+    raises :class:`~repro.errors.IOLayerError` for
+    ``oio.hints.two_level``.
     """
     if oio.block or oio.mode == "independent":
         result = yield from resilient_traditional_read_compute(

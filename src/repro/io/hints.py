@@ -40,7 +40,9 @@ class CollectiveHints:
         the reduction op is :attr:`~repro.core.ops.MapReduceOp.reassociable`
         (in-node combiner, after Lee et al., arXiv:1511.04861).  Data
         results are bit-identical to the one-level protocol; only
-        ``sim.time`` and cross-node wire bytes change.
+        ``sim.time`` and cross-node wire bytes change.  The resilient
+        protocols of :mod:`repro.faults.resilient` run one-level only
+        and raise :class:`~repro.errors.IOLayerError` for this hint.
     """
 
     cb_buffer_size: int = 4 * MiB

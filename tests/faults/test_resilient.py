@@ -8,6 +8,7 @@ from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.core import ObjectIO, SUM_OP, object_get
 from repro.dataspace import DatasetSpec, Subarray, block_partition
+from repro.errors import IOLayerError
 from repro.faults import (FaultInjector, FaultPlan, RecoveryPolicy,
                           RetryPolicy, resilient_collective_read,
                           resilient_object_get)
@@ -122,6 +123,34 @@ def test_raw_read_matches_collective_read():
     expected = mpi_run(m, NPROCS, plain_main)
     k, m, f = build()
     assert mpi_run(m, NPROCS, resilient_main) == expected
+
+
+# -- hints the round-based exchange cannot honour ---------------------------
+
+TWO_LEVEL = CollectiveHints(cb_buffer_size=1024, two_level=True)
+
+
+def test_raw_read_refuses_two_level():
+    def main(ctx):
+        req = AccessRequest.from_subarray(DSPEC, PARTS[ctx.rank])
+        yield from resilient_collective_read(ctx, f, req, TWO_LEVEL)
+
+    k, m, f = build()
+    with pytest.raises(IOLayerError, match="resilient_collective_read .*"
+                                           "two_level=True"):
+        mpi_run(m, NPROCS, main)
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_object_get_refuses_two_level(block):
+    def main(ctx):
+        oio = ObjectIO(DSPEC, PARTS[ctx.rank], SUM_OP, hints=TWO_LEVEL,
+                       block=block)
+        yield from resilient_object_get(ctx, f, oio)
+
+    k, m, f = build()
+    with pytest.raises(IOLayerError, match="two_level=True"):
+        mpi_run(m, NPROCS, main)
 
 
 # -- failover ---------------------------------------------------------------
