@@ -26,31 +26,25 @@ as good as its invariants, so this layer checks them mechanically:
    perturbation of the event queue that re-runs a scenario battery
    under ``K`` different schedules and asserts bit-identical data.
 
-The runtime sanitizers hang off the ``REPRO_CHECK`` environment flag
-(:mod:`repro.check.flags`); the test suite enables them globally.  The
-race tracker has its own ``REPRO_RACES`` flag (vector clocks cost real
-memory on large runs) and the shaker its ``REPRO_SHAKE`` seed.
+The runtime sanitizers hang off the ``check`` field of the
+:class:`~repro.flags.Flags` record (``REPRO_CHECK``); the test suite
+turns it on globally.  The race tracker has its own ``races`` field
+(``REPRO_RACES``: vector clocks cost real memory on large runs) and the
+shaker its ``shake`` seed (``REPRO_SHAKE``).
 
 ``protocol`` and ``plan`` are exported lazily: they import the layers
-they verify, and those layers import :mod:`repro.check.flags` — eager
-re-export here would make that a cycle.
+they verify — eager re-export here would make that a cycle.
 """
 
 from __future__ import annotations
 
 from .faults import check_recovery_coverage
-from .flags import (checks_enabled, enable_checks, enable_races,
-                    override_checks, override_races, override_shake,
-                    races_enabled, set_shake_seed, shake_seed)
 from .lint import (ALL_RULES, DEFAULT_CONFIG, Finding, LintConfig,
                    lint_file, lint_paths, lint_source)
 from .races import (RaceFinding, assert_no_races, current_findings,
                     drain_findings)
 
 __all__ = [
-    "checks_enabled", "enable_checks", "override_checks",
-    "races_enabled", "enable_races", "override_races",
-    "shake_seed", "set_shake_seed", "override_shake",
     "ALL_RULES", "DEFAULT_CONFIG", "Finding", "LintConfig",
     "lint_file", "lint_paths", "lint_source",
     "RaceFinding", "assert_no_races", "current_findings",

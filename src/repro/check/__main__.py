@@ -5,13 +5,15 @@ Two stages, both on by default:
 1. **Static**: the determinism lint over the given paths (default:
    ``src/repro`` and ``examples`` when run from the repo root, else the
    installed package directory).
-2. **Runtime smoke**: a small simulated job per protocol feature with
-   ``REPRO_CHECK`` forced on — collective read + write, an iterative
-   sweep through :class:`~repro.core.plan_cache.PlanMemo`, a full
-   collective battery, a two-level (node-aware) aggregation run that
-   must equal its one-level twin bit-for-bit, and one *faulted*
-   resilient run (seeded aggregator crashes; the recovered result must
-   equal the fault-free one) — so the protocol verifier, the plan
+2. **Runtime smoke**: the shared scenario list of
+   :func:`repro.check.shake.scenarios` — a full collective battery,
+   collective read + write, a CC reduction, and one *faulted*
+   resilient run (seeded aggregator crashes) — each once with the
+   ``check`` flag forced on, plus three smoke-only equality checks: an
+   iterative sweep through :class:`~repro.core.plan_cache.PlanMemo`
+   must reuse its plan, a two-level (node-aware) aggregation run must
+   equal its one-level twin bit-for-bit, and the faulted run must
+   equal a fault-free one — so the protocol verifier, the plan
    sanitizers, and the recovery-coverage check run against real
    schedules.
 
@@ -24,10 +26,11 @@ Three opt-in stages each replace both:
   name the offending ``seed=... scenario=...`` so any job replays
   exactly.
 * ``--races`` runs the static lint and then the race/schedule battery
-  of :mod:`repro.check.shake`: every scenario executes under the
-  vector-clock race tracker (``REPRO_RACES``) and is re-run under
-  ``--shake K`` perturbed event schedules, asserting zero race
-  findings and bit-identical data results across schedules.
+  of :mod:`repro.check.shake`: the same scenario list plus the chaos
+  scenarios, each under the vector-clock race tracker
+  (``REPRO_RACES``) and re-run under ``--shake K`` perturbed event
+  schedules, asserting zero race findings and bit-identical data
+  results across schedules.
 * ``--crash [N]`` runs the preemption campaign of
   :mod:`repro.check.crash` — ``N`` seeded drills that SIGKILL workers
   mid-point, hang points past their deadline, and murder whole sweep
@@ -59,10 +62,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from . import lint
-from .flags import override_checks
 
 
 def _default_paths() -> List[Path]:
@@ -94,84 +96,26 @@ def _run_static(paths: Sequence[Path], quiet: bool,
 
 
 def _run_smoke(quiet: bool) -> int:
-    """Drive the runtime sanitizers over real schedules."""
+    """Drive the runtime sanitizers over real schedules: the shared
+    scenario list (:func:`repro.check.shake.scenarios`) once each under
+    ``override(check=True)``, then the smoke-only equality checks."""
     import numpy as np
 
-    from ..cluster import Machine
-    from ..config import small_test_machine
     from ..core import ObjectIO, SUM_OP, object_get
     from ..core.plan_cache import PlanMemo
-    from ..dataspace import (DatasetSpec, Subarray, block_partition,
-                             full_selection)
+    from ..dataspace import DatasetSpec, Subarray, block_partition
+    from ..flags import override
     from ..io import AccessRequest, collective_read, collective_write
-    from ..mpi import collectives as coll, mpi_run
-    from ..mpi.op import SUM
+    from ..mpi import mpi_run
     from ..pfs import ArraySource
-    from ..sim import Kernel
+    from . import shake
 
+    nprocs = shake.NPROCS
     failures: List[str] = []
-
-    def scenario(label, fn):
-        try:
-            with override_checks(True):
-                fn()
-        except Exception as exc:  # noqa: BLE001 - reported, not hidden
-            failures.append(f"{label}: {type(exc).__name__}: {exc}")
-        else:
-            if not quiet:
-                print(f"repro.check smoke: {label} ok")
-
-    nprocs = 4
-
-    def _machine() -> Machine:
-        return Machine(Kernel(), small_test_machine(nodes=2,
-                                                    cores_per_node=4))
-
-    def smoke_collectives():
-        machine = _machine()
-
-        def body(ctx):
-            yield from coll.barrier(ctx.comm)
-            values = yield from coll.allgather(ctx.comm, ctx.rank * 10)
-            total = yield from coll.allreduce(
-                ctx.comm, np.full(4, ctx.rank, dtype=np.int64), SUM)
-            part = yield from coll.alltoall(
-                ctx.comm, [f"{ctx.rank}->{d}" for d in range(ctx.size)])
-            return values, total.sum(), part
-        mpi_run(machine, nprocs, body)
-
-    def smoke_read_write():
-        machine = _machine()
-        spec = DatasetSpec((8, 16, 16), np.float64, name="smoke")
-        file = machine.fs.create_procedural_file("smoke.nc", spec.n_elements)
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
-
-        out = machine.fs.create_file(
-            "smoke_out.nc",
-            ArraySource(np.zeros(spec.n_elements, dtype=spec.dtype)))
-
-        def body(ctx):
-            request = AccessRequest.from_subarray(spec, parts[ctx.rank])
-            buf = yield from collective_read(ctx, file, request)
-            data = np.asarray(request.as_array(buf))
-            yield from collective_write(ctx, out, request, data)
-            return float(data.sum())
-        mpi_run(machine, nprocs, body)
-
-    def smoke_object_get():
-        machine = _machine()
-        spec = DatasetSpec((8, 16, 16), np.float64, name="smoke")
-        file = machine.fs.create_procedural_file("smoke.nc", spec.n_elements)
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
-
-        def body(ctx):
-            oio = ObjectIO(spec, parts[ctx.rank], SUM_OP)
-            result = yield from object_get(ctx, file, oio)
-            return result.global_result
-        mpi_run(machine, nprocs, body)
+    outputs: Dict[str, Any] = {}
 
     def smoke_plan_memo():
-        machine = _machine()
+        machine = shake.machine()
         spec = DatasetSpec((12, 8, 8), np.float64, name="sweep")
         file = machine.fs.create_procedural_file("sweep.nc", spec.n_elements)
         parts = block_partition(Subarray((0, 0, 0), (4, 8, 8)),
@@ -201,11 +145,10 @@ def _run_smoke(quiet: bool) -> int:
         from ..core import MAXLOC_OP
         from ..io import CollectiveHints
 
-        spec = DatasetSpec((8, 16, 16), np.float64, name="smoke")
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
+        spec, parts = shake.dataset()
 
         def run(two_level):
-            machine = _machine()
+            machine = shake.machine()
             file = machine.fs.create_procedural_file("smoke.nc",
                                                      spec.n_elements)
             hints = CollectiveHints(cb_buffer_size=1024,
@@ -236,48 +179,26 @@ def _run_smoke(quiet: bool) -> int:
             raise AssertionError(
                 "two-level collective_write produced different file bytes")
 
-    def smoke_faulted():
-        from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
-                              resilient_object_get)
-
-        spec = DatasetSpec((8, 16, 16), np.float64, name="smoke")
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
-        policy = RecoveryPolicy()
-
-        def run(plan):
-            machine = _machine()
-            file = machine.fs.create_procedural_file("smoke.nc",
-                                                     spec.n_elements)
-            if plan is not None:
-                FaultInjector.attach(machine, plan)
-
-            def body(ctx):
-                oio = ObjectIO(spec, parts[ctx.rank], SUM_OP)
-                result = yield from resilient_object_get(
-                    ctx, file, oio, policy=policy)
-                return result.global_result
-            results = mpi_run(machine, nprocs, body)
-            injected = (len(machine.faults.injected())
-                        if machine.faults is not None else 0)
-            return results, injected
-
-        healthy, _ = run(None)
-        plan = FaultPlan(seed=7, agg_crash_rate=0.35)
-        faulted, injected = run(plan)
-        if injected == 0:
-            raise AssertionError(
-                "fault plan injected nothing; smoke seed needs adjusting")
+    def smoke_faulted_equals_healthy():
+        healthy = shake.sum_job(faulted=False)
+        faulted = outputs.get("faulted resilient object_get")
         if faulted != healthy:
             raise AssertionError(
                 f"recovered results diverge from fault-free run: "
                 f"{faulted} != {healthy}")
 
-    scenario("collective battery", smoke_collectives)
-    scenario("two-phase read+write", smoke_read_write)
-    scenario("collective computing object_get", smoke_object_get)
-    scenario("PlanMemo translated sweep", smoke_plan_memo)
-    scenario("two-level node-aware aggregation", smoke_two_level)
-    scenario("faulted resilient object_get", smoke_faulted)
+    for label, fn in shake.scenarios() + [
+            ("PlanMemo translated sweep", smoke_plan_memo),
+            ("two-level node-aware aggregation", smoke_two_level),
+            ("faulted equals healthy", smoke_faulted_equals_healthy)]:
+        try:
+            with override(check=True):
+                outputs[label] = fn()
+        except Exception as exc:  # noqa: BLE001 - reported, not hidden
+            failures.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            if not quiet:
+                print(f"repro.check smoke: {label} ok")
 
     if failures:
         for failure in failures:
@@ -390,7 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metrics.reset()
         status, recovery = run_crash_campaign(
             args.crash, base_seed=args.crash_seed, quiet=args.quiet)
-        if metrics.obs_enabled():
+        if metrics.current() is not None:
             from ..obs.manifest import write_manifest
             path = write_manifest("crash", config={
                 "n": args.crash, "base_seed": args.crash_seed},
@@ -431,7 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SweepInterrupted as exc:
             print(f"repro.check chaos: {exc}", file=sys.stderr)
             return 130
-        if metrics.obs_enabled():
+        if metrics.current() is not None:
             from ..obs.manifest import write_manifest
             path = write_manifest("chaos", config={
                 "n": args.chaos, "base_seed": args.chaos_seed})

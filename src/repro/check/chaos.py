@@ -33,8 +33,8 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from ..flags import override
 from ..obs import metrics
-from .flags import override_checks
 
 #: Ranks per chaos job (small on purpose: the campaign is a CI gate).
 NPROCS = 4
@@ -189,7 +189,7 @@ def run_point(index: int, base_seed: int) -> Tuple[str, object, int, int]:
     seed = base_seed + index
     label = f"seed={seed} scenario={name} rate={rate:g}"
     try:
-        with override_checks(True):
+        with override(check=True):
             if name not in _REFERENCES:
                 # Suppress the reference job's metrics: whether it runs
                 # here depends on per-process memo state, so letting it

@@ -53,6 +53,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..flags import override
 from ..obs import metrics
 
 #: Points per in-process supervised sweep (worker-death / deadline-hang).
@@ -146,7 +147,7 @@ def _run_trapped_sweep(seed: int, failure: str,
                     index=i, base_seed=seed))
         # A fresh registry scopes this sweep's supervision counters so
         # the campaign can assert them exactly (restored on exit).
-        with metrics.override_obs(True):
+        with override(obs=True):
             results = run_sweep(points, jobs=2,
                                 retry=RetrySpec(max_retries=2),
                                 deadline=deadline)

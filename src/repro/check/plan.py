@@ -22,7 +22,7 @@ their from-scratch definitions:
 
 All raise :class:`~repro.errors.IOLayerError` with the failing
 coordinate.  They run when ``REPRO_CHECK`` is on (see
-:mod:`repro.check.flags`) and from ``python -m repro.check``'s runtime
+:mod:`repro.flags`) and from ``python -m repro.check``'s runtime
 smoke battery; they are never on the hot path otherwise.
 """
 

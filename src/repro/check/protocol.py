@@ -11,7 +11,7 @@ signature — and raises a precise :class:`~repro.errors.MPIError` the
 moment one rank's ``n``-th collective disagrees with another rank's.
 
 The ledger is opt-in (created when ``REPRO_CHECK`` is on at communicator
-construction, see :mod:`repro.check.flags`); with it off the only cost
+construction, see :mod:`repro.flags`); with it off the only cost
 per collective call is an attribute-is-None test.
 
 This module also provides the wait-for-graph analysis behind the

@@ -63,8 +63,9 @@ the schedule, not a failure of the current one); drain them with
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import RaceError
 
@@ -138,6 +139,23 @@ def current_findings() -> List[RaceFinding]:
     return list(_FINDINGS)
 
 
+@contextmanager
+def captured_findings() -> Iterator[List[RaceFinding]]:
+    """File findings reported inside the scope into a fresh list (the
+    one yielded) instead of the registry, restored untouched on exit.
+
+    The sweep engine runs every point inside this scope, serially or
+    in a worker, so a point's findings travel with its value into the
+    point cache and the journal and are re-filed on every replay.
+    """
+    global _FINDINGS
+    previous, _FINDINGS = _FINDINGS, []
+    try:
+        yield _FINDINGS
+    finally:
+        _FINDINGS = previous
+
+
 def drain_findings() -> List[RaceFinding]:
     """Return and clear every recorded finding."""
     out = list(_FINDINGS)
@@ -172,7 +190,7 @@ class KernelRaceTracker:
     """Vector-clock happens-before tracker for one kernel.
 
     Attached by :class:`~repro.sim.kernel.Kernel` at construction when
-    :func:`~repro.check.flags.races_enabled` is on; with it detached
+    the ``races`` flag (:mod:`repro.flags`) is on; with it detached
     (the default) every hook site pays one is-None test.
 
     Task ids: 0 is the *driver* (code running outside any simulated

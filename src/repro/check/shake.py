@@ -3,11 +3,20 @@
 The race detector (:mod:`repro.check.races`) says "no races"; this
 module turns that verdict into evidence by *running different
 schedules*.  A kernel constructed under
-:func:`~repro.check.flags.override_shake` permutes same-``(time,
+``repro.flags.override(shake=seed)`` permutes same-``(time,
 priority)`` event-queue ties with a seeded bijection (see
 ``Kernel.schedule``), so each seed exercises a different — but fully
 deterministic and replayable — interleaving of simultaneously-enabled
 events.
+
+The scenario list
+-----------------
+:func:`scenarios` is the one list of small simulated jobs both
+``repro.check`` batteries run: the smoke battery (``python -m
+repro.check``) runs each once under ``override(check=True)`` and adds
+its own equality checks; :func:`run_battery` (``--races``) runs each,
+plus the chaos scenarios, under ``override(check=True, races=True,
+shake=seed)`` for the FIFO baseline and every shaken seed.
 
 What must be invariant
 ----------------------
@@ -32,112 +41,115 @@ from __future__ import annotations
 import sys
 from typing import Any, Callable, List, Tuple
 
-from .flags import override_checks, override_races, override_shake
+import numpy as np
+
+from ..cluster import Machine
+from ..config import small_test_machine
+from ..core import ObjectIO, SUM_OP, object_get
+from ..dataspace import DatasetSpec, block_partition, full_selection
+from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
+                      resilient_object_get as resilient)
+from ..flags import override
+from ..io import AccessRequest, collective_read, collective_write
+from ..mpi import collectives as coll, mpi_run
+from ..mpi.op import SUM
+from ..pfs import ArraySource
+from ..sim import Kernel
+from . import chaos
 from .races import drain_findings
 
+#: Ranks per scenario job.
+NPROCS = 4
 
-def _scenarios() -> List[Tuple[str, Callable[[], Any]]]:
-    """The battery: label → callable returning plain comparable data."""
-    import numpy as np
 
-    from ..cluster import Machine
-    from ..config import small_test_machine
-    from ..core import ObjectIO, SUM_OP, object_get
-    from ..dataspace import DatasetSpec, block_partition, full_selection
-    from ..io import AccessRequest, collective_read, collective_write
-    from ..mpi import collectives as coll, mpi_run
-    from ..mpi.op import SUM
-    from ..pfs import ArraySource
-    from ..sim import Kernel
-    from . import chaos
+def machine() -> Machine:
+    """A fresh two-node test machine on its own kernel."""
+    return Machine(Kernel(), small_test_machine(nodes=2, cores_per_node=4))
 
-    nprocs = 4
 
-    def _machine() -> Machine:
-        return Machine(Kernel(), small_test_machine(nodes=2,
-                                                    cores_per_node=4))
+def dataset() -> Tuple[DatasetSpec, List[Any]]:
+    """The scenarios' ``(dataset spec, per-rank selections)``."""
+    spec = DatasetSpec((8, 16, 16), np.float64, name="battery")
+    return spec, block_partition(full_selection(spec), NPROCS, axis=1)
 
-    def collective_battery() -> Any:
-        machine = _machine()
 
-        def body(ctx):
-            yield from coll.barrier(ctx.comm)
-            values = yield from coll.allgather(ctx.comm, ctx.rank * 10)
-            total = yield from coll.allreduce(
-                ctx.comm, np.full(4, ctx.rank, dtype=np.int64), SUM)
-            part = yield from coll.alltoall(
-                ctx.comm, [f"{ctx.rank}->{d}" for d in range(ctx.size)])
-            return tuple(values), int(total.sum()), tuple(part)
-        return mpi_run(machine, nprocs, body)
+def collective_battery() -> Any:
+    """Barrier, allgather, allreduce and alltoall on one communicator."""
+    def body(ctx):
+        yield from coll.barrier(ctx.comm)
+        values = yield from coll.allgather(ctx.comm, ctx.rank * 10)
+        total = yield from coll.allreduce(
+            ctx.comm, np.full(4, ctx.rank, dtype=np.int64), SUM)
+        part = yield from coll.alltoall(
+            ctx.comm, [f"{ctx.rank}->{d}" for d in range(ctx.size)])
+        return tuple(values), int(total.sum()), tuple(part)
+    return mpi_run(machine(), NPROCS, body)
 
-    def two_phase() -> Any:
-        machine = _machine()
-        spec = DatasetSpec((8, 16, 16), np.float64, name="shake")
-        file = machine.fs.create_procedural_file("shake.nc",
-                                                 spec.n_elements)
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
-        out = machine.fs.create_file(
-            "shake_out.nc",
-            ArraySource(np.zeros(spec.n_elements, dtype=spec.dtype)))
 
-        def body(ctx):
-            request = AccessRequest.from_subarray(spec, parts[ctx.rank])
-            buf = yield from collective_read(ctx, file, request)
-            data = np.asarray(request.as_array(buf))
-            yield from collective_write(ctx, out, request, data)
-            return float(data.sum())
-        sums = mpi_run(machine, nprocs, body)
-        # Contended data signature: the OSTs are capacity-1 FIFO
-        # servers, so *times* shift under shaking, but what was read,
-        # written and sent must not.
-        return (sums, machine.fs.total_bytes_served())
+def two_phase_read_write() -> Any:
+    """A two-phase collective read, then a collective write of it."""
+    m = machine()
+    spec, parts = dataset()
+    file = m.fs.create_procedural_file("battery.nc", spec.n_elements)
+    out = m.fs.create_file(
+        "battery_out.nc",
+        ArraySource(np.zeros(spec.n_elements, dtype=spec.dtype)))
 
-    def object_get_reduction() -> Any:
-        machine = _machine()
-        spec = DatasetSpec((8, 16, 16), np.float64, name="shake")
-        file = machine.fs.create_procedural_file("shake.nc",
-                                                 spec.n_elements)
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
+    def body(ctx):
+        request = AccessRequest.from_subarray(spec, parts[ctx.rank])
+        buf = yield from collective_read(ctx, file, request)
+        data = np.asarray(request.as_array(buf))
+        yield from collective_write(ctx, out, request, data)
+        return float(data.sum())
+    sums = mpi_run(m, NPROCS, body)
+    # Contended data signature: the OSTs are capacity-1 FIFO servers,
+    # so *times* shift under shaking, but what was read, written and
+    # sent must not.
+    return sums, m.fs.total_bytes_served()
 
-        def body(ctx):
-            oio = ObjectIO(spec, parts[ctx.rank], SUM_OP)
-            result = yield from object_get(ctx, file, oio)
-            return result.global_result
-        return mpi_run(machine, nprocs, body)
 
-    def faulted_resilient() -> Any:
-        from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
-                              resilient_object_get)
-        machine = _machine()
-        spec = DatasetSpec((8, 16, 16), np.float64, name="shake")
-        file = machine.fs.create_procedural_file("shake.nc",
-                                                 spec.n_elements)
-        FaultInjector.attach(machine, FaultPlan(seed=7,
-                                                agg_crash_rate=0.35))
-        parts = block_partition(full_selection(spec), nprocs, axis=1)
-        policy = RecoveryPolicy()
+def sum_job(faulted: Any) -> Any:
+    """One SUM reduction over :func:`dataset`: plain ``object_get``
+    (``faulted=None``), else ``resilient_object_get`` with seeded
+    aggregator crashes (``True``, failing unless one fired) or none
+    (``False``)."""
+    m = machine()
+    spec, parts = dataset()
+    file = m.fs.create_procedural_file("battery.nc", spec.n_elements)
+    if faulted:
+        FaultInjector.attach(m, FaultPlan(seed=7, agg_crash_rate=0.35))
+    policy = RecoveryPolicy()
 
-        def body(ctx):
-            oio = ObjectIO(spec, parts[ctx.rank], SUM_OP)
-            result = yield from resilient_object_get(ctx, file, oio,
-                                                     policy=policy)
-            return result.global_result
-        return mpi_run(machine, nprocs, body)
+    def body(ctx):
+        oio = ObjectIO(spec, parts[ctx.rank], SUM_OP)
+        result = yield from (object_get(ctx, file, oio) if faulted is None
+                             else resilient(ctx, file, oio, policy=policy))
+        return result.global_result
+    results = mpi_run(m, NPROCS, body)
+    if faulted and not m.faults.injected():
+        raise AssertionError(
+            "fault plan injected nothing; its seed needs adjusting")
+    return results
 
-    battery: List[Tuple[str, Callable[[], Any]]] = [
+
+def scenarios() -> List[Tuple[str, Callable[[], Any]]]:
+    """The one scenario list: label → callable returning plain,
+    comparable data."""
+    return [
         ("collective battery", collective_battery),
-        ("two-phase read+write", two_phase),
-        ("object_get reduction", object_get_reduction),
-        ("faulted resilient object_get", faulted_resilient),
+        ("two-phase read+write", two_phase_read_write),
+        ("object_get reduction", lambda: sum_job(None)),
+        ("faulted resilient object_get", lambda: sum_job(True)),
     ]
+
+
+def _chaos_scenarios() -> List[Tuple[str, Callable[[], Any]]]:
+    """The chaos campaign's scenarios, slot 0 of each (race battery
+    only: each already runs a faulted job against its reference)."""
     _spec, chaos_scenarios = chaos._scenarios()
-    for i, (scenario_name, _body, _rate, _policy) in \
-            enumerate(chaos_scenarios):
-        battery.append((
-            f"chaos {scenario_name}",
-            lambda i=i: chaos.run_point(i, 0),
-        ))
-    return battery
+    return [(f"chaos {name}", lambda i=i: chaos.run_point(i, 0))
+            for i, (name, _body, _rate, _policy)
+            in enumerate(chaos_scenarios)]
 
 
 def shake_seeds(k: int, base_seed: int = 0) -> List[int]:
@@ -158,11 +170,10 @@ def run_battery(k: int, quiet: bool = False, base_seed: int = 0) -> int:
     failures: List[str] = []
     seeds = shake_seeds(k, base_seed)
     drain_findings()  # a stale registry must not fail this battery
-    for label, fn in _scenarios():
+    for label, fn in scenarios() + _chaos_scenarios():
         before = len(failures)
         try:
-            with override_checks(True), override_races(True), \
-                    override_shake(None):
+            with override(check=True, races=True, shake=None):
                 base = fn()
                 races = drain_findings()
             if races:
@@ -171,8 +182,7 @@ def run_battery(k: int, quiet: bool = False, base_seed: int = 0) -> int:
                     + "; ".join(f.format() for f in races))
                 continue
             for seed in seeds:
-                with override_checks(True), override_races(True), \
-                        override_shake(seed):
+                with override(check=True, races=True, shake=seed):
                     out = fn()
                     races = drain_findings()
                 if races:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..check.flags import checks_enabled
+from .. import flags
 from ..dataspace import RunList
 from ..io.twophase import TwoPhasePlan
 from ..obs import metrics
@@ -85,7 +85,7 @@ class PlanMemo:
         if m is not None:
             m.count("io.plan_reuses")
         plan = self.base_plan if delta == 0 else self.base_plan.shifted(delta)
-        if checks_enabled():
+        if flags.current().check:
             from ..check.plan import check_translation
             check_translation(self.base_runs, runs, delta, plan)
         return plan

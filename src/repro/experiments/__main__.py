@@ -62,13 +62,16 @@ def main(argv=None) -> int:
                              "completed sweep points are replayed, not "
                              "re-simulated; output stays byte-identical")
     args = parser.parse_args(argv)
+    from .. import flags
+    from ..check.races import assert_no_races
     from ..errors import SweepInterrupted
     from ..obs import metrics
     from ..parallel import PointCache, RunJournal, journal_root
-    if args.obs:
-        # Process-wide, not a with_sanitizers override scope: the
-        # registry must outlive the run so the manifest below sees it.
-        metrics.enable_obs(True)
+    # One override around each run and its manifest; a CLI flag only
+    # adds to what the environment asks for.
+    switches = {name: True for name, on in (("check", args.check),
+                                            ("races", args.races),
+                                            ("obs", args.obs)) if on}
     cache = None if args.no_cache else PointCache()
     if args.clear_cache:
         # Clear through the run's own cache object so the counters the
@@ -106,7 +109,6 @@ def main(argv=None) -> int:
         t0 = time.time()  # repro: allow[wallclock] — host-side progress report
         if cache is not None:
             cache.hits = cache.misses = cache.evictions = 0
-        metrics.reset()
         # One crash-consistent journal per experiment id: a fresh run
         # starts it empty, --resume replays whatever a killed or
         # interrupted run left behind, and a clean finish discards it.
@@ -118,29 +120,33 @@ def main(argv=None) -> int:
             # byte-identical to an uninterrupted run's.
             print(f"[{name}: resuming, {journal.entry_count()} journaled "
                   f"point(s)]", file=sys.stderr)
-        try:
-            result = registry.run(name, check=True if args.check else None,
-                                  races=True if args.races else None,
-                                  quick=args.quick, jobs=args.jobs,
-                                  cache=cache, journal=journal)
-        except SweepInterrupted as exc:
-            print(f"[{name}] {exc}", file=sys.stderr)
-            print(f"  resume with: {resume_command(name)}", file=sys.stderr)
-            return 130
-        if args.csv:
-            print(result.to_csv())
-        else:
-            print(result.render(plot=args.plot))
-        if outdir is not None:
-            (outdir / f"{name}.txt").write_text(
-                result.render(plot=True) + "\n")
-            (outdir / f"{name}.csv").write_text(result.to_csv() + "\n")
-        if metrics.obs_enabled():
-            from ..obs.manifest import write_manifest
-            mpath = write_manifest(name, config={
-                "experiment": name, "quick": bool(args.quick),
-                "check": bool(args.check), "races": bool(args.races)})
-            print(f"run manifest: {mpath}")
+        with flags.override(**switches) as record:
+            metrics.reset()
+            try:
+                result = registry.run(name, quick=args.quick,
+                                      jobs=args.jobs, cache=cache,
+                                      journal=journal)
+            except SweepInterrupted as exc:
+                print(f"[{name}] {exc}", file=sys.stderr)
+                print(f"  resume with: {resume_command(name)}",
+                      file=sys.stderr)
+                return 130
+            if record.races:
+                assert_no_races()  # cached/journaled findings included
+            if args.csv:
+                print(result.to_csv())
+            else:
+                print(result.render(plot=args.plot))
+            if outdir is not None:
+                (outdir / f"{name}.txt").write_text(
+                    result.render(plot=True) + "\n")
+                (outdir / f"{name}.csv").write_text(result.to_csv() + "\n")
+            if record.obs:
+                from ..obs.manifest import write_manifest
+                mpath = write_manifest(name, config={
+                    "experiment": name, "quick": bool(args.quick),
+                    "check": bool(args.check), "races": bool(args.races)})
+                print(f"run manifest: {mpath}")
         journal.discard()
         # The note renders in every mode — serial, pooled, or with the
         # cache disabled — so run logs always say what the cache did.

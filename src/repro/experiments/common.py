@@ -10,13 +10,11 @@ the Figure-1 workload) — see EXPERIMENTS.md for the calibration notes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..check.flags import override_checks, override_races
 from ..cluster import Machine
 from ..config import CostModel, MiB, PlatformSpec
 from ..core import CCStats, MapReduceOp, ObjectIO, object_get
@@ -41,33 +39,6 @@ PAPER_COST = CostModel(
 #: (4 MiB is the MPICH default the paper quotes).
 DEFAULT_HINTS = CollectiveHints(cb_buffer_size=4 * MiB,
                                 aggregators_per_node=1)
-
-
-def with_sanitizers(run_fn: Callable) -> Callable:
-    """Give an experiment entry point ``check``/``races`` keyword args.
-
-    ``check=True`` runs the whole experiment under the runtime
-    sanitizers (collective-protocol verifier + plan invariants, see
-    :mod:`repro.check`), ``check=False`` forces them off, and the
-    default ``None`` leaves the process-wide ``REPRO_CHECK`` setting
-    untouched.  ``races`` does the same for the vector-clock race
-    tracker (``REPRO_RACES``); when truthy, any race finding recorded
-    during the run raises :class:`~repro.errors.RaceError` at the end.
-    Every ``figNN_*.run`` is wrapped with this, so
-    ``python -m repro.experiments <id> --check``/``--races`` can
-    validate a figure's entire schedule without touching the figure
-    code.
-    """
-    @functools.wraps(run_fn)
-    def wrapper(*args: Any, check: Optional[bool] = None,
-                races: Optional[bool] = None, **kwargs: Any):
-        with override_checks(check), override_races(races):
-            result = run_fn(*args, **kwargs)
-            if races:
-                from ..check.races import assert_no_races
-                assert_no_races()
-            return result
-    return wrapper
 
 
 def sweep(fn_path: str, point_kwargs: Sequence[Dict[str, Any]], *,

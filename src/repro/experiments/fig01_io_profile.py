@@ -24,8 +24,7 @@ from ..core import SUM_OP
 from ..io import CollectiveHints
 from ..workloads.climate import interleaved_workload
 from .common import (DEFAULT_HINTS, ExperimentResult, PAPER_COST,
-                     hopper_platform, run_objectio_job, sweep,
-                     with_sanitizers)
+                     hopper_platform, run_objectio_job, sweep)
 
 #: The paper's machine shape for this figure.
 NPROCS = 72
@@ -76,7 +75,6 @@ def points(iterations: int, cb_buffer_size: int) -> List[Dict[str, Any]]:
                  cb_buffer_size=int(cb_buffer_size))]
 
 
-@with_sanitizers
 def run(iterations: int = 40, cb_buffer_size: int = 256 * KiB, *,
         jobs: int = 1, cache: Any = None,
         journal: Any = None) -> ExperimentResult:

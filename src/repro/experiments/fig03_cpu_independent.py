@@ -16,7 +16,7 @@ from ..core import SUM_OP
 from ..io import CollectiveHints
 from ..workloads.climate import interleaved_workload
 from .common import (ExperimentResult, hopper_platform, run_objectio_job,
-                     sweep, with_sanitizers)
+                     sweep)
 from .fig01_io_profile import (AGGREGATORS_PER_NODE, CORES_PER_NODE, NODES,
                                NPROCS, N_OSTS)
 
@@ -56,7 +56,6 @@ def points(iterations: int, bins: int) -> List[Dict[str, Any]]:
     return [dict(iterations=int(iterations), bins=int(bins))]
 
 
-@with_sanitizers
 def run(iterations: int = 30, bins: int = 16, *,
         jobs: int = 1, cache: Any = None,
         journal: Any = None) -> ExperimentResult:

@@ -19,7 +19,7 @@ from ..core import SUM_OP
 from ..workloads.climate import interleaved_workload, ratio_ops_per_element
 from .common import (DEFAULT_HINTS, ExperimentResult, PAPER_COST,
                      hopper_platform, measure_io_time, run_objectio_job,
-                     sweep, with_sanitizers)
+                     sweep)
 
 #: The paper's configuration.
 NPROCS = 120
@@ -74,7 +74,6 @@ def points(per_rank_mib: float, ratios: Sequence[Tuple[int, int]],
             for num, den in ratios]
 
 
-@with_sanitizers
 def run(per_rank_mib: float = 2.0,
         ratios: Sequence[Tuple[int, int]] = RATIOS, *,
         jobs: int = 1, cache: Any = None,

@@ -19,8 +19,7 @@ from ..config import MiB
 from ..core import SUM_OP
 from ..workloads.climate import interleaved_workload, ratio_ops_per_element
 from .common import (ExperimentResult, PAPER_COST, hopper_platform,
-                     measure_io_time, run_objectio_job, sweep,
-                     with_sanitizers)
+                     measure_io_time, run_objectio_job, sweep)
 
 #: The paper's process counts.
 PROCESS_COUNTS: Tuple[int, ...] = (24, 48, 120, 240, 480, 1024)
@@ -70,7 +69,6 @@ def points(per_rank_mib: float, process_counts: Sequence[int],
             for nprocs in process_counts]
 
 
-@with_sanitizers
 def run(per_rank_mib: float = 1.0,
         process_counts: Sequence[int] = PROCESS_COUNTS, *,
         jobs: int = 1, cache: Any = None,

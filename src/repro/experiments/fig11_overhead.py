@@ -29,7 +29,7 @@ from ..core import SUM_OP
 from ..workloads.climate import Workload, interleaved_workload
 from ..dataspace import DatasetSpec, block_partition, full_selection
 from .common import (ExperimentResult, hopper_platform, run_objectio_job,
-                     sweep, with_sanitizers)
+                     sweep)
 
 #: Process counts of the figure.
 PROCESS_COUNTS: Tuple[int, ...] = (128, 256, 512)
@@ -100,7 +100,6 @@ def points(total_mib_small: float,
             for nprocs in process_counts]
 
 
-@with_sanitizers
 def run(total_mib_small: float = 48.0,
         process_counts: Sequence[int] = PROCESS_COUNTS, *,
         jobs: int = 1, cache: Any = None,

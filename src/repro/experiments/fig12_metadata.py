@@ -29,7 +29,7 @@ from ..dataspace import DatasetSpec, Subarray
 from ..io import CollectiveHints
 from ..workloads.climate import Workload
 from .common import (ExperimentResult, hopper_platform, run_objectio_job,
-                     sweep, with_sanitizers)
+                     sweep)
 
 #: Buffer sizes of the paper's sweep (MB).
 BUFFER_SIZES_MB: Tuple[int, ...] = (1, 4, 8, 12, 24)
@@ -88,7 +88,6 @@ def points(scale: float,
     return [dict(mb=int(mb), scale=float(scale)) for mb in buffer_sizes_mb]
 
 
-@with_sanitizers
 def run(scale: float = 1.0,
         buffer_sizes_mb: Sequence[int] = BUFFER_SIZES_MB, *,
         jobs: int = 1, cache: Any = None,

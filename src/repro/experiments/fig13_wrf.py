@@ -31,7 +31,7 @@ from typing import Any, Dict
 from ..workloads.wrf import HurricaneGrid, hurricane_workload
 from ..io import CollectiveHints
 from .common import (DEFAULT_HINTS, ExperimentResult, hopper_platform,
-                     sweep, with_sanitizers)
+                     sweep)
 
 NPROCS = 96
 NODES = 4
@@ -136,7 +136,6 @@ def points(scale: float, sizes: Sequence[Tuple[int, float]], task: str,
             for label_gb, fraction in sizes]
 
 
-@with_sanitizers
 def run(scale: float = 0.04,
         sizes: Sequence[Tuple[int, float]] = SIZE_LABELS,
         task: str = "min_slp", *,

@@ -33,7 +33,7 @@ from ..mpi import mpi_run
 from ..sim import Kernel
 from ..workloads.climate import Workload, interleaved_workload
 from .common import (DEFAULT_HINTS, ExperimentResult, hopper_platform,
-                     sweep, with_sanitizers)
+                     sweep)
 
 #: Injected fault rates swept (0.0 first: the bit-identity reference).
 FAULT_RATES: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
@@ -124,7 +124,6 @@ def points(nprocs: int, per_rank_kib: int, fault_rates: Sequence[float],
     return pts
 
 
-@with_sanitizers
 def run(nprocs: int = 48, per_rank_kib: int = 512,
         fault_rates: Sequence[float] = FAULT_RATES,
         seed: int = SEED, *,

@@ -40,7 +40,7 @@ from ..mpi import mpi_run
 from ..sim import Kernel
 from ..workloads.climate import Workload, interleaved_workload
 from .common import (DEFAULT_HINTS, ExperimentResult, hopper_platform,
-                     sweep, with_sanitizers)
+                     sweep)
 
 #: Corruption rates swept (0.0 first: prices the idle integrity layer
 #: and anchors the bit-identity reference).
@@ -136,7 +136,6 @@ def points(nprocs: int, per_rank_kib: int,
     return pts
 
 
-@with_sanitizers
 def run(nprocs: int = 24, per_rank_kib: int = 64,
         corrupt_rates: Sequence[float] = CORRUPT_RATES,
         seed: int = SEED, *,

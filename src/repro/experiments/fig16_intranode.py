@@ -33,8 +33,7 @@ from ..io import CollectiveHints
 from ..mpi import mpi_run
 from ..sim import Kernel
 from ..workloads.climate import interleaved_workload
-from .common import (ExperimentResult, hopper_platform, sweep,
-                     with_sanitizers)
+from .common import (ExperimentResult, hopper_platform, sweep)
 
 #: Ranks-per-node sweep (1 first: the degenerate self-leader reference).
 RPNS: Tuple[int, ...] = (1, 2, 4, 8)
@@ -89,7 +88,6 @@ def points(nprocs: int, per_rank_kib: int, time_steps: int,
     return pts
 
 
-@with_sanitizers
 def run(nprocs: int = 48, per_rank_kib: int = 384, time_steps: int = 24,
         rpns: Sequence[int] = RPNS, *,
         jobs: int = 1, cache: Any = None,

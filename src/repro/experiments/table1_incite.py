@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..workloads import incite
-from .common import ExperimentResult, sweep, with_sanitizers
+from .common import ExperimentResult, sweep
 
 #: ``--quick`` configuration (the table is already instant).
 QUICK_KWARGS: Dict[str, Any] = {}
@@ -24,7 +24,6 @@ def points() -> List[Dict[str, Any]]:
     return [{}]
 
 
-@with_sanitizers
 def run(*, jobs: int = 1, cache: Any = None,
         journal: Any = None) -> ExperimentResult:
     """Regenerate the paper's Table I."""

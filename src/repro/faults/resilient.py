@@ -61,7 +61,7 @@ from ..core.reduction import (BLOCK_PARSE_COST, COMBINE_ELEMENT_COST,
                               global_reduce)
 from ..core.runtime import CCResult
 from ..check.faults import check_recovery_coverage
-from ..check.flags import checks_enabled
+from .. import flags
 from ..errors import CollectiveComputingError, IOLayerError, RecoveryError
 from ..io import AccessRequest
 from ..io.hints import CollectiveHints
@@ -373,7 +373,7 @@ def resilient_collective_read(ctx: RankContext, file: PFSFile,
 
     got, missing, missed_by = yield from _resilient_exchange(
         ctx, file, plan, policy, make_payload, receivers_of, timeline)
-    if checks_enabled():
+    if flags.current().check:
         check_recovery_coverage(
             (k for k in _plan_keys(plan) if ctx.rank in receivers_of(k)),
             got,
@@ -519,7 +519,7 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
 
     got, missing, missed_by = yield from _resilient_exchange(
         ctx, file, plan, policy, make_payload, receivers_of, timeline)
-    if checks_enabled():
+    if flags.current().check:
         if all_to_all:
             expected: List[WindowKey] = [
                 k for k in _plan_keys(plan) if ctx.rank in receivers_of(k)]

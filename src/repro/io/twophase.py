@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..check.flags import checks_enabled
+from .. import flags
 from ..dataspace import RunList, merge_runlists
 from ..errors import IOLayerError
 from ..mpi import RankContext, collectives as coll
@@ -284,14 +284,11 @@ class TwoPhasePlan:
                 f"requested bytes")
 
 
-#: Process-wide switch for the per-communicator plan-derivation memo.
-#: The memo never skips the (simulated) offset-list exchange — it only
-#: avoids re-deriving the identical schedule on every rank — so event
-#: order and simulated timings are unaffected.  Disable to A/B-test.
-PLAN_CACHE_ENABLED = True
-
 #: Memoized plan derivations a communicator may hold before the least
-#: recently used is evicted.
+#: recently used is evicted.  The memo never skips the (simulated)
+#: offset-list exchange — it only avoids re-deriving the identical
+#: schedule on every rank — so event order and simulated timings are
+#: unaffected.
 PLAN_CACHE_CAPACITY = 32
 
 _PLAN_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -340,7 +337,7 @@ def derive_plan(machine, nprocs: int, all_runs: List[RunList],
     ]
     plan = TwoPhasePlan(all_runs, aggregators, domains, windows)
     plan.__dict__["global_runs"] = global_runs
-    if checks_enabled():
+    if flags.current().check:
         from ..check.plan import check_plan_deep
         check_plan_deep(plan)
     return plan
@@ -392,8 +389,6 @@ def make_plan(ctx: RankContext, my_runs: RunList, file: PFSFile,
     signatures, hints, grid and stripe alignment.
     """
     all_runs: List[RunList] = yield from _offset_exchange(ctx, my_runs, hints)
-    if not PLAN_CACHE_ENABLED:
-        return derive_plan(ctx.machine, ctx.size, all_runs, file, hints, grid)
     stripe = file.layout.stripe_size if hints.align_to_stripes else None
     cache = _plan_cache_for(ctx.comm.comm)
     key = (tuple(rl.signature() for rl in all_runs), hints, grid, stripe)
@@ -437,7 +432,7 @@ def _aggregator_read_loop(ctx: RankContext, file: PFSFile,
     my_windows = plan.windows[agg_idx]
     kernel = ctx.kernel
     comm = ctx.comm.comm
-    checking = checks_enabled()
+    checking = flags.current().check
 
     def issue_read(t: int):
         r_lo, r_hi = plan.read_span(agg_idx, t)  # windows never empty
@@ -568,7 +563,7 @@ def _leader_read_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
     per-node batch, keep this rank's own payload, forward the rest to
     the requesting co-located ranks (an intra-node hop)."""
     comm = ctx.comm.comm
-    checking = checks_enabled()
+    checking = flags.current().check
     node_any = plan.membership[ns.node_ranks].any(axis=0)
     for i, agg_rank in enumerate(plan.aggregators):
         for t in range(len(plan.windows[i])):
@@ -644,7 +639,7 @@ def _shuffle_setup(ctx: RankContext, plan: TwoPhasePlan,
     ns: Optional[NodeSplit] = None
     if hints.two_level and ctx.size > 1:
         ns = yield from ctx.comm.node_split()
-        if checks_enabled():
+        if flags.current().check:
             from ..check.plan import check_two_level_schedule
             check_two_level_schedule(plan, ctx.comm.comm.node_of)
         n_tags = sum(len(ws) for ws in plan.windows)
@@ -718,7 +713,7 @@ def _writer_send_loop(ctx: RankContext, plan: TwoPhasePlan, my_runs: RunList,
     the per-node batches.
     """
     placer = RunPlacer(my_runs)
-    checking = checks_enabled()
+    checking = flags.current().check
     comm = ctx.comm.comm
     if ns is not None and ns.is_leader:
         yield from _leader_write_relay(ctx, plan, ns, placer, flat, base_tag)
@@ -753,7 +748,7 @@ def _leader_write_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
     in-place), batch them per window and send one message per
     (window, node) to the aggregator."""
     comm = ctx.comm.comm
-    checking = checks_enabled()
+    checking = flags.current().check
     member = plan.membership
     for i, agg_rank in enumerate(plan.aggregators):
         for t in range(len(plan.windows[i])):

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
-from ..check.flags import checks_enabled
+from .. import flags
 from ..cluster import Machine
 from ..errors import MPIError
 from ..obs import metrics
@@ -198,7 +198,7 @@ class Communicator:
         #: attached when ``REPRO_CHECK`` is on at construction.  With it
         #: off (the default) each collective call pays one is-None test.
         self.sanitizer = None
-        if checks_enabled():
+        if flags.current().check:
             from ..check.protocol import CollectiveLedger
             self.sanitizer = CollectiveLedger(self.id, nprocs)
         #: Message-race tracker (:mod:`repro.check.races`), attached

@@ -11,25 +11,23 @@ wall) — plus the run-manifest writer (:mod:`repro.obs.manifest`) and
 the report renderer behind ``python -m repro.report``
 (:mod:`repro.obs.report`).
 
-Everything is opt-in via ``REPRO_OBS`` (or
-:func:`~repro.obs.metrics.enable_obs`), mirroring the ``REPRO_CHECK``/
-``REPRO_RACES`` switches: with the flag off, instrumented call sites
-pay one is-None test and the library's outputs are bit-identical to an
+Everything is opt-in via the ``obs`` field of the
+:class:`~repro.flags.Flags` record (``REPRO_OBS``, or
+``repro.flags.override(obs=True)``), next to the ``check``/``races``/
+``shake`` switches: with it off, instrumented call sites pay one
+is-None test and the library's outputs are bit-identical to an
 uninstrumented build.  See docs/OBSERVABILITY.md for the metrics
 catalogue, the manifest schema and the report-CLI runbook.
 """
 
 from .metrics import (MetricsRegistry, VOLATILE_PREFIXES, capture_point,
-                      current, enable_obs, obs_enabled, override_obs,
-                      reset, suppressed)
+                      current, override_obs, reset, suppressed)
 
 __all__ = [
     "MetricsRegistry",
     "VOLATILE_PREFIXES",
     "capture_point",
     "current",
-    "enable_obs",
-    "obs_enabled",
     "override_obs",
     "reset",
     "suppressed",

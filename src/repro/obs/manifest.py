@@ -1,8 +1,9 @@
 """Run manifests: one JSON artifact describing one observed run.
 
 A manifest is the durable record a CLI writes after a run executed
-with ``REPRO_OBS`` on: the run's identity and configuration, the flag
-state, the library code digest (reused from
+with ``REPRO_OBS`` on: the run's identity and configuration, the
+:class:`~repro.flags.Flags` record in force for the run, the library
+code digest (reused from
 :func:`repro.parallel.pointcache.code_digest`), the deterministic
 metric snapshot, and a summary of the fault/integrity ledger derived
 from the ``faults.*`` counters.  ``python -m repro.report`` consumes
@@ -21,8 +22,8 @@ Schema (``"schema": 1``)::
       "schema": 1,
       "run": "<run id, e.g. fig10 or chaos>",
       "config": {...},            # run parameters (never jobs/cache)
-      "flags": {"check": bool, "races": bool, "obs": true,
-                 "shake": int|null},
+      "flags": {"check": bool, "races": bool, "obs": bool,
+                 "shake": int|null},   # the Flags record in force
       "code_digest": "<sha256 of every repro/**/*.py>",
       "metrics": {"counters": {...}, "gauges": {...},
                    "histograms": {...}},
@@ -41,9 +42,11 @@ byte-identical to an uninterrupted one's.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from .. import flags
 from . import metrics
 
 #: Manifest schema version (bump on incompatible layout changes).
@@ -96,8 +99,7 @@ def build_manifest(run: str, config: Optional[Dict[str, Any]] = None,
     if registry is None:
         raise ValueError(
             "cannot build a manifest with observability off "
-            "(set REPRO_OBS=1 or call repro.obs.enable_obs())")
-    from ..check.flags import checks_enabled, races_enabled, shake_seed
+            "(set REPRO_OBS=1 or enter repro.flags.override(obs=True))")
     from ..parallel.pointcache import code_digest
 
     snapshot = registry.snapshot()
@@ -105,12 +107,7 @@ def build_manifest(run: str, config: Optional[Dict[str, Any]] = None,
         "schema": SCHEMA_VERSION,
         "run": run,
         "config": dict(config or {}),
-        "flags": {
-            "check": checks_enabled(),
-            "races": races_enabled(),
-            "obs": True,
-            "shake": shake_seed(),
-        },
+        "flags": asdict(flags.current()),
         "code_digest": code_digest(),
         "metrics": snapshot,
         "ledger": ledger_summary(snapshot),

@@ -1,11 +1,10 @@
-"""The ``REPRO_OBS`` switch and the process-local metrics registry.
+"""The process-local metrics registry behind the ``REPRO_OBS`` switch.
 
-Mirror of the :mod:`repro.check.flags` pattern: observability is
-strictly opt-in on the hot path.  With the flag off (the default) the
-only cost anywhere in the library is a call to :func:`current` that
-returns ``None`` followed by an is-None test — no counter dict, no
-allocation, nothing.  With it on, instrumented layers record into one
-process-local :class:`MetricsRegistry`:
+Observability is strictly opt-in on the hot path.  With it off (the
+default) the only cost anywhere in the library is a call to
+:func:`current` that returns ``None`` followed by an is-None test — no
+counter dict, no allocation, nothing.  With it on, instrumented layers
+record into one process-local :class:`MetricsRegistry`:
 
 * **counters** — monotonically accumulated numbers (bytes on the wire,
   OST requests, fault-ledger tallies).  Merged by summation.
@@ -31,23 +30,24 @@ point order** — so a fanned-out run's merged metrics are identical to
 a serial run's (the same pattern :mod:`repro.check.races` uses for
 race findings).
 
-The flag is read from the ``REPRO_OBS`` environment variable once at
-import (``1``/``true``/``yes``/``on`` enable) and can be flipped with
-:func:`enable_obs` or scoped with :func:`override_obs`.  This module
-deliberately imports nothing from the rest of the library so any layer
-may record metrics without creating an import cycle.
+**The switch.**  The registry is derived from the ``obs`` field of the
+:class:`~repro.flags.Flags` record: it exists exactly when that field
+is on.  It is installed at import when ``REPRO_OBS`` asks for it, and
+:func:`repro.flags.override` with ``obs=`` installs a fresh one (or
+none) for a scope; :func:`override_obs` is that same override.
+:func:`capture_point`, :func:`suppressed` and :func:`reset` swap one
+registry for another but never turn the switch.  This module imports
+nothing from the library but :mod:`repro.flags`, so any layer may
+record metrics without creating an import cycle.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (Any, ContextManager, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-#: Environment variable that enables the metrics registry.
-OBS_ENV_VAR = "REPRO_OBS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+from .. import flags
 
 #: Metric-name prefixes whose values depend on host-side state (shared
 #: process caches, wall clock) rather than the simulated schedule.
@@ -169,10 +169,7 @@ class MetricsRegistry:
 # Per-process by design — workers ship snapshots back as data (see the
 # module docstring), exactly like repro.check.races._FINDINGS.
 _REGISTRY: Optional[MetricsRegistry] = (  # repro: allow[pool-global] — per-process by design; workers ship snapshots back as data
-    MetricsRegistry()
-    if os.environ.get(OBS_ENV_VAR, "").strip().lower() in _TRUTHY
-    else None
-)
+    MetricsRegistry() if flags.current().obs else None)
 
 
 def current() -> Optional[MetricsRegistry]:
@@ -184,15 +181,21 @@ def current() -> Optional[MetricsRegistry]:
     return _REGISTRY
 
 
-def obs_enabled() -> bool:
-    """Whether the metrics registry is currently on."""
-    return _REGISTRY is not None
+@contextmanager
+def _swapped(registry: Optional[MetricsRegistry]) -> Iterator[None]:
+    """Install ``registry`` for the scope; restore the previous one.
 
-
-def enable_obs(on: bool = True) -> None:
-    """Turn observability on (installing a **fresh** registry) or off."""
+    Turning the switch (``None`` vs a registry) is reserved to
+    :func:`repro.flags.override`, its one outside caller, so the
+    record's ``obs`` field and this registry never disagree.
+    """
     global _REGISTRY
-    _REGISTRY = MetricsRegistry() if on else None
+    previous = _REGISTRY
+    _REGISTRY = registry
+    try:
+        yield
+    finally:
+        _REGISTRY = previous
 
 
 def reset() -> None:
@@ -201,27 +204,20 @@ def reset() -> None:
     The CLIs call this before each run so a manifest reflects exactly
     one experiment, not the whole process lifetime.
     """
+    global _REGISTRY
     if _REGISTRY is not None:
-        enable_obs(True)
+        _REGISTRY = MetricsRegistry()
 
 
-@contextmanager
-def override_obs(on: Optional[bool]) -> Iterator[None]:
-    """Scoped :func:`enable_obs`; ``None`` leaves the flag untouched.
+def override_obs(on: Optional[bool]) -> ContextManager[Any]:
+    """Scoped observability switch; ``None`` leaves it untouched.
 
     Entering with ``True`` installs a fresh registry; the previous
-    registry (and its contents) is restored on exit.
+    registry (and its contents) is restored on exit.  The same scope as
+    ``repro.flags.override(obs=on)``, kept under this name for callers
+    that only turn on metrics.
     """
-    global _REGISTRY
-    if on is None:
-        yield
-        return
-    previous = _REGISTRY
-    enable_obs(on)
-    try:
-        yield
-    finally:
-        _REGISTRY = previous
+    return nullcontext() if on is None else flags.override(obs=on)
 
 
 class PointCapture:
@@ -249,16 +245,9 @@ def capture_point() -> Iterator[PointCapture]:
     snapshots merge.  A no-op yielding an empty capture when
     observability is off.
     """
-    global _REGISTRY
-    if _REGISTRY is None:
-        yield PointCapture(None)
-        return
-    previous = _REGISTRY
-    _REGISTRY = MetricsRegistry()
-    try:
-        yield PointCapture(_REGISTRY)
-    finally:
-        _REGISTRY = previous
+    fresh = None if _REGISTRY is None else MetricsRegistry()
+    with _swapped(fresh):
+        yield PointCapture(fresh)
 
 
 @contextmanager
@@ -270,13 +259,5 @@ def suppressed() -> Iterator[None]:
     per scenario per process): suppressing it keeps per-point snapshots
     a pure function of the point, so pooled merges equal serial ones.
     """
-    global _REGISTRY
-    if _REGISTRY is None:
+    with _swapped(None if _REGISTRY is None else MetricsRegistry()):
         yield
-        return
-    previous = _REGISTRY
-    _REGISTRY = MetricsRegistry()
-    try:
-        yield
-    finally:
-        _REGISTRY = previous

@@ -6,21 +6,23 @@ SIGKILLed worker, an OOMed pool, a Ctrl-C or a dead parent process
 loses at most the points that were still in flight.  ``--resume`` on
 the experiments CLI and ``python -m repro.check --chaos N --resume``
 open the surviving journal and skip every recorded point, replaying
-its value and metric snapshot exactly as a
-:class:`~repro.parallel.pointcache.PointCache` hit would — which is
-what makes a resumed run's merged results, figures and manifests
-byte-identical to an uninterrupted run's.
+its whole entry — value, race findings and metric snapshot — exactly
+as a :class:`~repro.parallel.pointcache.PointCache` hit would, which
+is what makes a resumed run's merged results, race verdicts, figures
+and manifests byte-identical to an uninterrupted run's.
 
 Storage mirrors the point cache deliberately:
 
 * entries live under ``<root>/<k[:2]>/<k>.pkl`` where ``k`` is
   :func:`~repro.parallel.pointcache.point_key` — the same
-  content-address (code digest | fn | canonical kwargs | check flag |
-  obs flag), so a journal written by older code or under different
-  sanitizer flags simply never hits;
-* every write is atomic (``tmp`` + ``os.replace``), so a crash mid-write
-  leaves either the previous state or the complete new entry, never a
-  torn file — unreadable or truncated entries are treated as misses;
+  content-address (code digest | fn | canonical kwargs | the whole
+  :class:`~repro.flags.Flags` record), so a journal written by older
+  code or under a different record simply never hits;
+* entries use the cache's format
+  (:func:`~repro.parallel.pointcache.write_entry`), and every write is
+  atomic (``tmp`` + ``os.replace``), so a crash mid-write leaves
+  either the previous state or the complete new entry, never a torn
+  file — unreadable or truncated entries are treated as misses;
 * the journal is safe to delete wholesale at any time.
 
 Unlike the cache, a journal is **per run** (one directory per run id
@@ -33,21 +35,23 @@ environment variable is a positive integer ``K``, the journal SIGKILLs
 its own process immediately after the ``K``-th successful ``record``.
 This is how ``python -m repro.check --crash`` murders a sweep's parent
 at a deterministic point mid-flight; the variable is unset in normal
-operation and the hook costs one integer comparison per write.
+operation and the hook costs one integer comparison per write.  It
+is a drill hook, not one of the flags: it never enters the point key,
+so the resumed run hits every entry the killed run wrote.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 from pathlib import Path
-from typing import Any, Optional, Tuple, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
-from .pointcache import point_key
+from .pointcache import point_key, read_entry, write_entry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .sweep import SweepPoint
+    from .worker import Entry
 
 #: Default parent directory for per-run journals, relative to the
 #: working directory (the repo root in every documented invocation).
@@ -84,41 +88,27 @@ class RunJournal:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, point: "SweepPoint"
-            ) -> Tuple[bool, Optional[Any], Optional[Any]]:
-        """``(hit, value, obs snapshot)`` for one point.
+    def get(self, point: "SweepPoint") -> Optional["Entry"]:
+        """One point's journaled entry ``(value, race findings, obs
+        snapshot)``, or ``None``.
 
         A missing, torn or unreadable entry is a miss — the point is
         simply re-executed, so a corrupted journal can cost time but
         never correctness.
         """
-        path = self._path(point_key(point))
-        try:
-            with path.open("rb") as fh:
-                entry = pickle.load(fh)
-            value = entry["value"]
-        except (OSError, pickle.UnpicklingError, EOFError, KeyError,
-                AttributeError, ImportError, IndexError):
-            return False, None, None
-        self.replays += 1
-        return True, value, entry.get("obs")
+        entry = read_entry(self._path(point_key(point)))
+        if entry is not None:
+            self.replays += 1
+        return entry
 
-    def record(self, point: "SweepPoint", value: Any,
-               obs: Optional[Any] = None) -> None:
-        """Journal one completed point (atomic tmp + replace).
+    def record(self, point: "SweepPoint", entry: "Entry") -> None:
+        """Journal one completed point's entry (atomic tmp + replace).
 
         Safe to call for a point that is already journaled (a hedged
         duplicate, or a cache hit re-recorded on resume): the replace
         just overwrites the entry with identical content.
         """
-        path = self._path(point_key(point))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"fn": point.fn, "kwargs": point.kwargs, "value": value,
-                 "obs": obs}
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
+        write_entry(self._path(point_key(point)), point, entry)
         self.records += 1
         if self._die_after is not None and self.records >= self._die_after:
             # Crash-campaign hook: die *after* the write is durable, so

@@ -1,26 +1,29 @@
 """Persistent on-disk cache of sweep-point results.
 
 A point is deterministic: its result is a pure function of (the code,
-the function, the kwargs).  The cache key is therefore::
+the function, the kwargs, the switches it ran under).  The cache key
+is therefore::
 
-    sha256(code_digest | fn_path | canonical(kwargs) | check_flag | obs_flag)
+    sha256(code_digest | fn_path | canonical(kwargs) | flags record)
 
 where ``code_digest`` hashes every ``*.py`` file of the installed
 ``repro`` package — *any* source edit invalidates *every* cached point
 (coarse on purpose: cross-module effects like a cost-model tweak must
-never serve stale rows).  The sanitizer flag is part of the key so a
-``--check`` run never "verifies" by reading back an unchecked result;
-the observability flag likewise, so a ``REPRO_OBS=1`` run never serves
-an entry that carries no metric snapshot.
+never serve stale rows) — and the flags record is the whole
+:class:`~repro.flags.Flags` in force.  So a ``--check`` run never
+"verifies" by reading back an unchecked result, a ``--races`` or
+``REPRO_SHAKE=7`` run re-executes every point under the tracker or
+the shaken schedule, and a ``REPRO_OBS=1`` run never serves an entry
+without a metric snapshot.
 
 Entries live under ``results/.pointcache/<k[:2]>/<k>.pkl`` as pickles
-of ``{"fn", "kwargs", "value", "obs"}`` — ``obs`` being the point's
-deterministic metric snapshot (or ``None`` when recorded with
-observability off), replayed on every hit so a warm-cache run's merged
-metrics are byte-identical to the cold run's.  Unreadable or truncated
-entries are treated as misses and rewritten; the cache is safe to
-delete wholesale at any time
-(``python -m repro.experiments --clear-cache`` does exactly that).
+of the point's whole entry (see :mod:`repro.parallel.worker`) — its
+value, the race findings it filed and its metric snapshot — replayed
+on every hit, so a warm run re-files the cold run's findings and
+merges byte-identical metrics.  Unreadable or truncated entries are
+treated as misses and rewritten; the cache is safe to delete
+wholesale at any time (``python -m repro.experiments --clear-cache``
+does exactly that).
 
 The cache is bounded: ``max_entries`` (default
 :data:`DEFAULT_MAX_ENTRIES`) caps the number of on-disk results, and a
@@ -36,10 +39,13 @@ import functools
 import hashlib
 import pickle
 from pathlib import Path
-from typing import Any, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
+
+from .. import flags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .sweep import SweepPoint
+    from .worker import Entry
 
 #: Default location, relative to the working directory (the repo root
 #: in every documented invocation).
@@ -89,23 +95,44 @@ def _canonical(value: Any) -> str:
 def point_key(point: "SweepPoint") -> str:
     """The content-address of one sweep point.
 
-    ``sha256(code digest | fn | canonical kwargs | check flag | obs
-    flag)`` — shared by :class:`PointCache` and
+    ``sha256(code digest | fn | canonical kwargs | flags record)`` —
+    shared by :class:`PointCache` and
     :class:`~repro.parallel.journal.RunJournal`, so both stores
     invalidate on any source edit and never replay an entry recorded
-    under different sanitizer/observability flags.
+    under a different :class:`~repro.flags.Flags` record.
     """
-    from ..check.flags import checks_enabled
-    from ..obs.metrics import obs_enabled
-
     digest = hashlib.sha256()
     digest.update(code_digest().encode())
     digest.update(point.fn.encode())
     for name, value in point.kwargs:
         digest.update(f"|{name}={_canonical(value)}".encode())
-    digest.update(b"|check=1" if checks_enabled() else b"|check=0")
-    digest.update(b"|obs=1" if obs_enabled() else b"|obs=0")
+    digest.update(f"|{flags.current()!r}".encode())
     return digest.hexdigest()
+
+
+def read_entry(path: Path) -> Optional["Entry"]:
+    """The entry stored at ``path``; ``None`` when it is missing, torn
+    or unreadable (a miss, never an error or a wrong value)."""
+    try:
+        with path.open("rb") as fh:
+            stored = pickle.load(fh)
+        return stored["value"], tuple(stored["findings"]), stored["obs"]
+    except (OSError, pickle.UnpicklingError, EOFError, KeyError,
+            AttributeError, ImportError, IndexError, TypeError):
+        return None
+
+
+def write_entry(path: Path, point: "SweepPoint", entry: "Entry") -> None:
+    """Store one entry at ``path`` atomically (tmp + replace), so a
+    crash mid-write leaves the old state or the whole new entry."""
+    value, findings, obs = entry
+    path.parent.mkdir(parents=True, exist_ok=True)
+    stored = {"fn": point.fn, "kwargs": point.kwargs, "value": value,
+              "findings": tuple(findings), "obs": obs}
+    tmp = path.with_suffix(".tmp")
+    with tmp.open("wb") as fh:
+        pickle.dump(stored, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    tmp.replace(path)
 
 
 class PointCache:
@@ -140,47 +167,31 @@ class PointCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, point: "SweepPoint"
-            ) -> Tuple[bool, Optional[Any], Optional[Any]]:
-        """``(hit, value, obs snapshot)`` — a corrupt or unreadable
-        entry is a miss.  The third element is the metric snapshot the
-        point recorded when it executed (``None`` for entries written
-        with observability off)."""
+    def get(self, point: "SweepPoint") -> Optional["Entry"]:
+        """The point's stored entry ``(value, race findings, obs
+        snapshot)``, or ``None`` on a miss (a corrupt or unreadable
+        entry is a miss)."""
         from ..obs import metrics
 
-        path = self._path(self.key(point))
-        m = metrics.current()
-        try:
-            with path.open("rb") as fh:
-                entry = pickle.load(fh)
-            value = entry["value"]
-        except (OSError, pickle.UnpicklingError, EOFError, KeyError,
-                AttributeError, ImportError, IndexError):
+        entry = read_entry(self._path(self.key(point)))
+        if entry is None:
             self.misses += 1
-            if m is not None:
-                m.count("parallel.cache.misses")
-            return False, None, None
-        self.hits += 1
+        else:
+            self.hits += 1
+        m = metrics.current()
         if m is not None:
-            m.count("parallel.cache.hits")
-        return True, value, entry.get("obs")
+            m.count("parallel.cache.misses" if entry is None
+                    else "parallel.cache.hits")
+        return entry
 
-    def put(self, point: "SweepPoint", value: Any,
-            obs: Optional[Any] = None) -> None:
-        """Store one result (atomically: write-then-rename), evicting
-        oldest entries first when the cap would be exceeded.  ``obs``
-        is the point's deterministic metric snapshot, replayed on every
-        later hit."""
+    def put(self, point: "SweepPoint", entry: "Entry") -> None:
+        """Store one point's entry (atomically: write-then-rename),
+        evicting oldest entries first when the cap would be exceeded;
+        every later hit replays it whole."""
         path = self._path(self.key(point))
         if self.max_entries is not None and not path.exists():
             self._evict_to(self.max_entries - 1)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"fn": point.fn, "kwargs": point.kwargs, "value": value,
-                 "obs": obs}
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
+        write_entry(path, point, entry)
 
     def _evict_to(self, budget: int) -> None:
         """Drop oldest entries (mtime, then path) until at most

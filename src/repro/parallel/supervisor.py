@@ -29,11 +29,13 @@ module replaces it with an explicit supervision loop in the parent:
   finish wins and the loser is killed.  Points are deterministic pure
   functions and journal writes are atomic and content-keyed, so a
   duplicated execution is harmless by construction.
-* **journaling** — every completed point is recorded to the caller's
-  :class:`~repro.parallel.journal.RunJournal` the moment it arrives,
-  which is what makes a killed *parent* resumable too.
+* **journaling** — every completed point's entry is recorded to the
+  caller's :class:`~repro.parallel.journal.RunJournal` the moment it
+  arrives, which is what makes a killed *parent* resumable too.
+* **one flag record** — the :class:`~repro.flags.Flags` record in force
+  is captured once per sweep and shipped to every worker it spawns.
 
-Results are returned keyed by point index; the sweep engine merges
+Entries are returned keyed by point index; the sweep engine merges
 them in point order, so supervision never changes any output byte.
 """
 
@@ -44,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import flags
 from ..obs import metrics
 
 
@@ -112,10 +115,11 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                    deadline: Optional[float] = None,
                    hedge_after: Optional[float] = None,
                    journal: Optional[Any] = None,
-                   ) -> Tuple[Dict[int, Any], Dict[int, Any]]:
+                   ) -> Dict[int, Any]:
     """Fan ``pending`` over supervised workers; see the module docstring.
 
-    Returns ``(results, obs snapshots)``, both keyed by point index.
+    Returns each point's entry ``(value, race findings, obs snapshot)``
+    keyed by point index.
     Raises :class:`~repro.parallel.sweep.PointError` on a point that
     raised, or that exhausted its crash/hang retries.  On
     ``KeyboardInterrupt`` (the sweep engine converts SIGINT/SIGTERM to
@@ -125,14 +129,12 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
     import multiprocessing
     from multiprocessing.connection import wait as conn_wait
 
-    from ..check.flags import checks_enabled, races_enabled, shake_seed
     from .sweep import PointError
     from .worker import worker_main
 
     retry = retry if retry is not None else RetrySpec()
     ctx = multiprocessing.get_context("spawn")
-    flags = (checks_enabled(), races_enabled(), shake_seed(),
-             metrics.obs_enabled())
+    record = flags.current()
     max_slots = min(jobs, len(pending))
     m = metrics.current()
 
@@ -142,13 +144,12 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
     #: point index -> a hedge duplicate was already dispatched.
     hedged: Dict[int, bool] = {}
     results: Dict[int, Any] = {}
-    snaps: Dict[int, Any] = {}
     slots: List[_Slot] = []
 
     def spawn_slot() -> _Slot:
         parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=worker_main,
-                           args=(child_conn,) + flags, daemon=True)
+        proc = ctx.Process(target=worker_main, args=(child_conn, record),
+                           daemon=True)
         proc.start()
         child_conn.close()  # so a worker death turns into EOF here
         slot = _Slot(proc, parent_conn)
@@ -225,19 +226,10 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                              f"{exc_type}: {exc_msg}",
                              worker_traceback=tb_text,
                              attempts=tuple(attempts[task_id]))
-        value = outcome[1]
-        results[task_id] = value
-        if len(outcome) > 2 and outcome[2]:
-            # Race findings recorded inside the worker: replay them into
-            # the parent registry, exactly as a serial run would file them.
-            from ..check.races import report_finding
-            for finding in outcome[2]:
-                report_finding(finding)
-        snap = outcome[3] if len(outcome) > 3 else None
-        if snap is not None:
-            snaps[task_id] = snap
+        entry = outcome[1:]
+        results[task_id] = entry
         if journal is not None:
-            journal.record(points[task_id], value, snap)
+            journal.record(points[task_id], entry)
         # Kill any slot still running a duplicate of this point (the
         # hedge loser): its result is no longer wanted.
         for other in list(slots):
@@ -330,4 +322,4 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
     for slot in list(slots):
         slot.proc.join(timeout=2.0)
         kill_slot(slot)
-    return results, snaps
+    return results

@@ -16,11 +16,12 @@ contract:
   so they never inherit forked interpreter state; a point must be a
   *module-level* function named by its dotted path and its kwargs must
   be plain picklable values.
-* **Check-flag propagation** — the parent's ``REPRO_CHECK``/
-  :func:`~repro.check.flags.checks_enabled` state at call time is
-  re-applied inside every worker (``enable_checks`` is process-local,
-  so an ``override_checks(True)`` scope in the parent would otherwise
-  be invisible to spawned children).
+* **Flag propagation** — the parent's :class:`~repro.flags.Flags`
+  record at call time (``check``, ``races``, ``shake``, ``obs``) is
+  shipped whole to every worker, which serves its points inside it (a
+  scoped ``repro.flags.override`` in the parent would otherwise be
+  invisible to spawned children).  The same record is hashed whole
+  into every point-cache and journal key.
 * **Per-point error capture** — a worker failure is shipped back as
   text (never as a possibly-unpicklable exception object) and re-raised
   here as :class:`PointError` naming the function, index and kwargs of
@@ -37,20 +38,24 @@ contract:
   it lands; a later call with the same journal replays those entries
   and only runs what is missing, which is what backs ``--resume`` on
   both CLIs.
+* **Whole-entry replay** — a point yields one entry (value, race
+  findings, metric snapshot; see :mod:`repro.parallel.worker`),
+  whether it executed here, in a worker, or was served by the journal
+  or the cache.  After the sweep the entries are replayed **in point
+  order**: findings are re-filed into the race registry and snapshots
+  merged into the metrics registry, so a warm or resumed run reports
+  the same races as the cold run that found them.
 * **Clean interruption** — SIGINT (and SIGTERM, when running on the
   main thread) during a sweep tears the workers down and surfaces as
   :class:`~repro.errors.SweepInterrupted` reporting progress and, via
   ``resume_hint``, the exact resume command.  The journal needs no
   flush: it is written point-by-point with atomic replaces.
-* **Observability propagation** — with ``REPRO_OBS`` on, every point
-  executes inside its own :func:`repro.obs.metrics.capture_point`
-  scope (serially here, or inside a worker); the per-point snapshots —
-  freshly captured, shipped back in the outcome tuple, or replayed
-  from the journal/cache — merge into the parent registry **in point
-  order**, so the merged metrics are bit-identical whatever the job
-  count, cache temperature or crash/resume history.  Supervision
-  bookkeeping lands under the volatile ``parallel.*`` prefix, which
-  manifests exclude — recovery never changes an artifact byte.
+* **Observability** — with ``REPRO_OBS`` on, every point executes
+  inside its own :func:`repro.obs.metrics.capture_point` scope, so the
+  merged metrics are bit-identical whatever the job count, cache
+  temperature or crash/resume history.  Supervision bookkeeping lands
+  under the volatile ``parallel.*`` prefix, which manifests exclude —
+  recovery never changes an artifact byte.
 """
 
 from __future__ import annotations
@@ -63,9 +68,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..check.races import report_finding
 from ..errors import ReproError, SweepInterrupted
 from ..obs import metrics
-from .worker import resolve
+from .worker import Entry, run_point
 
 #: Cap applied by :func:`default_jobs`; sweeps rarely have more points.
 _MAX_DEFAULT_JOBS = 8
@@ -174,15 +180,15 @@ def default_jobs() -> int:
     return max(1, min(usable, _MAX_DEFAULT_JOBS))
 
 
-def _run_serial(point: SweepPoint, index: int) -> Any:
-    """The no-pool path: call the point's function right here.
+def _run_serial(point: SweepPoint, index: int) -> Entry:
+    """The no-pool path: run the point right here, returning its entry.
 
     Errors are wrapped in :class:`PointError` (chained, so the original
     traceback is preserved) to keep the failure contract identical
     between serial and parallel runs.
     """
     try:
-        return resolve(point.fn)(**point.kwargs_dict())
+        return run_point(point.fn, point.kwargs)
     except PointError:
         raise
     except Exception as exc:
@@ -269,34 +275,26 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     """
     if jobs == 0:
         jobs = default_jobs()
-    results: List[Any] = [None] * len(points)
-    #: point index -> deterministic metric snapshot (journal/cache
-    #: replay, serial capture or worker shipment) — merged in point
-    #: order below.
-    deltas: Dict[int, Any] = {}
+    #: point index -> entry (journal/cache replay, serial execution or
+    #: worker shipment) — replayed in point order below.
+    entries: List[Optional[Entry]] = [None] * len(points)
     pending: List[int] = []
     resumed = 0
     cached = 0
     for i, point in enumerate(points):
         if journal is not None:
-            hit, value, obs = journal.get(point)
-            if hit:
-                results[i] = value
-                if obs is not None:
-                    deltas[i] = obs
+            entries[i] = journal.get(point)
+            if entries[i] is not None:
                 resumed += 1
                 continue
         if cache is not None:
-            hit, value, obs = cache.get(point)
-            if hit:
-                results[i] = value
-                if obs is not None:
-                    deltas[i] = obs
+            entries[i] = cache.get(point)
+            if entries[i] is not None:
                 cached += 1
                 if journal is not None:
                     # Journal the hit too: resume must not depend on
                     # the cache still being warm (or present) later.
-                    journal.record(point, value, obs)
+                    journal.record(point, entries[i])
                 continue
         pending.append(i)
 
@@ -319,26 +317,21 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
             if jobs <= 1 or len(pending) == 1:
                 for i in pending:
                     t0 = time.perf_counter()  # repro: allow[wallclock] — volatile host metric, never ordering
-                    with metrics.capture_point() as cap:
-                        results[i] = _run_serial(points[i], i)
+                    entries[i] = _run_serial(points[i], i)
                     wall = time.perf_counter() - t0  # repro: allow[wallclock] — volatile host metric, never ordering
-                    snap = cap.snapshot()
-                    if snap is not None:
-                        deltas[i] = snap
                     if journal is not None:
-                        journal.record(points[i], results[i], snap)
+                        journal.record(points[i], entries[i])
                     reg = metrics.current()
                     if reg is not None:
                         reg.observe("parallel.point_wall", wall,
                                     POINT_WALL_EDGES)
             else:
                 from .supervisor import run_supervised
-                results_by_index, snaps_by_index = run_supervised(
-                    points, pending, jobs, retry=retry, deadline=deadline,
-                    hedge_after=hedge_after, journal=journal)
-                for i, value in results_by_index.items():
-                    results[i] = value
-                deltas.update(snaps_by_index)
+                for i, entry in run_supervised(
+                        points, pending, jobs, retry=retry,
+                        deadline=deadline, hedge_after=hedge_after,
+                        journal=journal).items():
+                    entries[i] = entry
         except KeyboardInterrupt:
             completed = (journal.entry_count() if journal is not None
                          else len(points) - len(pending))
@@ -349,14 +342,15 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
             _restore_sigterm(token)
         if cache is not None:
             for i in pending:
-                cache.put(points[i], results[i], obs=deltas.get(i))
+                cache.put(points[i], entries[i])
 
+    # Point order, not completion order: gauges are last-write-wins, so
+    # merge order is part of the bit-identity contract — and findings
+    # re-file in the order a serial cold run would report them.
     reg = metrics.current()
-    if reg is not None:
-        # Point order, not completion order: gauges are last-write-wins
-        # so merge order is part of the bit-identity contract.
-        for i in range(len(points)):
-            snap = deltas.get(i)
-            if snap:
-                reg.merge(snap)
-    return results
+    for _value, findings, snap in entries:
+        for finding in findings:
+            report_finding(finding)
+        if reg is not None and snap:
+            reg.merge(snap)
+    return [entry[0] for entry in entries]

@@ -1,10 +1,16 @@
 """What runs inside a sweep worker process.
 
-Everything here is module-level and dependency-free on purpose: under
-the ``spawn`` start method a worker is a fresh interpreter that imports
-this module by name, re-applies the parent's check-flag state
-(:func:`init_worker`), then resolves each point's function by its
+Everything here is module-level on purpose: under the ``spawn`` start
+method a worker is a fresh interpreter that imports this module by
+name, enters the parent's :class:`~repro.flags.Flags` record
+(:func:`worker_main`), then resolves each point's function by its
 dotted path and calls it (:func:`execute_point`).
+
+A point produces one **entry**: ``(value, race findings, obs
+snapshot)``, built by :func:`run_point` whichever process runs it.  The
+sweep engine merges entries in point order, and the point cache and
+the run journal store them whole, so a replayed point re-files the
+same findings and merges the same metrics as the run that computed it.
 
 Exceptions never cross the pool boundary as objects — an exception
 whose arguments do not pickle would otherwise wedge the pool with an
@@ -17,8 +23,17 @@ the point for serial replay.
 from __future__ import annotations
 
 import traceback
+from dataclasses import asdict
 from importlib import import_module
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
+
+from ..check.races import RaceFinding, captured_findings
+from ..flags import Flags, override
+from ..obs import metrics
+
+#: One point's entry: its value, the race findings it filed, and its
+#: deterministic metric snapshot (``None`` with observability off).
+Entry = Tuple[Any, Tuple[RaceFinding, ...], Optional[dict]]
 
 
 def resolve(fn_path: str) -> Any:
@@ -34,30 +49,23 @@ def resolve(fn_path: str) -> Any:
     return target
 
 
-def init_worker(checks_on: bool, races_on: bool = False,
-                shake: Any = None, obs_on: bool = False) -> None:
-    """Pool initializer: propagate the parent's sanitizer state.
+def run_point(fn_path: str, kwargs_items: Tuple[Tuple[str, Any], ...]
+              ) -> Entry:
+    """Run one point in isolation and return its entry.
 
-    ``enable_checks``/``enable_races``/``set_shake_seed``/``enable_obs``
-    are process-local state; the ``REPRO_CHECK``/``REPRO_RACES``/
-    ``REPRO_SHAKE``/``REPRO_OBS`` environment variables are inherited by
-    spawn, but a programmatic override scope in the parent (e.g.
-    ``--check`` or ``--obs`` on a CLI) is not — so the parent captures
-    the flags at submit time and every worker re-applies them here.
+    The point executes inside its own metric capture and race-finding
+    capture, so neither leaks into (or picks up) the ambient state of
+    the process running it.
     """
-    from ..check.flags import enable_checks, enable_races, set_shake_seed
-    from ..obs.metrics import enable_obs
-
-    enable_checks(checks_on)
-    enable_races(races_on)
-    set_shake_seed(shake)
-    enable_obs(obs_on)
+    with metrics.capture_point() as cap, captured_findings() as findings:
+        value = resolve(fn_path)(**dict(kwargs_items))
+    return value, tuple(findings), cap.snapshot()
 
 
-def worker_main(conn: Any, checks_on: bool, races_on: bool = False,
-                shake: Any = None, obs_on: bool = False) -> None:
+def worker_main(conn: Any, flags: Flags) -> None:
     """Supervised-worker entry point: serve tasks off a pipe until told
-    to stop.
+    to stop, inside the parent's ``flags`` record (a scoped override in
+    the parent, like a CLI's ``--check``, is not inherited by spawn).
 
     The supervisor (:mod:`repro.parallel.supervisor`) spawns one
     process per worker slot with its end of a duplex
@@ -78,45 +86,36 @@ def worker_main(conn: Any, checks_on: bool, races_on: bool = False,
     happens before any byte is written, so a failed ``send`` never
     tears the stream).
     """
-    init_worker(checks_on, races_on, shake, obs_on)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return  # parent is gone (or tearing down): just exit
-        if message is None:
-            return
-        task_id, fn_path, kwargs_items = message
-        outcome = execute_point((fn_path, kwargs_items))
-        try:
-            conn.send((task_id, outcome))
-        except Exception as exc:  # noqa: BLE001 - converted, not hidden
-            conn.send((task_id, ("error", type(exc).__name__,
-                                 f"shipping the result back failed: {exc}",
-                                 traceback.format_exc())))
+    with override(**asdict(flags)):
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError, KeyboardInterrupt):
+                return  # parent is gone (or tearing down): just exit
+            if message is None:
+                return
+            task_id, fn_path, kwargs_items = message
+            outcome = execute_point((fn_path, kwargs_items))
+            try:
+                conn.send((task_id, outcome))
+            except Exception as exc:  # noqa: BLE001 - converted, not hidden
+                conn.send((task_id, ("error", type(exc).__name__,
+                                     f"shipping the result back failed: "
+                                     f"{exc}", traceback.format_exc())))
 
 
 def execute_point(payload: Tuple[str, Tuple[Tuple[str, Any], ...]]
                   ) -> Tuple[Any, ...]:
     """Run one point; always return a picklable outcome tuple.
 
-    ``("ok", value, race_findings, obs_snapshot)`` on success, else
-    ``("error", exc_type_name, message, traceback_text)``.  The third
-    element drains this worker's race-finding registry (always empty
-    unless the parent enabled race tracking): findings are plain frozen
-    dataclasses, so they cross the pool as data and the parent re-files
-    them.  The fourth element is the point's deterministic metric
-    snapshot (``None`` with observability off): each point executes
-    inside its own capture scope, so the parent can merge snapshots in
-    point order and reproduce the serial registry bit-for-bit.
+    ``("ok", value, race_findings, obs_snapshot)`` — ``"ok"`` plus the
+    point's entry — on success, else ``("error", exc_type_name,
+    message, traceback_text)``.  Findings are plain frozen dataclasses
+    and snapshots plain dicts, so both cross the pool as data.
     """
     fn_path, kwargs_items = payload
     try:
-        from ..obs import metrics
-        with metrics.capture_point() as cap:
-            value = resolve(fn_path)(**dict(kwargs_items))
-        from ..check.races import drain_findings
-        return ("ok", value, tuple(drain_findings()), cap.snapshot())
+        return ("ok",) + run_point(fn_path, kwargs_items)
     except Exception as exc:  # noqa: BLE001 - shipped back, not hidden
         return ("error", type(exc).__name__, str(exc),
                 traceback.format_exc())

@@ -18,7 +18,7 @@ Schedule shaking
 The FIFO tie-break is part of the model's semantics (e.g. FIFO resource
 grants under contention), but no *data result* may depend on it.  To
 make that checkable, a kernel constructed while
-:func:`~repro.check.flags.shake_seed` is set replaces the raw sequence
+:mod:`repro.flags` sets a ``shake`` seed replaces the raw sequence
 number in each queue entry with a seeded bijective permutation of it:
 same-``(time, priority)`` entries are then popped in a pseudo-random
 but fully deterministic order, while causal order is untouched (an
@@ -29,7 +29,7 @@ keys stay unique and comparisons never reach the event objects.
 
 Race tracking
 -------------
-When :func:`~repro.check.flags.races_enabled` is on at construction,
+When the ``races`` flag (:mod:`repro.flags`) is on at construction,
 the kernel carries a :class:`~repro.check.races.KernelRaceTracker` and
 reports every schedule and every processed event to it — the vector-
 clock happens-before spine the race detector builds on.  Detached (the
@@ -42,7 +42,7 @@ import heapq
 import weakref
 from typing import Any, Generator, Iterable, List, Optional, Set, Tuple
 
-from ..check.flags import races_enabled, shake_seed
+from .. import flags
 from ..errors import DeadlockError, SimulationError
 from .events import AllOf, AnyOf, Event, Timeout, NORMAL, URGENT
 from .process import Process
@@ -83,11 +83,12 @@ class Kernel:
         #: Happens-before tracker (see module docstring); bound for the
         #: kernel's life when ``REPRO_RACES`` is on at construction.
         self._tracker = None
-        if races_enabled():
+        record = flags.current()
+        if record.races:
             from ..check.races import KernelRaceTracker
             self._tracker = KernelRaceTracker(self)
         #: Schedule-shaker seed; ``None`` keeps the FIFO tie-break.
-        self._tiebreak = shake_seed()
+        self._tiebreak = record.shake
         #: Front-slot buffer: when non-empty it holds the *global
         #: minimum* pending entry (strictly less than the heap head).
         #: The dominant scheduling pattern — an event processed now

@@ -5,12 +5,12 @@ pass, and deadlock reports name who is blocked on whom."""
 import numpy as np
 import pytest
 
-from repro.check.flags import override_checks
 from repro.check.protocol import (CollectiveLedger, find_rank_cycle,
                                   payload_signature)
 from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.errors import DeadlockError, MPIError
+from repro.flags import override
 from repro.mpi import collectives as coll, mpi_run
 from repro.mpi.op import SUM
 from repro.sim import Kernel
@@ -35,7 +35,7 @@ def test_mismatched_collective_order_across_ranks():
             yield from coll.barrier(ctx.comm)
         return None
 
-    with override_checks(True):
+    with override(check=True):
         with pytest.raises(MPIError, match="collective protocol mismatch"):
             mpi_run(m, 4, main)
 
@@ -49,7 +49,7 @@ def test_strict_payload_shape_mismatch_in_allreduce():
             ctx.comm, np.ones(n, dtype=np.float64), SUM)
         return total
 
-    with override_checks(True):
+    with override(check=True):
         with pytest.raises(MPIError, match="payload mismatch"):
             mpi_run(m, 4, main)
 
@@ -71,7 +71,7 @@ def test_nested_and_varying_payload_collectives_pass():
             ctx.comm, [float(ctx.rank + d) for d in range(ctx.size)], SUM)
         return int(total.sum()), [len(x) for x in lists], len(swap), mine
 
-    with override_checks(True):
+    with override(check=True):
         res = mpi_run(m, 4, main)
     assert res[0][0] == (0 + 1 + 2 + 3) * 3
     assert res[0][1] == [0, 1, 2, 3]
@@ -85,11 +85,11 @@ def test_sanitizer_off_means_no_ledger():
         total = yield from coll.allreduce(ctx.comm, value, SUM)
         return total
 
-    with override_checks(False):
+    with override(check=False):
         res = mpi_run(machine(), 4, main)
     assert res[0] == 4.0
 
-    with override_checks(True):
+    with override(check=True):
         with pytest.raises(MPIError, match="payload mismatch"):
             mpi_run(machine(), 4, main)
 
@@ -151,7 +151,7 @@ def test_deadlock_report_names_the_cycle():
         data = yield from ctx.comm.recv(peer, tag=5)  # nobody sends
         return data
 
-    with override_checks(True):
+    with override(check=True):
         with pytest.raises(DeadlockError) as err:
             mpi_run(m, 2, main)
     msg = str(err.value)
@@ -172,7 +172,7 @@ def test_deadlock_report_works_with_sanitizer_off():
             return data
         return None
 
-    with override_checks(False):
+    with override(check=False):
         with pytest.raises(DeadlockError) as err:
             mpi_run(m, 4, main)
     msg = str(err.value)
@@ -192,7 +192,7 @@ def test_deadlock_report_annotates_last_collective():
             yield from ctx.comm.recv(1, tag=2)
         return None
 
-    with override_checks(True):
+    with override(check=True):
         with pytest.raises(DeadlockError) as err:
             mpi_run(m, 2, main)
     msg = str(err.value)
@@ -209,7 +209,7 @@ def test_deadlock_report_renders_collective_tags():
             yield from coll.bcast(ctx.comm, "x", root=1)
         return None  # rank 1 skips the collective entirely
 
-    with override_checks(False):
+    with override(check=False):
         with pytest.raises(DeadlockError) as err:
             mpi_run(m, 2, main)
     assert "collective tag #" in str(err.value)

@@ -11,16 +11,13 @@ import os
 
 import pytest
 
-from repro.check.flags import enable_checks
+from repro import flags
 
 
 @pytest.fixture(autouse=True, scope="session")
 def _sanitizers_on():
-    """Enable the runtime sanitizers unless the caller opted out."""
-    if os.environ.get("REPRO_CHECK", "").strip().lower() in {"0", "false",
-                                                             "no", "off"}:
+    """Enable the runtime sanitizers unless the caller opted out: the
+    one parser reads ``REPRO_CHECK`` with "on" as the unset default."""
+    wanted = flags.parse({"REPRO_CHECK": "1", **os.environ})
+    with flags.override(check=wanted.check):
         yield
-        return
-    enable_checks(True)
-    yield
-    enable_checks(False)

@@ -5,13 +5,13 @@ pre-combine's wire savings."""
 import numpy as np
 import pytest
 
-from repro.check.flags import override_checks
 from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.core import (COUNT_OP, MAX_OP, MAXLOC_OP, MEAN_OP, MIN_OP,
                         MINLOC_OP, MOMENTS_OP, SUM_OP, CCStats, HistogramOp,
                         ObjectIO, UserOp, object_get)
 from repro.dataspace import DatasetSpec, Subarray, block_partition
+from repro.flags import override
 from repro.io import CollectiveHints
 from repro.mpi import mpi_run
 from repro.sim import Kernel
@@ -64,7 +64,7 @@ def assert_results_identical(a, b, context):
 @pytest.mark.parametrize("reduce_mode", ["all_to_all", "all_to_one"])
 @pytest.mark.parametrize("per_node", [1, 2])
 def test_reassociable_ops_bit_identical(op, reduce_mode, per_node):
-    with override_checks(True):
+    with override(check=True):
         one, _ = run_job(op, two_level=False, reduce_mode=reduce_mode,
                          per_node=per_node)
         two, _ = run_job(op, two_level=True, reduce_mode=reduce_mode,
@@ -79,7 +79,7 @@ def test_non_reassociable_ops_fall_back_bit_identical(op):
     the hint must silently fall back to one-level — making bit-identity
     trivially exact rather than approximately true."""
     assert not op.reassociable
-    with override_checks(True):
+    with override(check=True):
         one, _ = run_job(op, two_level=False)
         two, _ = run_job(op, two_level=True)
     assert_results_identical(one, two, op.name)
@@ -124,7 +124,7 @@ def test_random_regions_bit_identical(seed):
 
         return mpi_run(m, nprocs, main)
 
-    with override_checks(True):
+    with override(check=True):
         assert_results_identical(job(False), job(True),
                                  (seed, reduce_mode, cb))
 

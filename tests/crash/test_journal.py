@@ -16,13 +16,9 @@ def _point(index=0, **extra):
 def test_record_and_get_roundtrip(tmp_path):
     journal = RunJournal(tmp_path / "j")
     point = _point(3, base_seed=7)
-    hit, value, obs = journal.get(point)
-    assert (hit, value, obs) == (False, None, None)
-    journal.record(point, [3, 28], {"counters": {"x": 1}})
-    hit, value, obs = journal.get(point)
-    assert hit
-    assert value == [3, 28]
-    assert obs == {"counters": {"x": 1}}
+    assert journal.get(point) is None
+    journal.record(point, ([3, 28], (), {"counters": {"x": 1}}))
+    assert journal.get(point) == ([3, 28], (), {"counters": {"x": 1}})
     assert journal.records == 1
     assert journal.replays == 1
     assert journal.entry_count() == 1
@@ -31,43 +27,41 @@ def test_record_and_get_roundtrip(tmp_path):
 
 def test_get_is_keyed_on_point_content(tmp_path):
     journal = RunJournal(tmp_path / "j")
-    journal.record(_point(0), [0, 0])
-    hit, _, _ = journal.get(_point(1))
-    assert not hit, "a different point must never hit another's entry"
+    journal.record(_point(0), ([0, 0], (), None))
+    assert journal.get(_point(1)) is None, \
+        "a different point must never hit another's entry"
 
 
 def test_torn_entry_is_a_miss(tmp_path):
     journal = RunJournal(tmp_path / "j")
     point = _point(5)
-    journal.record(point, "payload")
+    journal.record(point, ("payload", (), None))
     [entry] = sorted((tmp_path / "j").rglob("*.pkl"))
     # Truncate mid-pickle: the crash-consistency contract says a torn
     # entry reads as a miss, never as an error or a wrong value.
     entry.write_bytes(entry.read_bytes()[:3])
-    hit, value, obs = journal.get(point)
-    assert (hit, value, obs) == (False, None, None)
+    assert journal.get(point) is None
     assert journal.replays == 0
 
 
 def test_entry_without_value_key_is_a_miss(tmp_path):
     journal = RunJournal(tmp_path / "j")
     point = _point(6)
-    journal.record(point, "payload")
+    journal.record(point, ("payload", (), None))
     [entry] = sorted((tmp_path / "j").rglob("*.pkl"))
     entry.write_bytes(pickle.dumps({"not-value": 1}))
-    hit, _, _ = journal.get(point)
-    assert not hit
+    assert journal.get(point) is None
 
 
 def test_reset_and_discard_remove_everything(tmp_path):
     root = tmp_path / "j"
     journal = RunJournal(root)
     for i in range(4):
-        journal.record(_point(i), i)
+        journal.record(_point(i), (i, (), None))
     assert journal.entry_count() == 4
     journal.reset()
     assert journal.entry_count() == 0
-    journal.record(_point(0), 0)
+    journal.record(_point(0), (0, (), None))
     journal.discard()
     assert not root.exists()
     # Discarding an already-absent journal is a harmless no-op.
@@ -94,8 +88,7 @@ def test_die_after_env_parsing(tmp_path, monkeypatch):
 def test_record_overwrite_is_idempotent(tmp_path):
     journal = RunJournal(tmp_path / "j")
     point = _point(9)
-    journal.record(point, "same")
-    journal.record(point, "same")
+    journal.record(point, ("same", (), None))
+    journal.record(point, ("same", (), None))
     assert journal.entry_count() == 1
-    hit, value, _ = journal.get(point)
-    assert hit and value == "same"
+    assert journal.get(point) == ("same", (), None)

@@ -8,9 +8,19 @@ These tests pin that contract.
 
 import numpy as np
 
+from repro.cluster import Machine
+from repro.config import small_test_machine
+from repro.core import ObjectIO, SUM_OP, object_get
+from repro.dataspace import DatasetSpec, block_partition, full_selection
 from repro.experiments import fig09_ratio_speedup
-from repro.io import twophase
+from repro.flags import override
+from repro.io import AccessRequest, CollectiveHints, twophase
+from repro.mpi import mpi_run
+from repro.obs import metrics
 from repro.pfs.datasource import BlockCache, ProceduralSource
+from repro.sim import Kernel
+
+NPROCS = 4
 
 
 def rows_of(result):
@@ -29,18 +39,83 @@ def test_fig09_twice_bit_identical():
            [list(map(repr, s)) for s in b.settings]
 
 
-def test_plan_cache_toggle_is_pure_memoization():
-    """Identical rows whether or not make_plan's per-communicator cache
-    is enabled — it memoizes derivation but always simulates the
-    offset exchange, so even simulated *times* must match."""
-    enabled = run_fig09()
-    old = twophase.PLAN_CACHE_ENABLED
-    twophase.PLAN_CACHE_ENABLED = False
-    try:
-        disabled = run_fig09()
-    finally:
-        twophase.PLAN_CACHE_ENABLED = old
-    assert rows_of(enabled) == rows_of(disabled)
+def _memo_machine():
+    machine = Machine(Kernel(), small_test_machine(nodes=2,
+                                                   cores_per_node=4))
+    spec = DatasetSpec((8, 16, 16), np.float64, name="memo")
+    file = machine.fs.create_procedural_file("memo.nc", spec.n_elements)
+    parts = block_partition(full_selection(spec), NPROCS, axis=1)
+    return machine, spec, file, parts
+
+
+def test_plan_memo_hit_equals_fresh_derivation():
+    """A repeated make_plan on one communicator is served from its plan
+    memo, and the memoized plan equals a fresh derive_plan over the
+    same exchanged lists."""
+    machine, spec, file, parts = _memo_machine()
+    hints = CollectiveHints(cb_buffer_size=1024)
+
+    def body(ctx):
+        runs = AccessRequest.from_subarray(spec, parts[ctx.rank]).runs
+        first = yield from twophase.make_plan(ctx, runs, file, hints)
+        second = yield from twophase.make_plan(ctx, runs, file, hints)
+        fresh = twophase.derive_plan(ctx.machine, ctx.size,
+                                     second.all_runs, file, hints)
+        return first, second, fresh
+
+    for first, second, fresh in mpi_run(machine, NPROCS, body):
+        assert second is first  # the repeat hit the memo
+        assert second is not fresh
+        assert second.all_runs == fresh.all_runs
+        assert second.aggregators == fresh.aggregators
+        assert second.domains == fresh.domains
+        assert second.windows == fresh.windows
+        assert np.array_equal(second.membership, fresh.membership)
+
+
+def _repeated_pipelines(clear_memo):
+    """Three rounds of both pipelines (two-phase read then compute, and
+    collective computing) on one job; ``clear_memo`` empties the
+    communicator's plan memo before every call."""
+    machine, spec, file, parts = _memo_machine()
+
+    def body(ctx):
+        out = []
+        for _round in range(3):
+            for block in (True, False):
+                if clear_memo:
+                    twophase._plan_cache_for(ctx.comm.comm).clear()
+                oio = ObjectIO(spec, parts[ctx.rank], SUM_OP, block=block)
+                result = yield from object_get(ctx, file, oio)
+                out.append(result.global_result)
+        return out
+
+    with override(obs=True):
+        results = mpi_run(machine, NPROCS, body)
+        counters = metrics.current().snapshot()["counters"]
+    return (results, machine.kernel.now, counters["mpi.messages"],
+            counters["mpi.wire_bytes"])
+
+
+def test_plan_memo_is_pure_memoization(monkeypatch):
+    """Identical results, simulated time, message count and wire bytes
+    whether repeated calls hit the plan memo or re-derive every plan —
+    the memo skips derivation but always simulates the offset
+    exchange."""
+    derived = []
+    real_derive = twophase.derive_plan
+
+    def counting_derive(*args, **kwargs):
+        derived.append(1)
+        return real_derive(*args, **kwargs)
+
+    monkeypatch.setattr(twophase, "derive_plan", counting_derive)
+    memoized = _repeated_pipelines(clear_memo=False)
+    memo_derivations = len(derived)
+    derived.clear()
+    rederived = _repeated_pipelines(clear_memo=True)
+    assert memo_derivations < len(derived)  # the plain run's repeats hit
+    assert memoized == rederived
 
 
 def field(idx):

@@ -12,10 +12,10 @@ and written file bytes of the two protocols exactly.
 import numpy as np
 import pytest
 
-from repro.check.flags import override_checks
 from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.dataspace import DatasetSpec, Subarray, block_partition
+from repro.flags import override
 from repro.io import AccessRequest, CollectiveHints, collective_read, \
     collective_write
 from repro.mpi import mpi_run
@@ -91,7 +91,7 @@ def test_two_level_read_bit_identical(seed, per_node):
     # per_node=2 needs at least two ranks on every occupied node (the
     # thin-node case raises by design — covered in test_aggregation).
     nprocs = max(nprocs, 4) if per_node == 2 else nprocs
-    with override_checks(True):
+    with override(check=True):
         one = _read_job(gsub, nprocs, axis,
                         CollectiveHints(cb_buffer_size=cb,
                                         aggregators_per_node=per_node))
@@ -107,7 +107,7 @@ def test_two_level_read_bit_identical(seed, per_node):
 def test_two_level_write_bit_identical(seed, per_node):
     gsub, nprocs, axis, cb = _random_config(100 + seed)
     nprocs = max(nprocs, 4) if per_node == 2 else nprocs
-    with override_checks(True):
+    with override(check=True):
         one = _write_job(gsub, nprocs, axis,
                          CollectiveHints(cb_buffer_size=cb,
                                          aggregators_per_node=per_node))
@@ -124,13 +124,10 @@ def test_shuffle_byte_split_sums_to_total(two_level):
     each closed form equals its measured twin — the invariant
     ``python -m repro.report`` cross-checks on every manifest."""
     gsub = Subarray((0, 0, 0), (10, 12, 8))
-    metrics.enable_obs(True)
-    try:
+    with override(obs=True):
         _read_job(gsub, 8, 1, CollectiveHints(cb_buffer_size=1024,
                                               two_level=two_level))
         counters = metrics.current().snapshot()["counters"]
-    finally:
-        metrics.enable_obs(False)
     assert counters["io.shuffle_bytes"] > 0
     for base in ("io.shuffle_bytes", "io.intranode_bytes",
                  "io.internode_bytes"):

@@ -8,6 +8,7 @@ the on-disk point cache.
 
 import pytest
 
+from repro.flags import override
 from repro.obs import metrics
 from repro.parallel import PointCache, SweepPoint, run_sweep
 
@@ -20,12 +21,9 @@ POINTS = [
 
 
 def _sweep_snapshot(jobs, cache=None):
-    metrics.enable_obs(True)
-    try:
+    with override(obs=True):
         values = run_sweep(POINTS, jobs=jobs, cache=cache)
         return values, metrics.current().snapshot()
-    finally:
-        metrics.enable_obs(False)
 
 
 def test_pool_merge_matches_serial():
@@ -59,9 +57,9 @@ def test_cache_key_separates_obs_states(tmp_path):
 
 
 def test_worker_outcome_carries_no_snapshot_when_off():
-    from repro.parallel.worker import execute_point, init_worker
+    from repro.parallel.worker import execute_point
 
-    init_worker(checks_on=True, obs_on=False)
-    outcome = execute_point((POINTS[0].fn, POINTS[0].kwargs))
+    with override(check=True, obs=False):
+        outcome = execute_point((POINTS[0].fn, POINTS[0].kwargs))
     assert outcome[0] == "ok"
     assert outcome[3] is None

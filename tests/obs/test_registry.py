@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.flags import current, override
 from repro.obs import metrics
 
 
@@ -13,9 +14,8 @@ def registry():
 @pytest.fixture()
 def obs_on():
     """Scoped enable; always restores the off state."""
-    metrics.enable_obs(True)
-    yield metrics.current()
-    metrics.enable_obs(False)
+    with override(obs=True):
+        yield metrics.current()
 
 
 def test_counter_accumulates(registry):
@@ -88,14 +88,12 @@ def test_merge_rejects_mismatched_edges(registry):
 
 def test_off_by_default_and_flag_round_trip():
     assert metrics.current() is None
-    assert not metrics.obs_enabled()
-    metrics.enable_obs(True)
-    try:
-        assert metrics.obs_enabled()
+    assert not current().obs
+    with override(obs=True):
+        assert current().obs
         assert isinstance(metrics.current(), metrics.MetricsRegistry)
-    finally:
-        metrics.enable_obs(False)
     assert metrics.current() is None
+    assert not current().obs
 
 
 def test_override_obs_restores_previous_registry(obs_on):
@@ -111,7 +109,7 @@ def test_override_obs_restores_previous_registry(obs_on):
 def test_reset_installs_fresh_registry_keeping_flag(obs_on):
     obs_on.count("stale")
     metrics.reset()
-    assert metrics.obs_enabled()
+    assert metrics.current() is not None
     assert metrics.current() is not obs_on
     assert not metrics.current().counters
 
@@ -170,7 +168,7 @@ def test_env_var_enables_registry_in_fresh_process():
     import sys
 
     code = ("from repro.obs import metrics; "
-            "import sys; sys.exit(0 if metrics.obs_enabled() else 3)")
+            "import sys; sys.exit(0 if metrics.current() is not None else 3)")
     for env_value, expected in (("1", 0), ("off", 3)):
         proc = subprocess.run(
             [sys.executable, "-c", code],

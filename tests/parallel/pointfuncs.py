@@ -41,17 +41,17 @@ def raise_unpicklable(x):
 def probe_checks():
     """Reports whether the repro.check sanitizers are on in the
     process that actually executes the point."""
-    from repro.check.flags import checks_enabled
+    from repro.flags import current
 
-    return checks_enabled()
+    return current().check
 
 
 def probe_races():
     """Reports whether the race tracker is on in the executing
     process."""
-    from repro.check.flags import races_enabled
+    from repro.flags import current
 
-    return races_enabled()
+    return current().races
 
 
 def echo(**kwargs):
@@ -74,3 +74,17 @@ def emit_finding(tag):
 
     report_finding(RaceFinding("shared-state", 0.0, tag))
     return tag
+
+
+def probe_shake():
+    """Reports the schedule-shaker seed in the executing process."""
+    from repro.flags import current
+
+    return current().shake
+
+
+def probe_flags():
+    """Reports the whole flags record in the executing process."""
+    from repro.flags import current
+
+    return current()

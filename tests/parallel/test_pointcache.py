@@ -2,7 +2,7 @@
 
 import pickle
 
-from repro.check.flags import override_checks
+from repro.flags import override
 from repro.parallel import PointCache, SweepPoint, code_digest, run_sweep
 from tests.parallel import pointfuncs
 
@@ -45,9 +45,9 @@ def test_key_differs_by_kwargs_not_container_type(tmp_path):
 def test_key_includes_check_flag(tmp_path):
     cache = _cache(tmp_path)
     point = SweepPoint.make(f"{FNS}:square", x=1)
-    with override_checks(True):
+    with override(check=True):
         checked = cache.key(point)
-    with override_checks(False):
+    with override(check=False):
         unchecked = cache.key(point)
     assert checked != unchecked
 
@@ -87,14 +87,14 @@ def test_cap_evicts_oldest_first(tmp_path):
     cache = PointCache(root=tmp_path / "pointcache", max_entries=3)
     points = [SweepPoint.make(f"{FNS}:square", x=x) for x in range(5)]
     for i, point in enumerate(points):
-        cache.put(point, i * i)
+        cache.put(point, (i * i, (), None))
         # Distinct mtimes so "oldest" is unambiguous on coarse clocks.
         path = cache._path(cache.key(point))
         os.utime(path, (1000 + i, 1000 + i))
     assert cache.entry_count() == 3
     assert cache.evictions == 2
     # The two oldest entries are gone; the three newest survive.
-    hits = [cache.get(p)[0] for p in points]
+    hits = [cache.get(p) is not None for p in points]
     assert hits == [False, False, True, True, True]
 
 
@@ -102,7 +102,7 @@ def test_unbounded_cache_never_evicts(tmp_path):
     cache = PointCache(root=tmp_path / "pointcache", max_entries=None)
     points = [SweepPoint.make(f"{FNS}:square", x=x) for x in range(6)]
     for point in points:
-        cache.put(point, 1)
+        cache.put(point, (1, (), None))
     assert cache.entry_count() == 6
     assert cache.evictions == 0
 
@@ -111,9 +111,9 @@ def test_rewriting_an_entry_does_not_evict(tmp_path):
     cache = PointCache(root=tmp_path / "pointcache", max_entries=2)
     a = SweepPoint.make(f"{FNS}:square", x=1)
     b = SweepPoint.make(f"{FNS}:square", x=2)
-    cache.put(a, 1)
-    cache.put(b, 4)
-    cache.put(a, 1)  # overwrite in place: the cap is not exceeded
+    cache.put(a, (1, (), None))
+    cache.put(b, (4, (), None))
+    cache.put(a, (1, (), None))  # overwrite in place: cap not exceeded
     assert cache.entry_count() == 2
     assert cache.evictions == 0
 
@@ -123,10 +123,11 @@ def test_stats_line(tmp_path):
     point = SweepPoint.make(f"{FNS}:square", x=1)
     assert cache.stats() == "0 hit / 0 miss"
     cache.get(point)
-    cache.put(point, 1)
+    cache.put(point, (1, (), None))
     cache.get(point)
     assert cache.stats() == "1 hit / 1 miss"
-    cache.put(SweepPoint.make(f"{FNS}:square", x=2), 4)  # evicts x=1
+    # Evicts x=1.
+    cache.put(SweepPoint.make(f"{FNS}:square", x=2), (4, (), None))
     assert cache.stats() == "1 hit / 1 miss / 1 evicted"
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check.flags import override_checks
+from repro.flags import override
 from repro.parallel import PointError, SweepPoint, default_jobs, run_sweep
 
 FNS = "tests.parallel.pointfuncs"
@@ -121,21 +121,19 @@ def test_pool_survives_unpicklable_exception():
 def test_check_flag_propagates_into_workers():
     point = [SweepPoint.make(f"{FNS}:probe_checks"),
              SweepPoint.make(f"{FNS}:probe_checks")]
-    with override_checks(True):
+    with override(check=True):
         assert run_sweep(point, jobs=2) == [True, True]
-    with override_checks(False):
+    with override(check=False):
         assert run_sweep(point, jobs=2) == [False, False]
 
 
 @pytest.mark.slow
 def test_races_flag_propagates_into_workers():
-    from repro.check.flags import override_races
-
     point = [SweepPoint.make(f"{FNS}:probe_races"),
              SweepPoint.make(f"{FNS}:probe_races")]
-    with override_races(True):
+    with override(races=True):
         assert run_sweep(point, jobs=2) == [True, True]
-    with override_races(False):
+    with override(races=False):
         assert run_sweep(point, jobs=2) == [False, False]
 
 
@@ -143,13 +141,12 @@ def test_races_flag_propagates_into_workers():
 def test_race_findings_cross_the_pool():
     """Findings recorded inside a worker land in the parent registry,
     so a pooled run reports exactly what a serial one would."""
-    from repro.check.flags import override_races
     from repro.check.races import drain_findings
 
     drain_findings()
     points = [SweepPoint.make(f"{FNS}:emit_finding", tag=f"w{i}")
               for i in range(2)]
-    with override_races(True):
+    with override(races=True):
         assert run_sweep(points, jobs=2) == ["w0", "w1"]
     findings = drain_findings()
     assert sorted(f.message for f in findings) == ["w0", "w1"]

@@ -11,11 +11,11 @@ contended timings must be *row*-identical too.
 import numpy as np
 import pytest
 
-from repro.check.flags import override_races, override_shake
 from repro.check.races import drain_findings
 from repro.check.shake import run_battery, shake_seeds
 from repro.cluster import Machine
 from repro.config import small_test_machine
+from repro.flags import override
 from repro.mpi import collectives as coll, mpi_run
 from repro.mpi.op import SUM
 from repro.sim import Kernel
@@ -52,25 +52,25 @@ def test_shake_seeds_are_distinct_and_nonzero():
 def test_same_shake_seed_replays_exactly():
     """A shaken schedule is still deterministic: same seed, same
     everything — results *and* timings."""
-    with override_shake(17):
+    with override(shake=17):
         first = _collective_job()
-    with override_shake(17):
+    with override(shake=17):
         second = _collective_job()
     assert first == second
 
 
 def test_shaken_schedules_preserve_data():
-    with override_shake(None):
+    with override(shake=None):
         base_results, _base_time = _collective_job()
     for seed in shake_seeds(3):
-        with override_shake(seed):
+        with override(shake=seed):
             results, _time = _collective_job()
         assert results == base_results, f"data diverged under seed={seed}"
 
 
 def test_shaken_run_is_race_free_under_tracker():
     drain_findings()
-    with override_races(True), override_shake(shake_seeds(1)[0]):
+    with override(races=True), override(shake=shake_seeds(1)[0]):
         _collective_job()
     assert drain_findings() == []
 
@@ -92,9 +92,9 @@ ROW_INVARIANT_QUICK_FIGURES = ["table1", "fig11", "fig14", "fig15"]
 def test_quick_figure_rows_are_schedule_invariant(name):
     from repro.experiments import registry
 
-    with override_shake(None):
+    with override(shake=None):
         base = registry.run(name, quick=True)
-    with override_shake(31):
+    with override(shake=31):
         shaken = registry.run(name, quick=True)
     assert shaken.rows == base.rows
     assert shaken.headers == base.headers

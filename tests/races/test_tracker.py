@@ -9,12 +9,12 @@ check on :class:`~repro.sim.resources.Store`.
 
 import pytest
 
-from repro.check.flags import override_races
 from repro.check.races import (RaceFinding, assert_no_races,
                                current_findings, drain_findings,
                                report_finding, vc_concurrent, vc_format,
                                vc_join, vc_leq)
 from repro.errors import RaceError
+from repro.flags import override
 from repro.sim import Kernel, Resource, Store
 
 
@@ -81,7 +81,7 @@ def test_assert_no_races_raises_and_drains():
 # -- kernel integration --------------------------------------------------
 
 def _traced_kernel() -> Kernel:
-    with override_races(True):
+    with override(races=True):
         return Kernel()
 
 

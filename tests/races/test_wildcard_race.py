@@ -9,10 +9,10 @@ reduction downstream of the race is flagged as order-dependent.
 
 import pytest
 
-from repro.check.flags import override_races
 from repro.check.races import drain_findings
 from repro.cluster import Machine
 from repro.config import small_test_machine
+from repro.flags import override
 from repro.mpi import ANY_SOURCE, mpi_run
 from repro.mpi import collectives as coll
 from repro.mpi.op import Op
@@ -29,14 +29,14 @@ def _clean_registry():
 
 
 def _machine() -> Machine:
-    with override_races(True):
+    with override(races=True):
         return Machine(Kernel(), small_test_machine(nodes=1,
                                                     cores_per_node=4))
 
 
 def _run(body):
     machine = _machine()
-    with override_races(True):
+    with override(races=True):
         results = mpi_run(machine, NPROCS, body)
     return results, drain_findings()
 

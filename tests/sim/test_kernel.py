@@ -115,9 +115,9 @@ def test_same_time_fifo_through_front_slot_and_heap():
 def _tie_order(seed, n=10):
     """Completion order of ``n`` same-timestamp processes under one
     shake seed (None = the FIFO baseline)."""
-    from repro.check.flags import override_shake
+    from repro.flags import override
 
-    with override_shake(seed):
+    with override(shake=seed):
         k = Kernel()
     order = []
 
