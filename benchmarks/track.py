@@ -1,25 +1,31 @@
 #!/usr/bin/env python
-"""Wall-clock tracker for the hot path (Figure 10, quick scale).
+"""Wall-clock tracker for the hot path (Figures 10 and 11, quick scale).
 
-Runs the fig10 weak-scaling experiment at the quick configuration
-(``per_rank_mib=1.0, process_counts=(24, 48, 120)``) several times,
-takes the median wall time, and maintains ``BENCH_paper.json`` at the
-repo root.  Exits non-zero when the measured median regresses more
-than ``--threshold`` (default 25%) over the recorded reference —
-the guard the CI benchmark job enforces.
+Runs two quick experiment configurations several times each and takes
+the median wall time of each:
+
+* ``fig10`` — weak scaling (``per_rank_mib=1.0, process_counts=(24,
+  48, 120)``), every hot layer at once;
+* ``fig11`` — the overhead analysis at P = 128/256
+  (``total_mib_small=24.0``), where per-rank host work that grows with
+  P (offset exchange, node placement) would dominate.
+
+It maintains ``BENCH_paper.json`` at the repo root and exits non-zero
+when either median regresses more than ``--threshold`` (default 25%)
+over its recorded reference — the guard the CI benchmark job enforces.
 
 Wall times on one machine drift a couple hundred milliseconds between
 runs, hence the median-of-N.  The global block cache is cleared before
 every repeat so each one pays the same (cold) generation cost — warm
 repeats are faster but far noisier, cold repeats are stable within a
-few milliseconds.  The simulated figures (speedups, cc_s) are
-deterministic and recorded alongside as machine-independent ground
-truth.
+few milliseconds.  Repeats must produce bit-identical rows.  The
+simulated figures (speedups, cc_s) are deterministic and recorded
+alongside as machine-independent ground truth.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/track.py             # measure + check
-    PYTHONPATH=src python benchmarks/track.py --update    # rebase reference
+    PYTHONPATH=src python benchmarks/track.py --update    # rebase references
     PYTHONPATH=src python benchmarks/track.py --no-check  # measure only
 """
 
@@ -35,11 +41,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments import fig10_scalability  # noqa: E402
+from repro.experiments import fig10_scalability, fig11_overhead  # noqa: E402
 from repro.pfs import datasource  # noqa: E402
 
-#: The quick configuration the acceptance criterion names.
-QUICK_KWARGS = dict(per_rank_mib=1.0, process_counts=(24, 48, 120))
+#: The fig10 quick configuration (also the parallel/cache probes').
+QUICK_KWARGS = fig10_scalability.QUICK_KWARGS
 #: Wall time of the growth seed (commit ca6b137) for the quick
 #: configuration on the reference container — the "before" number.
 SEED_WALL_S = 3.87
@@ -47,9 +53,9 @@ SEED_WALL_S = 3.87
 BENCH_PATH = REPO_ROOT / "BENCH_paper.json"
 
 
-def measure(runs: int):
-    """Median wall time over ``runs`` repeats + the (deterministic)
-    simulated rows of the last repeat."""
+def measure(module, runs: int):
+    """Median wall time over ``runs`` cold repeats of ``module``'s quick
+    configuration + the (deterministic) result of the last repeat."""
     walls = []
     result = None
     rows = None
@@ -57,15 +63,33 @@ def measure(runs: int):
         if datasource.GLOBAL_BLOCK_CACHE is not None:
             datasource.GLOBAL_BLOCK_CACHE.clear()
         t0 = time.perf_counter()
-        result = fig10_scalability.run(**QUICK_KWARGS)
+        result = module.run(**module.QUICK_KWARGS)
         walls.append(time.perf_counter() - t0)
         this_rows = [list(map(repr, row)) for row in result.rows]
         if rows is not None and this_rows != rows:
-            raise SystemExit("FAIL: fig10 rows differ between repeats "
-                             "(determinism broken)")
+            raise SystemExit(f"FAIL: {result.experiment_id} rows differ "
+                             f"between repeats (determinism broken)")
         rows = this_rows
         print(f"  run {i + 1}/{runs}: {walls[-1]:.3f}s")
     return statistics.median(walls), walls, result
+
+
+def ratchet(key: str, median: float, previous, args):
+    """Gate ``median`` against the reference recorded under ``key``;
+    returns ``(new reference, regressed)``.  The reference ratchets
+    downward only (noise never inflates it); ``--update`` or a missing
+    record rebases it to this measurement."""
+    reference = (previous or {}).get(key, {}).get("reference_wall_s")
+    regressed = False
+    if reference is not None and not args.no_check:
+        limit = reference * (1.0 + args.threshold)
+        regressed = median > limit
+        verdict = "REGRESSION" if regressed else "OK"
+        print(f"  reference: {reference:.3f}s, limit {limit:.3f}s -> "
+              f"{verdict}")
+    if args.update or reference is None or median < reference:
+        reference = median
+    return reference, regressed
 
 
 def measure_parallel(jobs: int, serial_rows):
@@ -111,7 +135,7 @@ def main() -> int:
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max allowed relative regression (default 0.25)")
     ap.add_argument("--update", action="store_true",
-                    help="rebase the reference to this measurement")
+                    help="rebase both references to this measurement")
     ap.add_argument("--no-check", action="store_true",
                     help="measure and record, never fail")
     ap.add_argument("--parallel-jobs", type=int, default=2, metavar="N",
@@ -121,10 +145,21 @@ def main() -> int:
     if args.runs < 1:
         ap.error(f"--runs must be >= 1, got {args.runs}")
 
+    previous = None
+    if BENCH_PATH.exists():
+        previous = json.loads(BENCH_PATH.read_text())
+
     print(f"fig10 quick ({QUICK_KWARGS}), {args.runs} run(s):")
-    median, walls, result = measure(args.runs)
+    median, walls, result = measure(fig10_scalability, args.runs)
     print(f"  median: {median:.3f}s  (seed baseline {SEED_WALL_S:.2f}s, "
           f"{SEED_WALL_S / median:.2f}x)")
+    reference, regressed = ratchet("fig10_quick", median, previous, args)
+
+    print(f"fig11 quick ({fig11_overhead.QUICK_KWARGS}), {args.runs} run(s):")
+    median11, walls11, result11 = measure(fig11_overhead, args.runs)
+    print(f"  median: {median11:.3f}s")
+    reference11, regressed11 = ratchet("fig11_quick", median11, previous,
+                                       args)
 
     parallel_wall = None
     cache_walls = None
@@ -132,38 +167,23 @@ def main() -> int:
         parallel_wall = measure_parallel(args.parallel_jobs, result.rows)
         cache_walls = measure_point_cache()
 
-    previous = None
-    if BENCH_PATH.exists():
-        previous = json.loads(BENCH_PATH.read_text())
-
-    reference = None
-    if previous is not None:
-        reference = previous.get("fig10_quick", {}).get("reference_wall_s")
-
-    regressed = False
-    if reference is not None and not args.no_check:
-        limit = reference * (1.0 + args.threshold)
-        verdict = "OK" if median <= limit else "REGRESSION"
-        print(f"  reference: {reference:.3f}s, limit {limit:.3f}s -> "
-              f"{verdict}")
-        regressed = median > limit
-
-    if args.update or reference is None:
-        reference = median
-    elif median < reference:
-        # Ratchet downward only: noise never inflates the reference.
-        reference = median
-
     payload = {
         "experiment": "fig10_scalability.run",
-        "quick_kwargs": {"per_rank_mib": 1.0,
-                         "process_counts": [24, 48, 120]},
+        "quick_kwargs": QUICK_KWARGS,
         "fig10_quick": {
             "seed_wall_s": SEED_WALL_S,
             "reference_wall_s": round(reference, 4),
             "last_wall_s": round(median, 4),
             "last_runs": [round(w, 4) for w in walls],
             "speedup_vs_seed": round(SEED_WALL_S / median, 3),
+        },
+        "fig11_quick": {
+            "experiment": "fig11_overhead.run",
+            "quick_kwargs": fig11_overhead.QUICK_KWARGS,
+            "reference_wall_s": round(reference11, 4),
+            "last_wall_s": round(median11, 4),
+            "last_runs": [round(w, 4) for w in walls11],
+            "rows": [list(row) for row in result11.rows],
         },
         # Deterministic simulated numbers (machine-independent).
         "simulated": {
@@ -172,7 +192,7 @@ def main() -> int:
         },
     }
     if parallel_wall is not None:
-        # Informational: the serial median above stays the only gate.
+        # Informational: the serial medians above stay the only gates.
         payload["fig10_quick_parallel"] = {
             "jobs": args.parallel_jobs,
             "wall_s": round(parallel_wall, 4),
@@ -186,11 +206,14 @@ def main() -> int:
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"  wrote {BENCH_PATH.relative_to(REPO_ROOT)}")
 
-    if regressed and not args.update:
-        print(f"FAIL: median {median:.3f}s regressed more than "
-              f"{args.threshold:.0%} over reference")
-        return 1
-    return 0
+    failed = False
+    for key, med, bad in (("fig10_quick", median, regressed),
+                          ("fig11_quick", median11, regressed11)):
+        if bad and not args.update:
+            print(f"FAIL: {key} median {med:.3f}s regressed more than "
+                  f"{args.threshold:.0%} over reference")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

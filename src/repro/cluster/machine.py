@@ -78,8 +78,22 @@ class Machine:
         return extra + (rank - boundary) // per
 
     def ranks_on_node(self, node: int, nprocs: int) -> List[int]:
-        """All ranks placed on ``node`` for a job of ``nprocs`` ranks."""
-        return [r for r in range(nprocs) if self.node_of_rank(r, nprocs) == node]
+        """All ranks placed on ``node`` for a job of ``nprocs`` ranks
+        (ascending; empty for an unoccupied or out-of-range node).
+
+        The closed form of :meth:`node_of_rank`'s block placement: the
+        first ``extra`` nodes hold ``per + 1`` consecutive ranks, the
+        rest ``per``.
+        """
+        n = self.spec.nodes
+        if not 0 <= node < n:
+            return []
+        per, extra = divmod(nprocs, n)
+        if node < extra:
+            lo = node * (per + 1)
+            return list(range(lo, lo + per + 1))
+        lo = extra * (per + 1) + (node - extra) * per
+        return list(range(lo, lo + per))
 
     def validate_job(self, nprocs: int, allow_oversubscribe: bool = False) -> None:
         """Check that ``nprocs`` ranks fit the machine's cores."""

@@ -169,13 +169,14 @@ def _cc_aggregator_loop(ctx: RankContext, file: PFSFile, oio: ObjectIO,
             # off the per-message latency wall at scale.  (ROMIO's raw
             # shuffle sends per-process messages; it moves whole pieces,
             # so batching would not shrink its bytes.)
+            comm = ctx.comm.comm
             by_node: Dict[int, List[PartialResult]] = {}
             for partial in partials:
-                node = ctx.comm.comm.node_of(partial.dest_rank)
+                node = comm.node_of(partial.dest_rank)
                 by_node.setdefault(node, []).append(partial)
             for node, batch in by_node.items():
-                leader = ctx.machine.ranks_on_node(node, ctx.size)[0]
-                sends.append(ctx.comm.isend(batch, leader, base_tag + t))
+                sends.append(ctx.comm.isend(batch, comm.node_leader(node),
+                                            base_tag + t))
         else:  # all_to_one: one message with every partial of the window
             sends.append(ctx.comm.isend(partials, oio.root, base_tag + t))
         for req in sends:
@@ -338,9 +339,8 @@ def _cc_receiver_all_to_all(ctx: RankContext, oio: ObjectIO,
     memory.  The schedule is derived deterministically on every rank
     from the plan, exactly like the raw two-phase receiver schedule.
     """
-    nprocs = ctx.size
-    my_node = ctx.node.index
-    node_ranks = ctx.machine.ranks_on_node(my_node, nprocs)
+    # The communicator's placement table (shared, read-only).
+    node_ranks = ctx.comm.comm.node_groups()[ctx.node.index]
     leader = node_ranks[0]
     is_leader = ctx.rank == leader
 

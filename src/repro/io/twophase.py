@@ -22,6 +22,7 @@ an independent read of the same request.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -308,8 +309,9 @@ def _plan_cache_for(comm) -> "OrderedDict":
 def _same_runs(a: List[RunList], b: List[RunList]) -> bool:
     """Exact equality check guarding against signature collisions.  The
     common case is object identity: within one collective call the
-    allgather hands every rank references to the same RunList objects."""
-    return all(
+    allgather hands every rank references to the same RunList objects,
+    so an all-identical pair is settled at C level first."""
+    return all(map(operator.is_, a, b)) or all(
         x is y or (np.array_equal(x.offsets, y.offsets)
                    and np.array_equal(x.lengths, y.lengths))
         for x, y in zip(a, b)
@@ -386,17 +388,32 @@ def make_plan(ctx: RankContext, my_runs: RunList, file: PFSFile,
     schedule from the exchanged lists is memoized per communicator (all
     ranks derive the identical plan from the identical inputs, and
     experiment loops repeat identical requests), keyed by the run-list
-    signatures, hints, grid and stripe alignment.
+    signatures, hints, grid and stripe alignment.  Ranks holding the
+    very RunList objects of the newest entry (all but the first rank
+    of one collective) match it by identity, so no rank pays P
+    signature lookups after the first.
     """
     all_runs: List[RunList] = yield from _offset_exchange(ctx, my_runs, hints)
     stripe = file.layout.stripe_size if hints.align_to_stripes else None
     cache = _plan_cache_for(ctx.comm.comm)
+    if cache:
+        # Within one collective every rank holds the same RunList
+        # objects, so once the first rank has stored (or refreshed) the
+        # newest entry, the other P-1 ranks match it by identity
+        # without building a P-signature key.
+        key, (cached_runs, plan) = next(reversed(cache.items()))
+        if (all(map(operator.is_, cached_runs, all_runs))
+                and key[1:] == (hints, grid, stripe)):
+            return plan
     key = (tuple(rl.signature() for rl in all_runs), hints, grid, stripe)
     hit = cache.get(key)
     if hit is not None:
         cached_runs, plan = hit
         if _same_runs(cached_runs, all_runs):
             cache.move_to_end(key)
+            # Re-point the entry at this collective's lists so the
+            # other ranks take the identity path above.
+            cache[key] = (all_runs, plan)
             return plan
     plan = derive_plan(ctx.machine, ctx.size, all_runs, file, hints, grid)
     cache[key] = (all_runs, plan)

@@ -190,9 +190,12 @@ def allgather(comm: CommHandle, value: Any) -> Generator:
     rounds = _ceil_log2(size)
     base_tag = comm.next_collective_tags(max(rounds, 1))
     collected = {rank: value}
-    # Track the dict's wire size incrementally (8 bytes per int key plus
-    # each value, measured once on arrival) instead of re-walking the
-    # whole payload every round — the per-round size grows as 2^k.
+    # The dict's wire size (8 bytes per int key plus each value) is
+    # tracked incrementally: only the caller's own value is measured,
+    # and every later round adds the byte count the sender already
+    # charged on the received envelope.  The incoming set is disjoint
+    # from the collected one in every round but the last, whose total
+    # is never sent — so each rank's host work stays independent of P.
     payload_bytes = 8 + wire_size(value)
     step = 1
     k = 0
@@ -201,12 +204,11 @@ def allgather(comm: CommHandle, value: Any) -> Generator:
         src = (rank + step) % size
         req = comm.isend(dict(collected), dst, base_tag + k,
                          nbytes=CONTAINER_OVERHEAD + payload_bytes)
-        incoming = yield from comm.recv(src, base_tag + k)
+        msg = yield from comm.recv_msg(src, base_tag + k)
         yield req.event
-        for r, v in incoming.items():
-            if r not in collected:
-                collected[r] = v
-                payload_bytes += 8 + wire_size(v)
+        # Last-round duplicates are the very objects already held.
+        collected.update(msg.data)
+        payload_bytes += msg.nbytes - CONTAINER_OVERHEAD
         step <<= 1
         k += 1
     comm.trace_collective_exit("allgather")

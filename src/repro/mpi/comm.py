@@ -172,7 +172,6 @@ class Communicator:
         self.kernel = kernel
         self.machine = machine
         self.nprocs = nprocs
-        self.node_map = list(node_map) if node_map is not None else None
         Communicator._next_id += 1
         self.id = Communicator._next_id
         #: Sub-communicators created by split, keyed by member ranks so
@@ -216,11 +215,9 @@ class Communicator:
         kernel.watch_deadlocks(self)
         # Rank -> node lookup table (placement is fixed for the life of
         # the communicator; node_of is on the per-message hot path).
-        self._node_of: List[int] = [
-            self.node_map[r] if self.node_map is not None
-            else machine.node_of_rank(r, nprocs)
-            for r in range(nprocs)
-        ]
+        self._node_of: List[int] = (
+            list(node_map) if node_map is not None
+            else [machine.node_of_rank(r, nprocs) for r in range(nprocs)])
 
     # -- helpers -----------------------------------------------------------
     def check_rank(self, rank: int) -> None:
@@ -229,14 +226,11 @@ class Communicator:
             raise MPIError(f"rank {rank} outside [0, {self.nprocs})")
 
     def node_of(self, rank: int) -> int:
-        """Node hosting ``rank``."""
-        if 0 <= rank < self.nprocs:
-            return self._node_of[rank]
-        # Out of range: fall through for the canonical error.
-        if self.node_map is not None:
+        """Node hosting ``rank``; an out-of-range rank raises
+        :class:`MPIError` on every communicator, world or split."""
+        if not 0 <= rank < self.nprocs:
             self.check_rank(rank)
-            return self.node_map[rank]
-        return self.machine.node_of_rank(rank, self.nprocs)
+        return self._node_of[rank]
 
     def node_groups(self) -> Dict[int, List[int]]:
         """Node index -> member ranks (ascending), for occupied nodes.

@@ -36,12 +36,23 @@ def test_block_placement_uneven():
 
 
 def test_placement_covers_all_ranks_exactly_once():
-    m = build(nodes=3)
-    for nprocs in (1, 3, 5, 8, 11, 12):
-        seen = []
-        for node in range(3):
-            seen.extend(m.ranks_on_node(node, nprocs))
-        assert sorted(seen) == list(range(nprocs))
+    cores = 4
+    for nodes in range(1, 9):
+        m = build(nodes=nodes, cores=cores)
+        for nprocs in range(1, nodes * cores + 1):
+            seen = []
+            for node in range(nodes):
+                got = m.ranks_on_node(node, nprocs)
+                # The node_of_rank scan is the oracle for the closed form.
+                assert got == [r for r in range(nprocs)
+                               if m.node_of_rank(r, nprocs) == node]
+                seen.extend(got)
+            assert sorted(seen) == list(range(nprocs))
+            # Fewer ranks than nodes leaves the trailing nodes empty.
+            empty = [n for n in range(nodes) if not m.ranks_on_node(n, nprocs)]
+            assert empty == list(range(min(nprocs, nodes), nodes))
+            assert m.ranks_on_node(-1, nprocs) == []
+            assert m.ranks_on_node(nodes, nprocs) == []
 
 
 def test_fewer_ranks_than_nodes():

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
+from repro.dataspace import RunList
 from repro.errors import MPIError
 from repro.mpi import (MAX, MAXLOC, MIN, MINLOC, Op, PROD, SUM, collectives,
-                       mpi_run)
+                       mpi_run, wire_size)
+from repro.mpi.wire import CONTAINER_OVERHEAD
 from repro.sim import Kernel
 
 
@@ -127,6 +129,66 @@ def test_allgather(nprocs):
     res = run(nprocs, main)
     expect = [r ** 2 for r in range(nprocs)]
     assert res == [expect] * nprocs
+
+
+def _mixed_value(rank):
+    """Per-rank allgather payloads of different wire sizes: ints,
+    rank-length arrays, run lists and nested tuples."""
+    kind = rank % 4
+    if kind == 0:
+        return rank
+    if kind == 1:
+        return np.arange(rank + 1, dtype=np.float64)
+    if kind == 2:
+        return RunList.from_pairs([(64 * i, 8 + rank) for i in range(rank)])
+    return (rank, ("x" * rank, np.zeros(rank, dtype=np.int32)), [1.5] * rank)
+
+
+def _bruck_bytes(values):
+    """Bytes a Bruck allgather of ``values`` puts on the wire, measured
+    in full: per round, every rank sends the dict it has collected so
+    far, charged ``CONTAINER_OVERHEAD + sum(8 + wire_size(v))``."""
+    size = len(values)
+    held = [{r: values[r]} for r in range(size)]
+    total = 0
+    step = 1
+    while step < size:
+        sent = [dict(h) for h in held]
+        for r in range(size):
+            total += CONTAINER_OVERHEAD + sum(
+                8 + wire_size(v) for v in sent[r].values())
+        for r in range(size):
+            held[r].update(sent[(r + step) % size])
+        step <<= 1
+    return total
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 5, 7, 8, 12, 13])
+def test_allgather_accounting_measures_each_value_once(nprocs, monkeypatch):
+    """The allgather sizes its rounds from the received envelopes: the
+    bytes charged equal the per-round dict measurement, while each rank
+    runs ``wire_size`` on its own value only."""
+    calls = []
+
+    def counting_wire_size(obj):
+        calls.append(obj)
+        return wire_size(obj)
+
+    monkeypatch.setattr(collectives, "wire_size", counting_wire_size)
+
+    def main(ctx):
+        mine = _mixed_value(ctx.rank)
+        out = yield from collectives.allgather(ctx.comm, mine)
+        return out, mine, ctx.comm.comm
+
+    res = run(nprocs, main)
+    values = [mine for _out, mine, _comm in res]
+    for out, _mine, _comm in res:
+        # Rank-ordered, and every entry is the contributing rank's object.
+        assert len(out) == nprocs
+        assert all(got is want for got, want in zip(out, values))
+    assert res[0][2].bytes_sent == _bruck_bytes(values)
+    assert len(calls) == nprocs
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 4, 6])

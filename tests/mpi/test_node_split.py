@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
+from repro.errors import MPIError
 from repro.mpi import mpi_run
 from repro.sim import Kernel
 
@@ -92,6 +93,25 @@ def test_split_subcomm_node_map_matches_world():
     assert res[1] == [0, 1]
     assert res[5] == [0, 1]
     assert res[0] is None
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_node_of_out_of_range_is_mpierror_on_every_comm(above):
+    """World and split communicators reject an out-of-range rank with
+    the same error type (the world one used to raise ConfigError)."""
+    def main(ctx):
+        sub = yield from ctx.comm.split(ctx.rank % 2)
+        last_nodes = []
+        for comm in (ctx.comm.comm, sub.comm):
+            with pytest.raises(MPIError, match="outside"):
+                comm.node_of(comm.nprocs if above else -1)
+            last_nodes.append(comm.node_of(comm.nprocs - 1))
+        return last_nodes
+
+    _, res = run(8, main)
+    # In range, node_of stays the placement lookup: world rank 7 and both
+    # subcomms' last members (world ranks 6 and 7) live on node 1.
+    assert res == [[1, 1]] * 8
 
 
 def test_node_split_structure():
