@@ -13,6 +13,10 @@ the median wall time of each:
 It maintains ``BENCH_paper.json`` at the repo root and exits non-zero
 when either median regresses more than ``--threshold`` (default 25%)
 over its recorded reference — the guard the CI benchmark job enforces.
+It also records each configuration's ``sim.events`` (the kernel events
+scheduled, from one extra untimed run with metrics on) and fails when a
+count grows over its record: that gate is exact and free of noise, so
+an event the model does not need cannot creep back in unnoticed.
 
 Wall times on one machine drift a couple hundred milliseconds between
 runs, hence the median-of-N.  The global block cache is cleared before
@@ -26,6 +30,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/track.py             # measure + check
     PYTHONPATH=src python benchmarks/track.py --update    # rebase references
+                                                          # and event counts
     PYTHONPATH=src python benchmarks/track.py --no-check  # measure only
 """
 
@@ -41,7 +46,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import flags  # noqa: E402
 from repro.experiments import fig10_scalability, fig11_overhead  # noqa: E402
+from repro.obs import metrics  # noqa: E402
 from repro.pfs import datasource  # noqa: E402
 
 #: The fig10 quick configuration (also the parallel/cache probes').
@@ -90,6 +97,29 @@ def ratchet(key: str, median: float, previous, args):
     if args.update or reference is None or median < reference:
         reference = median
     return reference, regressed
+
+
+def count_events(module) -> int:
+    """``sim.events`` of one untimed run of ``module``'s quick
+    configuration with the metrics registry on (deterministic)."""
+    with flags.override(obs=True):
+        module.run(**module.QUICK_KWARGS)
+        return metrics.current().counters["sim.events"]
+
+
+def ratchet_events(key: str, events: int, previous, args):
+    """Gate ``events`` against the count recorded under ``key``; returns
+    ``(new record, grew)``.  Exact: any growth fails.  The record
+    ratchets downward; ``--update`` or a missing record rebases it."""
+    record = (previous or {}).get(key, {}).get("sim_events")
+    grew = False
+    if record is not None and not args.no_check:
+        grew = events > record
+        verdict = "REGRESSION" if grew else "OK"
+        print(f"  sim.events: {events} (record {record}) -> {verdict}")
+    if args.update or record is None or events < record:
+        record = events
+    return record, grew
 
 
 def measure_parallel(jobs: int, serial_rows):
@@ -154,12 +184,16 @@ def main() -> int:
     print(f"  median: {median:.3f}s  (seed baseline {SEED_WALL_S:.2f}s, "
           f"{SEED_WALL_S / median:.2f}x)")
     reference, regressed = ratchet("fig10_quick", median, previous, args)
+    events_record, events_grew = ratchet_events(
+        "fig10_quick", count_events(fig10_scalability), previous, args)
 
     print(f"fig11 quick ({fig11_overhead.QUICK_KWARGS}), {args.runs} run(s):")
     median11, walls11, result11 = measure(fig11_overhead, args.runs)
     print(f"  median: {median11:.3f}s")
     reference11, regressed11 = ratchet("fig11_quick", median11, previous,
                                        args)
+    events_record11, events_grew11 = ratchet_events(
+        "fig11_quick", count_events(fig11_overhead), previous, args)
 
     parallel_wall = None
     cache_walls = None
@@ -176,6 +210,7 @@ def main() -> int:
             "last_wall_s": round(median, 4),
             "last_runs": [round(w, 4) for w in walls],
             "speedup_vs_seed": round(SEED_WALL_S / median, 3),
+            "sim_events": events_record,
         },
         "fig11_quick": {
             "experiment": "fig11_overhead.run",
@@ -183,6 +218,7 @@ def main() -> int:
             "reference_wall_s": round(reference11, 4),
             "last_wall_s": round(median11, 4),
             "last_runs": [round(w, 4) for w in walls11],
+            "sim_events": events_record11,
             "rows": [list(row) for row in result11.rows],
         },
         # Deterministic simulated numbers (machine-independent).
@@ -212,6 +248,11 @@ def main() -> int:
         if bad and not args.update:
             print(f"FAIL: {key} median {med:.3f}s regressed more than "
                   f"{args.threshold:.0%} over reference")
+            failed = True
+    for key, grew in (("fig10_quick", events_grew),
+                      ("fig11_quick", events_grew11)):
+        if grew and not args.update:
+            print(f"FAIL: {key} sim.events grew over its record")
             failed = True
     return 1 if failed else 0
 

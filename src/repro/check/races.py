@@ -20,9 +20,10 @@ layer that flags
     shared simulated state (an OST's served-bytes counters, a
     :class:`~repro.sim.resources.Store` queue), at least one a write.
     State guarded by a :class:`~repro.sim.resources.Resource` is
-    automatically ordered — the grant edge ``release → succeed(next)``
-    flows through the event graph — so correctly guarded code stays
-    clean.
+    automatically ordered — a queued grant's edge ``release →
+    succeed(next)`` flows through the event graph, and a grant made on
+    the spot joins the clock the last release published — so correctly
+    guarded code stays clean.
 ``reduce-order``
     A non-commutative reduction step executed on a rank whose inputs
     were tainted by a wildcard-recv race: the operand order the result
@@ -331,6 +332,23 @@ class KernelRaceTracker:
         if vc is not None:
             event._vc = dict(vc) if event._vc is None else vc_join(
                 event._vc, vc)
+
+    def lock_take(self, owner: Any) -> None:
+        """A slot of ``owner`` was granted on the spot, with no grant
+        event to carry the edge: join the published release clock into
+        the active context itself."""
+        vc = owner._release_vc
+        if vc is None:
+            return
+        cur = self._current
+        if cur is not None:
+            vc_join_inplace(self._task[cur][1], vc)
+        elif self._ambient is not None:
+            # The ambient clock may be shared with the event it came
+            # from, so join into a fresh copy.
+            self._ambient = vc_join(self._ambient, vc)
+        else:
+            vc_join_inplace(self._driver_vc, vc)
 
     # -- shared-state check ----------------------------------------------
     def access(self, label: str, write: bool = True) -> None:

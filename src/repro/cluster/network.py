@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List
 
 from ..config import CostModel
-from ..sim import Kernel
+from ..sim import Kernel, hold
 from .node import Node
 from .topology import MeshTopology
 
@@ -74,20 +74,10 @@ class Network:
         if src == dst:
             yield self.kernel.timeout(self.cost.intra_node_msg_time(nbytes))
             return
-        src_node = self.nodes[src]
-        dst_node = self.nodes[dst]
         hops = self.topology.hops(src, dst)
-        out_req = src_node.nic_out.request()
-        yield out_req
-        try:
-            in_req = dst_node.nic_in.request()
-            yield in_req
-            try:
-                yield self.kernel.timeout(self.cost.msg_time(nbytes, hops))
-            finally:
-                dst_node.nic_in.release(in_req)
-        finally:
-            src_node.nic_out.release(out_req)
+        # Keeps ``src.nic_out`` while it queues for ``dst.nic_in``.
+        yield from hold((self.nodes[src].nic_out, self.nodes[dst].nic_in),
+                        self.cost.msg_time(nbytes, hops))
 
     def inject(self, dst: int, nbytes: int) -> Generator:
         """Sub-process: storage-to-compute traffic arriving at ``dst``.
@@ -100,13 +90,8 @@ class Network:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.inter_node_bytes += nbytes
-        node = self.nodes[dst]
-        req = node.nic_in.request()
-        yield req
-        try:
-            yield self.kernel.timeout(self.cost.msg_time(nbytes, hops=1))
-        finally:
-            node.nic_in.release(req)
+        yield from hold(self.nodes[dst].nic_in,
+                        self.cost.msg_time(nbytes, hops=1))
 
     def eject(self, src: int, nbytes: int) -> Generator:
         """Sub-process: compute-to-storage traffic leaving ``src``
@@ -114,13 +99,8 @@ class Network:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.inter_node_bytes += nbytes
-        node = self.nodes[src]
-        req = node.nic_out.request()
-        yield req
-        try:
-            yield self.kernel.timeout(self.cost.msg_time(nbytes, hops=1))
-        finally:
-            node.nic_out.release(req)
+        yield from hold(self.nodes[src].nic_out,
+                        self.cost.msg_time(nbytes, hops=1))
 
     def reset_counters(self) -> None:
         """Clear traffic accounting (between experiment phases)."""

@@ -26,6 +26,14 @@ MiB = 1024 * KiB
 GiB = 1024 * MiB
 TiB = 1024 * GiB
 
+#: CostModel fields that are durations (seconds): finite and >= 0.
+_LATENCY_FIELDS = ("net_latency", "hop_latency", "intra_node_latency",
+                   "ost_seek")
+#: CostModel fields that are rates (bytes or elements per second):
+#: finite and > 0.
+_RATE_FIELDS = ("link_bandwidth", "intra_node_bandwidth", "ost_bandwidth",
+                "core_element_rate", "memcpy_bandwidth")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -57,6 +65,20 @@ class CostModel:
     #: memcpy / pack / unpack bandwidth per core (bytes/s) — charged as
     #: system time in CPU profiles.
     memcpy_bandwidth: float = 6.0e9
+
+    def __post_init__(self) -> None:
+        # Checked where the numbers enter: a NaN or a negative latency
+        # would otherwise surface deep inside a run as a bad timeout.
+        for name in _LATENCY_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"CostModel.{name} must be finite and >= 0, got {value!r}")
+        for name in _RATE_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(
+                    f"CostModel.{name} must be finite and > 0, got {value!r}")
 
     # -- derived durations -------------------------------------------------
     def msg_time(self, nbytes: int, hops: int = 1) -> float:

@@ -18,7 +18,7 @@ from ..cluster import Machine, Node
 from ..errors import MPIError
 from ..obs import metrics
 from ..profiling import CpuProfiler
-from ..sim import Event, Kernel
+from ..sim import Event, Kernel, hold
 from .comm import CommHandle, Communicator
 
 
@@ -81,11 +81,11 @@ class RankContext:
         """
         duration = self.cost.compute_time(elements, ops_per_element)
         duration *= self.node.slowdown
-        yield from self._occupy_core(duration, "user")
+        yield from self._occupy_cores(duration, "user")
 
     def compute_seconds(self, seconds: float) -> Generator:
         """Occupy one core for a fixed duration of *user* work."""
-        yield from self._occupy_core(seconds * self.node.slowdown, "user")
+        yield from self._occupy_cores(seconds * self.node.slowdown, "user")
 
     def compute_parallel(self, elements: int, ops_per_element: float = 1.0,
                          ways: Optional[int] = None) -> Generator:
@@ -95,44 +95,32 @@ class RankContext:
         collective-computing aggregator maps the freshly read window
         with worker threads on its node's otherwise-idle cores (the
         node's other ranks are blocked waiting for partial results).
-        Work splits evenly; queueing at the core resource handles the
-        case where other ranks are genuinely computing.
+        Work splits evenly, and the fan-out is one ``ways``-unit
+        :func:`~repro.sim.resources.hold` on the node's cores: one
+        event when the cores are free, FIFO queueing per core when
+        other ranks are genuinely computing.  Each core's share is one
+        profiler interval.
         """
         if ways is None:
             ways = self.node.n_cores
         ways = max(1, min(int(ways), self.node.n_cores, max(elements, 1)))
         total = self.cost.compute_time(elements, ops_per_element)
         total *= self.node.slowdown
-        if total <= 0:
-            return
-        if ways == 1:
-            yield from self._occupy_core(total, "user")
-            return
-        share = total / ways
-        workers = [
-            self.kernel.process(self._occupy_core(share, "user"),
-                                name=f"mapworker:r{self.rank}.{w}")
-            for w in range(ways)
-        ]
-        yield self.kernel.all_of(workers)
+        yield from self._occupy_cores(total / ways, "user", ways)
 
     def memcpy(self, nbytes: int) -> Generator:
         """Occupy one core for a pack/unpack/copy of ``nbytes``
         (*system* time)."""
-        yield from self._occupy_core(self.cost.memcpy_time(nbytes), "sys")
+        yield from self._occupy_cores(self.cost.memcpy_time(nbytes), "sys")
 
-    def _occupy_core(self, duration: float, kind: str) -> Generator:
+    def _occupy_cores(self, duration: float, kind: str,
+                      units: int = 1) -> Generator:
         if duration <= 0:
             return
-        req = self.node.cores.request()
-        yield req
-        start = self.kernel.now
-        try:
-            yield self.kernel.timeout(duration)
-        finally:
-            self.node.cores.release(req)
-            if self.profiler is not None:
-                self.profiler.record(self.rank, kind, start, self.kernel.now)
+        spans = yield from hold(self.node.cores, duration, units)
+        if self.profiler is not None:
+            for start, end in spans:
+                self.profiler.record(self.rank, kind, start, end)
 
     def wait_recording(self, event: Event, kind: str = "wait") -> Generator:
         """Yield on ``event`` and record the blocked span in the profiler.

@@ -14,7 +14,7 @@ from typing import Generator
 from ..config import CostModel
 from ..errors import TransientIOError
 from ..obs import metrics
-from ..sim import Kernel, Resource
+from ..sim import Kernel, Resource, hold
 
 
 class OST:
@@ -58,37 +58,33 @@ class OST:
         decided up front by the fault injector so a fault-free run's
         event order is untouched.
         """
-        req = self._server.request()
-        yield req
+        if fault_fail:
+            # A failing request occupies the device for the seek before
+            # the EIO surfaces, like a real timed-out disk op.
+            duration = self.cost.ost_seek
+        else:
+            duration = self.cost.ost_time(nbytes, self.slowdown) * fault_mult
+        yield from hold(self._server, duration)
         tracker = self.kernel._tracker
         if tracker is not None:
             # The served-bytes/busy-time counters are shared across every
-            # job that touches this OST; the grant edge of ``_server``
-            # orders holders, so a clean run records no conflict here —
-            # bypassing the resource would surface as a shared-state race.
+            # job that touches this OST.  They are written in the step
+            # that released ``_server``: the release published this
+            # step's clock and every later grant joins it, so a clean
+            # run records no conflict here — bypassing the resource
+            # would surface as a shared-state race.
             tracker.access(f"ost:{self.index}", write=True)
+        self.busy_time += duration
+        self.requests_served += 1
         m = metrics.current()
-        try:
-            if fault_fail:
-                # A failing request occupies the device for the seek
-                # before the EIO surfaces, like a real timed-out disk op.
-                self.busy_time += self.cost.ost_seek
-                self.requests_served += 1
-                if m is not None:
-                    m.count("pfs.ost.requests")
-                yield self.kernel.timeout(self.cost.ost_seek)
-                raise TransientIOError(
-                    f"injected transient EIO at OST {self.index}")
-            duration = self.cost.ost_time(nbytes, self.slowdown) * fault_mult
-            self.busy_time += duration
-            self.bytes_served += nbytes
-            self.requests_served += 1
-            if m is not None:
-                m.count("pfs.ost.requests")
-                m.count("pfs.ost.bytes", nbytes)
-            yield self.kernel.timeout(duration)
-        finally:
-            self._server.release(req)
+        if m is not None:
+            m.count("pfs.ost.requests")
+        if fault_fail:
+            raise TransientIOError(
+                f"injected transient EIO at OST {self.index}")
+        self.bytes_served += nbytes
+        if m is not None:
+            m.count("pfs.ost.bytes", nbytes)
 
     @property
     def queue_length(self) -> int:

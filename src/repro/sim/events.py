@@ -17,6 +17,7 @@ All public classes are deterministic: no wall-clock, no randomness.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
@@ -154,8 +155,10 @@ class Timeout(Event):
 
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None,
                  name: Optional[str] = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not 0.0 <= delay < math.inf:
+            # Also rejects NaN, which fails every comparison.
+            raise SimulationError(
+                f"timeout delay must be finite and >= 0, got {delay!r}")
         super().__init__(kernel, name=name)
         self.delay = float(delay)
         self._ok = True

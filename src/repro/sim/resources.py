@@ -4,22 +4,30 @@ Three primitives cover every contention point in the simulated cluster:
 
 * :class:`Resource` — a counted FIFO server (CPU cores, NIC channels,
   OST service slots).  Strict FIFO granting keeps runs deterministic.
+* :func:`hold` — the one way library code occupies a resource:
+  acquire, hold for a simulated duration, release.  A hold whose units
+  are free when it starts costs one event (the :class:`Timeout` that
+  ends it), and a k-unit hold models k worker threads without a
+  process per thread.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``
   (message mailboxes, work queues).
-* :func:`hold` — the ubiquitous acquire → delay → release pattern as a
-  sub-process, used to model "service takes t seconds on this device".
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, TYPE_CHECKING
+from functools import partial
+from typing import (Any, Deque, Generator, List, Optional, Tuple, Union,
+                    TYPE_CHECKING)
 
 from ..errors import SimulationError
-from .events import Event
+from .events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Kernel
+
+#: One unit's occupancy as ``(start, end)`` in simulated seconds.
+Span = Tuple[float, float]
 
 
 class Request(Event):
@@ -75,16 +83,41 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
+    # -- the acquire/release pair -------------------------------------------
+    def _acquire(self, units: int) -> bool:
+        """Take ``units`` slots on the spot if they are free and nobody
+        is queued; schedules nothing.  False leaves the resource as is."""
+        if self._waiting or self._in_use + units > self.capacity:
+            return False
+        self._in_use += units
+        tracker = self.kernel._tracker
+        if tracker is not None:
+            # No grant event flows from the previous holder, so the
+            # running context joins the published release clock itself.
+            tracker.lock_take(self)
+        return True
+
+    def _release(self, units: int) -> None:
+        """Free ``units`` held slots and grant waiters in FIFO order."""
+        if self._in_use < units:  # pragma: no cover - defensive
+            raise SimulationError(f"release() on idle resource {self.name}")
+        self._in_use -= units
+        tracker = self.kernel._tracker
+        if tracker is not None:
+            tracker.lock_release(self)
+        waiting = self._waiting
+        while waiting and self._in_use < self.capacity:
+            nxt = waiting.popleft()
+            self._in_use += 1
+            if tracker is not None:
+                tracker.lock_acquire(self, nxt)
+            nxt.succeed(self)
+
+    # -- the event interface --------------------------------------------------
     def request(self) -> Request:
         """Ask for a slot.  The returned event fires once granted."""
         req = Request(self.kernel, self)
-        if self._in_use < self.capacity and not self._waiting:
-            self._in_use += 1
-            tracker = self.kernel._tracker
-            if tracker is not None:
-                # Uncontended grant: no event flows from the previous
-                # holder, so join the published release clock instead.
-                tracker.lock_acquire(self, req)
+        if self._acquire(1):
             req.succeed(self)
         else:
             self._waiting.append(req)
@@ -101,36 +134,131 @@ class Resource:
             except ValueError:
                 raise SimulationError("release() of an unknown pending request")
             return
-        if self._in_use <= 0:  # pragma: no cover - defensive
-            raise SimulationError(f"release() on idle resource {self.name}")
-        self._in_use -= 1
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            tracker.lock_release(self)
-        while self._waiting and self._in_use < self.capacity:
-            nxt = self._waiting.popleft()
-            self._in_use += 1
-            if tracker is not None:
-                tracker.lock_acquire(self, nxt)
-            nxt.succeed(self)
+        self._release(1)
 
 
-def hold(resource: Resource, duration: float) -> Generator:
-    """Sub-process: acquire ``resource``, hold it ``duration`` sim-seconds,
-    release.  Yields from inside another process::
+def hold(resource: Union[Resource, Tuple[Resource, ...]], duration: float,
+         units: int = 1) -> Generator[Event, Any, List[Span]]:
+    """Occupy ``units`` slots of ``resource`` for ``duration`` simulated
+    seconds each, inline from a process::
 
-        yield kernel.process(hold(core, 0.25))
+        spans = yield from hold(node.cores, 0.25, units=4)
 
-    or inline::
+    Returns each unit's ``(start, end)`` in grant order.  Units are
+    requested in FIFO order at call time.  When all of them are free
+    and nobody is queued they are granted on the spot, and the hold
+    costs one event: the :class:`Timeout` that ends it.  Otherwise each
+    unit waits its turn and is released ``duration`` after its own
+    grant (as if each were a worker thread), and the hold returns once
+    the last unit is released.  An interrupted hold leaves no unit held
+    or queued.
 
-        yield from hold(core, 0.25)
+    ``resource`` may also be a tuple of resources, one slot of each
+    (``units`` must be 1): they are acquired in order, each kept from
+    its own grant until the common end, and released in reverse order —
+    a transfer keeps its outbound NIC while it queues for the inbound
+    one.  Once it has waited for one of them, the rest are requested
+    through their grant events even when free.
     """
-    req = resource.request()
-    yield req
+    resources = resource if isinstance(resource, tuple) else (resource,)
+    if units < 1 or (units > 1 and len(resources) != 1):
+        raise SimulationError(
+            f"hold of {units} unit(s) on {len(resources)} resource(s)")
+    first = resources[0]
+    kernel = first.kernel
+    if len(resources) == 1 and first._acquire(units):
+        start = kernel._now
+        try:
+            yield Timeout(kernel, duration)
+        finally:
+            first._release(units)
+        return [(start, kernel._now)] * units
+    if units > 1:
+        fan_out = _FanOut(first, duration, units)
+        try:
+            return (yield fan_out.done)
+        finally:
+            fan_out.abandon()
+    held: List[Tuple[Resource, Optional[Request]]] = []
+    waited = False
     try:
-        yield resource.kernel.timeout(duration)
+        for res in resources:
+            # Only call-time grants skip the grant event.  After a wait
+            # the process resumes from an event, and a grant decided on
+            # the spot there would move its timer ahead of same-instant
+            # events that the grant event keeps it behind.
+            if not waited and res._acquire(1):
+                held.append((res, None))
+            else:
+                waited = True
+                req = res.request()
+                held.append((res, req))
+                yield req
+        start = kernel._now
+        yield Timeout(kernel, duration)
     finally:
-        resource.release(req)
+        for res, req in reversed(held):
+            if req is None:
+                res._release(1)
+            else:
+                res.release(req)
+    return [(start, kernel._now)]
+
+
+class _FanOut:
+    """The units of one contended k-unit :func:`hold`.
+
+    Each unit is one FIFO request.  Its grant starts its own timer, the
+    timer releases it, and the last release fires :attr:`done` with the
+    spans — the worker threads are modelled without a process each.
+    """
+
+    __slots__ = ("resource", "duration", "requests", "spans", "left", "done")
+
+    def __init__(self, resource: Resource, duration: float,
+                 units: int) -> None:
+        kernel = resource.kernel
+        self.resource = resource
+        self.duration = duration
+        self.spans: List[Optional[Span]] = [None] * units
+        #: Units not yet released; -1 once abandoned.
+        self.left = units
+        self.done = Event(kernel, name=resource.name)
+        tracker = kernel._tracker
+        self.requests: List[Request] = []
+        for unit in range(units):
+            req = resource.request()
+            if tracker is not None and not req.triggered:
+                # Fork edge: a queued unit is the caller's worker, so
+                # what its grant starts is ordered after the caller.
+                req._vc = tracker.current_vc()
+            req.callbacks.append(partial(self._start, unit))
+            self.requests.append(req)
+
+    def _start(self, unit: int, _grant: Event) -> None:
+        if self.left < 0:
+            return
+        kernel = self.resource.kernel
+        timer = Timeout(kernel, self.duration)
+        timer.callbacks.append(partial(self._end, unit, kernel._now))
+
+    def _end(self, unit: int, start: float, _timer: Event) -> None:
+        if self.left < 0:
+            return
+        self.resource.release(self.requests[unit])
+        self.spans[unit] = (start, self.resource.kernel._now)
+        self.left -= 1
+        if self.left == 0:
+            self.done.succeed(self.spans)
+
+    def abandon(self) -> None:
+        """Cancel queued units and free running ones (no-op once done)."""
+        if self.left <= 0:
+            return
+        self.left = -1
+        for unit, req in enumerate(self.requests):
+            if self.spans[unit] is None:
+                self.resource.release(req)
 
 
 class Store:

@@ -1,5 +1,6 @@
-"""Host-cost guard: a rank's host work in the offset exchange and node
-placement must not grow with the job size.
+"""Host-cost guards: a rank's host work in the offset exchange and node
+placement must not grow with the job size, and a job must not schedule
+kernel events that model nothing.
 
 One Figure 11-shaped collective-computing job (contiguous decomposition,
 64 KiB collective buffer, one aggregator per node, all-to-all reduce)
@@ -18,10 +19,16 @@ from repro.core import SUM_OP
 from repro.dataspace import RunList
 from repro.experiments import fig11_overhead as fig11
 from repro.experiments.common import hopper_platform, run_objectio_job
+from repro.flags import override
 from repro.mpi import collectives
+from repro.obs import metrics
 
 #: Largest allowed growth of a call count when P doubles.
 MAX_GROWTH = 2.5
+#: Event budget of the P = 128 job below.  A k-core map fan-out used to
+#: cost 4k+1 events (14,350 in all); as one k-unit hold it costs one
+#: (7,825), with the same simulated time.
+MAX_EVENTS_P128 = 8600
 
 
 def _counted_job(monkeypatch, nprocs):
@@ -60,3 +67,18 @@ def test_per_rank_host_work_is_independent_of_p(monkeypatch):
         assert growth <= MAX_GROWTH, (
             f"{name}: {small[name]} calls at P=64, {large[name]} at P=128 "
             f"({growth:.2f}x > {MAX_GROWTH}x)")
+
+
+def test_fig11_job_event_budget():
+    nprocs = 128
+    op = SUM_OP.with_cost(fig11.OP_COST)
+    platform = hopper_platform(math.ceil(nprocs / 24), n_osts=fig11.N_OSTS)
+    workload = fig11._contiguous_workload(nprocs, 1 * MiB)
+    with override(obs=True):
+        out = run_objectio_job(platform, workload, op, block=False,
+                               reduce_mode="all_to_all",
+                               hints=fig11.HINTS_FIG11)
+        counters = metrics.current().counters
+    assert out.global_result is not None
+    assert counters["sim.runs"] == 1
+    assert counters["sim.events"] <= MAX_EVENTS_P128, counters["sim.events"]

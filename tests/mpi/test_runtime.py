@@ -85,6 +85,37 @@ def test_compute_parallel_ways_capped_by_elements():
     assert res[0] == pytest.approx(0.5)
 
 
+def test_compute_parallel_records_one_interval_per_core():
+    prof = CpuProfiler(1)
+    m = machine(nodes=1, cores=4, core_element_rate=1000.0)
+
+    def main(ctx):
+        yield from ctx.compute_parallel(4000)
+
+    mpi_run(m, 1, main, profiler=prof)
+    assert [(iv.kind, iv.start, iv.end) for iv in prof.intervals] == \
+        [("user", 0.0, 1.0)] * 4
+
+
+def test_compute_parallel_on_busy_cores_records_each_share():
+    """Rank 1 keeps one of the two cores busy for 1 s, so rank 0's
+    two-way fan-out runs its shares on 0..1 and 1..2."""
+    prof = CpuProfiler(2)
+    m = machine(nodes=1, cores=2, core_element_rate=1000.0)
+
+    def main(ctx):
+        if ctx.rank == 1:
+            yield from ctx.compute(1000)
+        else:
+            yield ctx.kernel.timeout(0.5)
+            yield from ctx.compute_parallel(2000)
+        return ctx.kernel.now
+
+    assert mpi_run(m, 2, main, profiler=prof) == [2.0, 1.0]
+    spans = sorted((iv.rank, iv.start, iv.end) for iv in prof.intervals)
+    assert spans == [(0, 0.5, 1.5), (0, 1.0, 2.0), (1, 0.0, 1.0)]
+
+
 def test_memcpy_records_sys_time():
     prof = CpuProfiler(1)
     m = machine(nodes=1, memcpy_bandwidth=1000.0)

@@ -15,7 +15,7 @@ from repro.check.races import (RaceFinding, assert_no_races,
                                vc_join, vc_leq)
 from repro.errors import RaceError
 from repro.flags import override
-from repro.sim import Kernel, Resource, Store
+from repro.sim import Kernel, Resource, Store, hold
 
 
 @pytest.fixture(autouse=True)
@@ -185,3 +185,33 @@ def test_uncontended_reacquire_synchronizes_via_release_clock():
     k.process(second(k))
     k.run()
     assert drain_findings() == []
+
+
+def _successive_holds(same_resource):
+    """Two processes touch one cell in the step that ends a hold; the
+    second hold starts at t=2 on a free resource, so its grant is made
+    on the spot with no event to carry an edge."""
+    k = _traced_kernel()
+    first = Resource(k, capacity=1, name="a")
+    second = first if same_resource else Resource(k, capacity=1, name="b")
+
+    def toucher(resource, delay):
+        yield k.timeout(delay)
+        yield from hold(resource, 1.0)
+        k._tracker.access("cell")
+
+    k.process(toucher(first, 0.0))
+    k.process(toucher(second, 2.0))
+    k.run()
+    return drain_findings()
+
+
+def test_event_free_grant_keeps_the_lock_edge():
+    assert _successive_holds(same_resource=True) == []
+
+
+def test_holds_on_different_resources_are_flagged():
+    """Negative control for the test above: two resources, no edge."""
+    findings = _successive_holds(same_resource=False)
+    assert [f.kind for f in findings] == ["shared-state"]
+    assert "'cell'" in findings[0].message

@@ -44,6 +44,15 @@ def test_negative_timeout_rejected():
         k.timeout(-1)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_timeout_rejected(delay):
+    """A NaN delay would resume its process at ``now = nan``."""
+    k = Kernel()
+    with pytest.raises(SimulationError, match="finite"):
+        k.timeout(delay)
+    assert k.queue_size == 0
+
+
 def test_process_return_value():
     k = Kernel()
 

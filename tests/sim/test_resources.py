@@ -1,5 +1,7 @@
 """Unit tests for Resource, Store and hold()."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -156,3 +158,230 @@ def test_interrupt_finished_process_rejected():
     k.run()
     with pytest.raises(SimulationError):
         p.interrupt()
+
+
+# -- hold against the per-unit worker-process fan-out it replaced ---------
+
+def _fan_out_oracle(k, r, duration, units):
+    """The fan-out ``hold`` replaced: one worker process per unit, each
+    requesting, holding and releasing one slot; returns the per-unit
+    spans in grant (= unit) order."""
+    def worker():
+        req = r.request()
+        yield req
+        start = k.now
+        try:
+            yield k.timeout(duration)
+        finally:
+            r.release(req)
+        return (start, k.now)
+
+    if units == 1:
+        span = yield from worker()
+        return [span]
+    return (yield k.all_of([k.process(worker()) for _ in range(units)]))
+
+
+def _run_schedule(seed, use_hold):
+    """Seeded holders with distinct arrival times on one resource;
+    returns per holder ``(spans, return time)``."""
+    rng = random.Random(seed)
+    capacity = rng.randint(1, 4)
+    k = Kernel()
+    r = Resource(k, capacity=capacity)
+    durations = [rng.uniform(0.1, 2.0) for _ in range(3)]
+    arrivals = sorted(rng.sample(range(1, 400), rng.randint(2, 9)))
+    out = {}
+
+    def holder(i, arrival, duration, units):
+        yield k.timeout(arrival * 0.01 + rng.random() * 1e-3)
+        if use_hold:
+            spans = yield from hold(r, duration, units)
+        else:
+            spans = yield from _fan_out_oracle(k, r, duration, units)
+        out[i] = (list(spans), k.now)
+
+    for i, arrival in enumerate(arrivals):
+        units = 1 if rng.random() < 0.4 else rng.randint(1, capacity)
+        k.process(holder(i, arrival, rng.choice(durations), units))
+    k.run()
+    assert r.in_use == 0 and r.queue_length == 0
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hold_matches_the_worker_fan_out(seed):
+    """Per-unit grant order, unit completion times and the hold's own
+    return time all equal the process-per-unit oracle's."""
+    assert _run_schedule(seed, True) == _run_schedule(seed, False)
+
+
+@pytest.mark.parametrize("units", [2, 4, 24])
+def test_uncontended_fan_out_is_one_event(units):
+    """The oracle costs 4k+1 events (k starts, grants, timeouts and
+    finishes, plus the join); a free k-unit hold costs its timeout."""
+    for use_hold, expected in ((True, 1), (False, 4 * units + 1)):
+        k = Kernel()
+        r = Resource(k, capacity=24)
+        seen = []
+
+        def body():
+            before = k._seq
+            if use_hold:
+                spans = yield from hold(r, 0.5, units)
+            else:
+                spans = yield from _fan_out_oracle(k, r, 0.5, units)
+            seen.append((k._seq - before, spans))
+
+        k.process(body())
+        k.run()
+        assert seen == [(expected, [(0.0, 0.5)] * units)]
+
+
+def _interrupted(capacity, busy_units, units):
+    """A holder of ``busy_units`` runs 0..10; a second holder asks for
+    ``units`` at t=1 and is interrupted at t=2."""
+    k = Kernel()
+    r = Resource(k, capacity=capacity)
+    outcome = []
+
+    def first():
+        yield from hold(r, 10.0, busy_units)
+
+    def second():
+        yield k.timeout(1.0)
+        try:
+            yield from hold(r, 5.0, units)
+        except Interrupt:
+            outcome.append((k.now, r.in_use, r.queue_length))
+
+    k.process(first())
+    victim = k.process(second())
+
+    def interrupter():
+        yield k.timeout(2.0)
+        victim.interrupt()
+
+    k.process(interrupter())
+    k.run()
+    return outcome, r
+
+
+@pytest.mark.parametrize("capacity, busy, units", [
+    (1, 1, 1),   # single unit, queued
+    (2, 2, 2),   # every unit queued
+    (3, 2, 2),   # one unit running, one queued
+])
+def test_interrupted_contended_hold_leaves_nothing_behind(capacity, busy,
+                                                         units):
+    outcome, r = _interrupted(capacity, busy, units)
+    # Only the first holder's units remain, and nobody is queued.
+    assert outcome == [(2.0, busy, 0)]
+    assert r.in_use == 0 and r.queue_length == 0
+
+
+def test_interrupted_multi_resource_hold_releases_what_it_took():
+    """A transfer-shaped hold keeps the first resource while queued for
+    the second; an interrupt gives the first back and leaves the
+    second's queue empty."""
+    k = Kernel()
+    out, inn = Resource(k, name="out"), Resource(k, name="in")
+    seen = []
+
+    def occupant():
+        yield from hold(inn, 10.0)
+
+    def transfer():
+        try:
+            yield from hold((out, inn), 1.0)
+        except Interrupt:
+            seen.append((out.in_use, inn.in_use, inn.queue_length))
+
+    k.process(occupant())
+    victim = k.process(transfer())
+
+    def interrupter():
+        yield k.timeout(2.0)
+        victim.interrupt()
+
+    k.process(interrupter())
+    k.run()
+    assert seen == [(0, 1, 0)]
+
+
+def test_multi_resource_hold_spans_the_common_end():
+    k = Kernel()
+    out, inn = Resource(k), Resource(k)
+    got = []
+
+    def occupant():
+        yield from hold(inn, 3.0)
+
+    def transfer():
+        spans = yield from hold((out, inn), 1.0)
+        got.append((spans, out.in_use))
+
+    k.process(occupant())
+    k.process(transfer())
+    k.run()
+    # ``out`` was taken at 0 and kept while ``in`` was busy until 3.
+    assert got == [([(3.0, 4.0)], 0)]
+
+
+@pytest.mark.parametrize("units, resources", [(0, 1), (2, 2)])
+def test_hold_rejects_malformed_requests(units, resources):
+    k = Kernel()
+    rs = tuple(Resource(k) for _ in range(resources))
+    target = rs if resources > 1 else rs[0]
+    with pytest.raises(SimulationError):
+        next(hold(target, 1.0, units))
+
+
+def _transfer_oracle(k, resources, duration):
+    """Event-per-grant acquisition of several resources: each grant is
+    an event the holder resumes from, as before ``hold``."""
+    reqs = []
+    try:
+        for res in resources:
+            req = res.request()
+            reqs.append((res, req))
+            yield req
+        yield k.timeout(duration)
+    finally:
+        for res, req in reversed(reqs):
+            res.release(req)
+
+
+@pytest.mark.parametrize("use_hold", [True, False])
+def test_grant_after_a_wait_keeps_its_event(use_hold):
+    """B queues for ``out`` and is granted at t=1; D is woken in the
+    same instant, after B's grant event.  Requested through its grant
+    event, B's ``inn`` slot starts B's timer after D's, so D finishes
+    first at t=2 — the order an on-the-spot grant after the wait would
+    flip."""
+    k = Kernel()
+    out, inn = Resource(k, name="out"), Resource(k, name="inn")
+    woken = k.event()
+    finished = []
+
+    def a():
+        yield from hold(out, 1.0)
+        woken.succeed()
+
+    def b():
+        yield k.timeout(0.5)
+        if use_hold:
+            yield from hold((out, inn), 1.0)
+        else:
+            yield from _transfer_oracle(k, (out, inn), 1.0)
+        finished.append(("b", k.now))
+
+    def d():
+        yield woken
+        yield k.timeout(1.0)
+        finished.append(("d", k.now))
+
+    for body in (a, b, d):
+        k.process(body())
+    k.run()
+    assert finished == [("d", 2.0), ("b", 2.0)]

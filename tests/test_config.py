@@ -37,6 +37,37 @@ def test_negative_sizes_rejected():
         c.memcpy_time(-1)
 
 
+def test_non_finite_rate_rejected_where_it_enters():
+    # Unchecked, ost_time(1024) would return nan.
+    with pytest.raises(ConfigError, match="ost_bandwidth"):
+        CostModel(ost_bandwidth=float("nan"))
+
+
+def test_negative_latency_rejected_where_it_enters():
+    # Unchecked, msg_time(10) would return a negative duration.
+    with pytest.raises(ConfigError, match="net_latency"):
+        CostModel(net_latency=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hop_latency", float("inf")), ("ost_seek", float("nan")),
+    ("intra_node_latency", -1e-9), ("link_bandwidth", 0.0),
+    ("memcpy_bandwidth", float("inf")), ("core_element_rate", -1.0),
+    ("intra_node_bandwidth", float("nan")),
+])
+def test_every_cost_coefficient_is_checked(field, value):
+    with pytest.raises(ConfigError, match=field):
+        CostModel(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        CostModel().scaled(**{field: value})
+
+
+def test_zero_latencies_stay_legal():
+    c = CostModel(net_latency=0.0, hop_latency=0.0, intra_node_latency=0.0,
+                  ost_seek=0.0)
+    assert c.msg_time(0) == 0.0
+
+
 def test_cost_scaled_override():
     c = CostModel().scaled(link_bandwidth=123.0)
     assert c.link_bandwidth == 123.0
