@@ -9,7 +9,7 @@ collective-computing path double-combining a partial result corrupts
 the reduction without any crash to point at it.
 
 :func:`check_recovery_coverage` asserts that partition.  The resilient
-consumers call it when the ``check`` flag (:mod:`repro.flags`) is on, so —
+exchange calls it when the ``check`` flag (:mod:`repro.flags`) is on, so —
 like the other runtime sanitizers — it costs nothing in production runs
 and guards every faulted scenario in the smoke battery and the tests.
 """

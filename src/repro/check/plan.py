@@ -28,39 +28,17 @@ smoke battery; they are never on the hot path otherwise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from ..errors import IOLayerError
+# The closed forms the send loops charge, defined once there.
+from ..io.twophase import batch_wire_bytes, shuffle_wire_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dataspace import RunList
     from ..io.twophase import TwoPhasePlan
-
-#: Closed-form per-message overhead of a shuffle payload — must mirror
-#: the constants in :mod:`repro.io.twophase`'s send loops.
-PIECE_HEADER_BYTES = 24
-PAYLOAD_OVERHEAD_BYTES = 16
-#: Closed-form overhead of one ``(rank, payload)`` entry of a two-level
-#: batch: the 2-tuple container plus the integer rank.
-BATCH_ENTRY_BYTES = 24
-
-
-def shuffle_wire_bytes(pieces: "RunList") -> int:
-    """The closed-form wire size of one shuffle message carrying
-    ``pieces`` — what the send loops pass as ``nbytes``."""
-    return (PAYLOAD_OVERHEAD_BYTES + PIECE_HEADER_BYTES * len(pieces)
-            + pieces.total_bytes)
-
-
-def batch_wire_bytes(piece_lists: Sequence["RunList"]) -> int:
-    """The closed-form wire size of one two-level batch — a list of
-    ``(rank, payload)`` pairs, one per batched rank — as the two-level
-    send loops pass it for ``nbytes``."""
-    return PAYLOAD_OVERHEAD_BYTES + sum(
-        BATCH_ENTRY_BYTES + shuffle_wire_bytes(pieces)
-        for pieces in piece_lists)
 
 
 def check_plan(plan: "TwoPhasePlan") -> None:

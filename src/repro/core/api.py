@@ -16,22 +16,24 @@ and, crucially, the same numbers; only the simulated time differs.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..dataspace import DatasetSpec
 from ..errors import CollectiveComputingError
-from ..io import AccessRequest, collective_read, independent_read
+from ..io import (AccessRequest, collective_read, independent_read,
+                  iteration_windows)
+from ..io.twophase import read_windows
 from ..mpi import RankContext
 from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
 from .map_engine import linear_indices_of_runs
-from .metadata import CCStats
+from .metadata import CCStats, PartialResult
 from .object_io import ObjectIO
 from .plan_cache import PlanMemo
-from .reduction import global_reduce
-from .runtime import CCResult, cc_read_compute
+from .reduction import combine_partials, global_reduce
+from .runtime import CCResult, cc_read_compute, map_window
 
 
 def _memoized_plan(ctx: RankContext, file: PFSFile, oio: ObjectIO,
@@ -46,6 +48,36 @@ def _memoized_plan(ctx: RankContext, file: PFSFile, oio: ObjectIO,
         plan = yield from make_plan(ctx, runs, file, oio.hints, grid)
         plan_memo.store(runs, plan)
     return plan
+
+
+def compute_after_read(ctx: RankContext, oio: ObjectIO,
+                       request: AccessRequest, buf: np.ndarray,
+                       timeline: Optional[PhaseTimeline] = None,
+                       stats: Optional[CCStats] = None) -> Generator:
+    """The traditional path's second half, shared by the plain and the
+    resilient baselines: map the rank's fully-read packed buffer, then
+    tree-reduce to the root.  Returns a :class:`CCResult`."""
+    payload = None
+    if request.nbytes:
+        values = buf.view(oio.spec.dtype)
+        indices = (linear_indices_of_runs(oio.spec, request.runs)
+                   if oio.op.needs_indices else None)
+        t0 = ctx.kernel.now
+        payload = oio.op.map_chunk(values, indices)
+        yield from ctx.compute(values.size, oio.op.ops_per_element)
+        if stats is not None:
+            stats.map_elements += values.size
+            stats.map_time += ctx.kernel.now - t0
+        if timeline is not None:
+            timeline.record(ctx.rank, 0, "compute", t0, ctx.kernel.now)
+    result = CCResult(stats=stats)
+    result.local = None if payload is None else oio.op.finalize(payload)
+    t1 = ctx.kernel.now
+    result.global_result = yield from global_reduce(ctx, oio.op, payload,
+                                                    oio.root, stats)
+    if stats is not None and ctx.rank == oio.root:
+        stats.local_reduction_time += ctx.kernel.now - t1
+    return result
 
 
 def traditional_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
@@ -70,26 +102,8 @@ def traditional_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                                          timeline, plan=plan)
     else:
         buf = yield from independent_read(ctx, file, request)
-    payload = None
-    if request.nbytes:
-        values = buf.view(oio.spec.dtype)
-        indices = (linear_indices_of_runs(oio.spec, request.runs)
-                   if oio.op.needs_indices else None)
-        t0 = ctx.kernel.now
-        payload = oio.op.map_chunk(values, indices)
-        yield from ctx.compute(values.size, oio.op.ops_per_element)
-        if stats is not None:
-            stats.map_elements += values.size
-            stats.map_time += ctx.kernel.now - t0
-        if timeline is not None:
-            timeline.record(ctx.rank, 0, "compute", t0, ctx.kernel.now)
-    result = CCResult(stats=stats)
-    result.local = None if payload is None else oio.op.finalize(payload)
-    t1 = ctx.kernel.now
-    result.global_result = yield from global_reduce(ctx, oio.op, payload,
-                                                    oio.root, stats)
-    if stats is not None and ctx.rank == oio.root:
-        stats.local_reduction_time += ctx.kernel.now - t1
+    result = yield from compute_after_read(ctx, oio, request, buf, timeline,
+                                           stats)
     return result
 
 
@@ -99,69 +113,32 @@ def local_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
     """Independent (non-collective) analysis-in-I/O.
 
     The paper's ``io.mode = independent`` with ``io.block = false``:
-    each rank sweeps *its own* request in collective-buffer-size
-    windows, reading the next window while mapping the current one —
-    the collective-computing overlap without aggregation (useful when
-    ranks' data does not interleave).  Ends with the same global tree
-    reduce as the collective path.
+    each rank sweeps *its own* request in element-aligned
+    collective-buffer-size windows
+    (:func:`~repro.io.aggregation.iteration_windows` over its own
+    extent) and maps each one — with ``hints.pipeline`` reading the
+    next window while mapping the current one, the collective-computing
+    overlap without aggregation (useful when ranks' data does not
+    interleave).  Ends with the same global tree reduce as the
+    collective path.
     """
-    from ..dataspace import merge_runlists
-    from .map_engine import map_pieces
-    from .reduction import combine_partials
-
     request = AccessRequest.from_subarray(oio.spec, oio.sub)
     runs = request.runs
-    kernel = ctx.kernel
-    cb = oio.hints.cb_buffer_size
+    spec = oio.spec
     payload = None
-    partials = []
+    partials: List[PartialResult] = []
     if len(runs):
-        lo, hi = runs.extent()
-        # Element-aligned windows over this rank's own extent.
-        # Each entry carries the window's clipped pieces, computed once
-        # and reused by the read issue and the map step below.
-        windows = []
-        pos = lo
-        item = oio.spec.itemsize
-        while pos < hi:
-            win_hi = min(pos + max(cb, item), hi)
-            win_hi -= (win_hi - oio.spec.file_offset) % item
-            if win_hi <= pos:
-                win_hi = min(pos + max(cb, item), hi)
-            win_pieces = runs.clip(pos, win_hi)
-            if len(win_pieces):
-                windows.append(win_pieces)
-            pos = win_hi
+        windows = [runs.clip(lo, hi) for lo, hi in iteration_windows(
+            runs.extent(), runs, max(oio.hints.cb_buffer_size, spec.itemsize),
+            (spec.file_offset, spec.itemsize))]
 
-        def issue_read(pieces):
-            r_lo, r_hi = pieces.extent()
-            return r_lo, kernel.process(
-                ctx.fs.read(file, r_lo, r_hi - r_lo, client=ctx.node.index),
-                name=f"lread:r{ctx.rank}@{r_lo}",
-            )
+        def map_own(t: int, read_lo: int, window_data: np.ndarray):
+            partials.extend((yield from map_window(
+                ctx, oio, window_data, read_lo, [(ctx.rank, windows[t])], t,
+                stats, timeline, fan_out=False)))
 
-        pending = issue_read(windows[0])
-        for t, pieces in enumerate(windows):
-            read_lo, read_proc = pending
-            t0 = kernel.now
-            data = yield from ctx.wait_recording(read_proc, "wait")
-            if timeline is not None:
-                timeline.record(ctx.rank, t, "read", t0, kernel.now)
-            if t + 1 < len(windows):
-                pending = issue_read(windows[t + 1])
-            window_data = np.frombuffer(data, dtype=np.uint8)
-            t_map = kernel.now
-            partial, elements = map_pieces(oio.spec, oio.op, window_data,
-                                           read_lo, pieces, ctx.rank, t)
-            yield from ctx.compute(elements, oio.op.ops_per_element)
-            if partial is not None:
-                partials.append(partial)
-                if stats is not None:
-                    stats.add_partial(partial)
-                    stats.map_elements += elements
-                    stats.map_time += kernel.now - t_map
-            if timeline is not None:
-                timeline.record(ctx.rank, t, "map", t_map, kernel.now)
+        yield from read_windows(ctx, file, [w.extent() for w in windows],
+                                oio.hints.pipeline, map_own, timeline)
         payload = yield from combine_partials(ctx, oio.op, partials, stats)
     result = CCResult(stats=stats)
     result.local = None if payload is None else oio.op.finalize(payload)

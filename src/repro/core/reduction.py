@@ -19,7 +19,7 @@ overhead (Figure 11) and is accumulated into
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from ..errors import CollectiveComputingError
 from ..mpi import Op, RankContext, collectives as coll
@@ -91,11 +91,8 @@ def global_reduce(ctx: RankContext, op: MapReduceOp, local_payload: Any,
                   root: int, stats: Optional[CCStats] = None) -> Generator:
     """Tree-reduce per-rank payloads to ``root``; returns the finalized
     global result there (None elsewhere)."""
-    t0 = ctx.kernel.now
     combined = yield from coll.reduce(ctx.comm, local_payload,
                                       make_reduce_op(op), root=root)
-    if stats is not None:
-        stats.local_reduction_time += 0.0  # network time is not reduction CPU
     if ctx.rank != root:
         return None
     if combined is None:

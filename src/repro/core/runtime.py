@@ -2,8 +2,9 @@
 
 This is the modified two-phase pipeline: each aggregator iteration
 
-1. reads its collective-buffer window (next read posted before the
-   shuffle — the finer-grained nonblocking design of Figure 7),
+1. reads its collective-buffer window (with ``hints.pipeline`` the
+   next read is posted before the map — the finer-grained nonblocking
+   design of Figure 7),
 2. **maps** every rank's pieces of the window on logical subsets
    (computation happens *inside* the I/O, on the data just read),
 3. shuffles only the small partial results (+ logical metadata),
@@ -19,14 +20,16 @@ from the full request size to ``stats.shuffle_bytes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..dataspace import RunList
 from ..errors import CollectiveComputingError
+from ..integrity.digest import partial_digest
 from ..io import AccessRequest
-from ..io.twophase import TwoPhasePlan, make_plan
+from ..io.twophase import TwoPhasePlan, make_plan, read_windows
 from ..mpi import RankContext
 from ..mpi.comm import NodeSplit
 from ..pfs import PFSFile
@@ -62,6 +65,69 @@ class CCResult:
     global_result: Any = None
     per_rank: Optional[Dict[int, Any]] = None
     stats: Optional[CCStats] = None
+
+
+def map_window(ctx: RankContext, oio: ObjectIO, window_data: np.ndarray,
+               read_lo: int, members: Iterable[Tuple[int, RunList]],
+               t: int, stats: Optional[CCStats],
+               timeline: Optional[PhaseTimeline] = None,
+               fan_out: bool = True) -> Generator:
+    """The one map step: map each ``(rank, pieces)`` of window ``t``
+    (bytes from file offset ``read_lo``), record the ``map`` phase and
+    return the partials.
+
+    Partials get provenance digests when the machine's integrity
+    manager verifies reduces.  CPU is charged as an aggregator's
+    fan-out over its node's idle cores (Figure 7's worker threads) or,
+    with ``fan_out=False``, on the rank's own core."""
+    t0 = ctx.kernel.now
+    op = oio.op
+    integ = getattr(ctx.machine, "integrity", None)
+    stamp = integ is not None and integ.config.verify_reduce
+    partials: List[PartialResult] = []
+    elements = 0
+    for r, pieces in members:
+        partial, n = map_pieces(oio.spec, op, window_data, read_lo, pieces,
+                                r, t)
+        if partial is not None:
+            partials.append(replace(partial, digest=partial_digest(partial))
+                            if stamp else partial)
+            elements += n
+    charge = ctx.compute_parallel if fan_out else ctx.compute
+    yield from charge(elements, op.ops_per_element)
+    if stats is not None:
+        for p in partials:
+            stats.add_partial(p)
+        stats.map_elements += elements
+        stats.map_time += ctx.kernel.now - t0
+    if timeline is not None:
+        timeline.record(ctx.rank, t, "map", t0, ctx.kernel.now)
+    return partials
+
+
+def construct_at_root(ctx: RankContext, op: MapReduceOp,
+                      partials: List[PartialResult],
+                      stats: Optional[CCStats]) -> Generator:
+    """All-to-one root (paper §III-C): verify stamped partials when
+    integrity is attached, then build and charge every per-rank result
+    and the global one.  Returns the root's :class:`CCResult`."""
+    integ = getattr(ctx.machine, "integrity", None)
+    if integ is not None:
+        integ.verify_partials(ctx, partials, f"rank {ctx.rank} root construct")
+    t0 = ctx.kernel.now
+    blocks = sum(len(p.blocks) for p in partials)
+    yield from ctx.compute(max(len(partials), 1) * COMBINE_ELEMENT_COST
+                           + blocks * BLOCK_PARSE_COST, 1.0)
+    per_rank = construct_per_rank(op, partials)
+    if stats is not None:
+        stats.local_reduction_time += ctx.kernel.now - t0
+    result = CCResult(stats=stats, per_rank={
+        r: op.finalize(p) for r, p in sorted(per_rank.items())})
+    if per_rank:
+        result.global_result = op.finalize(op.combine_many(per_rank.values()))
+    mine = per_rank.get(ctx.rank)
+    result.local = None if mine is None else op.finalize(mine)
+    return result
 
 
 def _merge_partial_pair(op: MapReduceOp, a: PartialResult,
@@ -117,44 +183,22 @@ def _cc_aggregator_loop(ctx: RankContext, file: PFSFile, oio: ObjectIO,
     already-combined records ever cross the network."""
     my_windows = plan.windows[agg_idx]
     kernel = ctx.kernel
-    hints = oio.hints
+    pipeline = oio.hints.pipeline
     op = oio.op
     window_partials: List[Optional[List[PartialResult]]] = (
         [None] * len(my_windows) if staging is not None else [])
+    workers = []
 
-    def issue_read(t):
-        r_lo, r_hi = plan.read_span(agg_idx, t)
-        return r_lo, kernel.process(
-            ctx.fs.read(file, r_lo, r_hi - r_lo, client=ctx.node.index),
-            name=f"ccread:r{ctx.rank}@{r_lo}",
-        )
-
-    def map_and_shuffle(t: int, w_lo: int, w_hi: int, read_lo: int,
-                        window_data: np.ndarray) -> "Generator":
+    def map_and_shuffle(t: int, read_lo: int,
+                        window_data: np.ndarray) -> Generator:
         """Worker thread (paper Fig. 7): map the window on its logical
         subsets, then shuffle the partial results.  Runs concurrently
         with the I/O thread's next read; the node's core resource
         arbitrates compute between overlapping windows."""
-        t_map = kernel.now
-        partials: List[PartialResult] = []
-        total_elements = 0
-        for r in plan.window_ranks(agg_idx, t):
-            pieces = plan.window_pieces(r, agg_idx, t)
-            partial, elements = map_pieces(oio.spec, op, window_data,
-                                           read_lo, pieces, r, t)
-            if partial is not None:
-                partials.append(partial)
-                total_elements += elements
-                if stats is not None:
-                    stats.add_partial(partial)
-        # Worker threads on the node's idle cores preserve the job's
-        # compute parallelism even with one aggregator rank per node.
-        yield from ctx.compute_parallel(total_elements, op.ops_per_element)
-        if stats is not None:
-            stats.map_elements += total_elements
-            stats.map_time += kernel.now - t_map
-        if timeline is not None:
-            timeline.record(ctx.rank, t, "map", t_map, kernel.now)
+        partials = yield from map_window(
+            ctx, oio, window_data, read_lo,
+            ((r, plan.window_pieces(r, agg_idx, t))
+             for r in plan.window_ranks(agg_idx, t)), t, stats, timeline)
         if staging is not None:
             # Two-level mode: hold the window's partials back for the
             # cross-window pre-combine; nothing is sent per window.
@@ -185,29 +229,18 @@ def _cc_aggregator_loop(ctx: RankContext, file: PFSFile, oio: ObjectIO,
             timeline.record(ctx.rank, t, "shuffle", t_sh, kernel.now)
         return None
 
-    workers = []
-    pending = issue_read(0) if my_windows else None
-    for t, (w_lo, w_hi) in enumerate(my_windows):
-        read_lo, read_proc = pending
-        t0 = kernel.now
-        data = yield from ctx.wait_recording(read_proc, "wait")
-        if timeline is not None:
-            timeline.record(ctx.rank, t, "read", t0, kernel.now)
-        window_data = np.frombuffer(data, dtype=np.uint8)
-        worker = kernel.process(
-            map_and_shuffle(t, w_lo, w_hi, read_lo, window_data),
-            name=f"ccmap:r{ctx.rank}.{t}",
-        )
-        if hints.pipeline:
-            # I/O thread streams ahead; map/shuffle catch up concurrently.
+    def spawn(t: int, read_lo: int, window_data: np.ndarray) -> Generator:
+        worker = kernel.process(map_and_shuffle(t, read_lo, window_data),
+                                name=f"ccmap:r{ctx.rank}.{t}")
+        if pipeline:
+            # The I/O thread streams ahead; map/shuffle catch up.
             workers.append(worker)
-            if t + 1 < len(my_windows):
-                pending = issue_read(t + 1)
         else:
             # Blocking variant: finish this window before the next read.
             yield worker
-            if t + 1 < len(my_windows):
-                pending = issue_read(t + 1)
+
+    spans = [plan.read_span(agg_idx, t) for t in range(len(my_windows))]
+    yield from read_windows(ctx, file, spans, pipeline, spawn, timeline)
     if workers:
         yield kernel.all_of(workers)
     if staging is not None:
@@ -381,7 +414,7 @@ def _cc_receiver_all_to_one(ctx: RankContext, oio: ObjectIO,
                             stats: Optional[CCStats],
                             staging: Optional[tuple] = None) -> Generator:
     """All-to-one mode, root side: collect the partial batches and
-    construct per-rank results.
+    construct per-rank results (:func:`construct_at_root`).
 
     One-level: one batch per (aggregator, window).  Two-level
     (``staging=(ns, xnode_tag)``): one pre-combined batch per *node*
@@ -404,15 +437,8 @@ def _cc_receiver_all_to_one(ctx: RankContext, oio: ObjectIO,
                 req = ctx.comm.irecv(agg_rank, base_tag + t)
                 msg = yield from ctx.wait_recording(req.event, "wait")
                 received.extend(msg.data)
-    t0 = ctx.kernel.now
-    blocks = sum(len(p.blocks) for p in received)
-    cost_units = (max(len(received), 1) * COMBINE_ELEMENT_COST
-                  + blocks * BLOCK_PARSE_COST)
-    yield from ctx.compute(cost_units, 1.0)
-    per_rank = construct_per_rank(oio.op, received)
-    if stats is not None:
-        stats.local_reduction_time += ctx.kernel.now - t0
-    return per_rank
+    result = yield from construct_at_root(ctx, oio.op, received, stats)
+    return result
 
 
 def cc_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
@@ -469,18 +495,12 @@ def cc_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
         ))
     result = CCResult(stats=stats)
     if oio.reduce_mode == "all_to_all":
-        if two_level:
-            recv_proc = ctx.kernel.process(
-                _cc_receiver_all_to_all_two_level(
-                    ctx, oio, plan, ns, stage_tag, xnode_tag, fwd_tag,
-                    stats),
-                name=f"ccrecv:r{ctx.rank}",
-            )
-        else:
-            recv_proc = ctx.kernel.process(
-                _cc_receiver_all_to_all(ctx, oio, plan, base_tag, stats),
-                name=f"ccrecv:r{ctx.rank}",
-            )
+        recv_proc = ctx.kernel.process(
+            _cc_receiver_all_to_all_two_level(ctx, oio, plan, ns, stage_tag,
+                                              xnode_tag, fwd_tag, stats)
+            if two_level else
+            _cc_receiver_all_to_all(ctx, oio, plan, base_tag, stats),
+            name=f"ccrecv:r{ctx.rank}")
         procs.append(recv_proc)
         yield ctx.kernel.all_of(procs)
         payload = recv_proc.value
@@ -505,16 +525,7 @@ def cc_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
             )
             procs.append(recv_proc)
             yield ctx.kernel.all_of(procs)
-            per_rank_payloads = recv_proc.value
-            result.per_rank = {
-                r: oio.op.finalize(p) for r, p in sorted(per_rank_payloads.items())
-            }
-            if per_rank_payloads:
-                result.global_result = oio.op.finalize(
-                    oio.op.combine_many(per_rank_payloads.values()))
-            my_payload = per_rank_payloads.get(ctx.rank)
-            result.local = (None if my_payload is None
-                            else oio.op.finalize(my_payload))
+            result = recv_proc.value
         elif procs:
             yield ctx.kernel.all_of(procs)
     return result

@@ -18,15 +18,16 @@ trade fidelity for resilience under an explicit error budget (C-Coll).
 
 Layout: :mod:`~repro.faults.plan` decides (pure, hash-seeded),
 :mod:`~repro.faults.injector` applies and logs,
-:mod:`~repro.faults.recovery` holds the policies,
+:mod:`~repro.faults.recovery` holds the policies (the retry policy
+lives in :mod:`repro.io.independent` and is re-exported here),
 :mod:`~repro.faults.resilient` is the round-based recoverable protocol.
 """
 
+from ..io.independent import RetryPolicy, read_with_retry
 from .injector import FaultInjector, FaultRecord
 from .plan import FaultPlan
-from .recovery import (RecoveryPolicy, RetryPolicy, assign_orphans,
-                       degradation_needed, merge_missed,
-                       merge_missed_pairs, read_with_retry,
+from .recovery import (RecoveryPolicy, assign_orphans, degradation_needed,
+                       merge_missed, merge_missed_pairs,
                        required_aggregators)
 from .resilient import (resilient_cc_read_compute,
                         resilient_collective_read, resilient_object_get,

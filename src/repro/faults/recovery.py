@@ -3,9 +3,11 @@
 Three layers of defence, applied by :mod:`repro.faults.resilient` in
 escalation order:
 
-1. **Retry with exponential backoff** (:class:`RetryPolicy`,
-   :func:`read_with_retry`) absorbs transient OST failures without any
-   coordination — the cheapest recovery, local to one read.
+1. **Retry with exponential backoff**
+   (:class:`~repro.io.independent.RetryPolicy`,
+   :func:`~repro.io.independent.read_with_retry`) absorbs transient OST
+   failures without any coordination — the cheapest recovery, local to
+   one read.
 2. **Timed receives with aggregator failover**: a receiver that waits
    longer than :attr:`RecoveryPolicy.read_timeout` for a window suspects
    the serving aggregator; after an agreement allgather the missed
@@ -25,43 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..errors import (FaultError, IntegrityError, RecoveryError,
-                      TransientIOError)
-from ..obs import metrics
+from ..errors import FaultError, RecoveryError
+from ..io.independent import RetryPolicy
 
 #: A window's identity across recovery rounds: its position in the
 #: original plan — ``(aggregator index, iteration)``.
 WindowKey = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for transient OST read failures.
-
-    ``max_retries`` is the number of *re*-tries after the first attempt:
-    an operation is attempted at most ``max_retries + 1`` times, and a
-    failure on the last permitted attempt surfaces as
-    :class:`~repro.errors.RecoveryError`.
-    """
-
-    max_retries: int = 3
-    backoff_base: float = 0.001
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise FaultError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise FaultError(
-                "backoff_base must be >= 0 and backoff_factor >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before re-attempt ``attempt`` (0-based): the classic
-        ``base * factor**attempt`` exponential schedule."""
-        return self.backoff_base * self.backoff_factor ** attempt
 
 
 @dataclass(frozen=True)
@@ -101,49 +74,6 @@ class RecoveryPolicy:
             raise FaultError("min_aggregator_fraction must be in [0, 1]")
         if self.max_rounds < 1:
             raise FaultError(f"max_rounds must be >= 1, got {self.max_rounds}")
-
-
-def read_with_retry(ctx, file, offset: int, nbytes: int,
-                    policy: RetryPolicy) -> Generator:
-    """Read with bounded exponential backoff over retryable failures.
-
-    Generator (``yield from`` inside a rank process).  Returns the bytes
-    on success.  Both fault classes a re-read can repair are absorbed:
-    injected transient EIOs (:class:`~repro.errors.TransientIOError`)
-    and checksum mismatches on served extents
-    (:class:`~repro.errors.IntegrityError` — the source is pristine, so
-    fresh bytes verify).  When the read still fails on the last
-    permitted attempt, a :class:`~repro.errors.RecoveryError` is raised
-    naming the extent, the retry budget and the final cause (which
-    itself names the failing OST).  Each absorbed failure is logged as
-    a ``recover:retry`` record on the machine's injector.
-    """
-    faults = getattr(ctx.machine, "faults", None)
-    for attempt in range(policy.max_retries + 1):
-        try:
-            data = yield from ctx.fs.read(file, offset, nbytes,
-                                          client=ctx.node.index)
-            return data
-        except (TransientIOError, IntegrityError) as exc:
-            if attempt == policy.max_retries:
-                raise RecoveryError(
-                    f"read [{offset}, {offset + nbytes}) of {file.name!r} "
-                    f"still failing after {policy.max_retries} retries "
-                    f"({policy.max_retries + 1} attempts; last: {exc})"
-                ) from exc
-            delay = policy.delay(attempt)
-            m = metrics.current()
-            if m is not None:
-                m.count("pfs.read_retries")
-            if faults is not None:
-                kind = ("checksum mismatch"
-                        if isinstance(exc, IntegrityError) else "EIO")
-                faults.record(
-                    "recover:retry", f"rank{ctx.rank}",
-                    f"{kind} on [{offset}, {offset + nbytes}), retry "
-                    f"{attempt + 1}/{policy.max_retries} after {delay:g}s")
-            yield ctx.kernel.timeout(delay)
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def required_aggregators(n_original: int, fraction: float) -> int:

@@ -5,10 +5,13 @@ The resilient variants of :func:`repro.io.twophase.collective_read` and
 exchange engine (:func:`_resilient_exchange`):
 
 * **Round 0** is the normal two-phase schedule: every aggregator serves
-  its own plan windows.  Receivers use *timed* receives
-  (``any_of(recv, timeout)`` + ``MPI_Cancel``) instead of blocking
-  forever, so a crashed/straggling aggregator or a dropped shuffle
-  message surfaces as a locally *missed window* rather than a deadlock.
+  its own plan windows through the shared window reader
+  (:func:`repro.io.twophase.read_windows`, reading ahead under
+  ``hints.pipeline`` like the fault-free paths).  Receivers use *timed*
+  receives (``any_of(recv, timeout)`` + ``MPI_Cancel``) instead of
+  blocking forever, so a crashed/straggling aggregator or a dropped
+  shuffle message surfaces as a locally *missed window* rather than a
+  deadlock.
 * After each round every rank allgathers its missed-window list (the
   SPMD agreement — compare ULFM's post-failure agreement).  All ranks
   fold the same entries into the same shared view: which windows are
@@ -27,7 +30,10 @@ exchange engine (:func:`_resilient_exchange`):
 Window payloads travel as ``(window key, payload)`` so late or
 re-served duplicates are identified by key and never double-counted —
 essential for the collective-computing path, where double-combining a
-partial result would corrupt the reduction.
+partial result would corrupt the reduction.  Raw-byte windows leave
+through the two-phase shuffle choke point
+(:func:`repro.io.twophase.shuffle_send`), so their closed-form size is
+checked and accounted like every other raw shuffle message.
 
 With an :class:`~repro.integrity.IntegrityManager` attached (wire
 digests on), window messages instead travel as
@@ -48,37 +54,31 @@ payloads are ever flipped, so checksum verdicts cannot be forged.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.api import compute_after_read
 from ..core.metadata import CCStats, PartialResult
-from ..core.map_engine import map_pieces
 from ..core.object_io import ObjectIO
-from ..core.reduction import (BLOCK_PARSE_COST, COMBINE_ELEMENT_COST,
-                              combine_partials, construct_per_rank,
-                              global_reduce)
-from ..core.runtime import CCResult
+from ..core.reduction import combine_partials, global_reduce
+from ..core.runtime import CCResult, construct_at_root, map_window
 from ..check.faults import check_recovery_coverage
 from .. import flags
 from ..errors import CollectiveComputingError, IOLayerError, RecoveryError
-from ..io import AccessRequest
+from ..io import AccessRequest, independent_read
 from ..io.hints import CollectiveHints
 from ..io.requests import RunPlacer
-from ..integrity.digest import partial_digest, payload_digest
-from ..io.twophase import TwoPhasePlan, _extract_pieces, make_plan
+from ..io.independent import read_with_retry
+from ..integrity.digest import DIGEST_NBYTES, payload_digest
+from ..io.twophase import (WINDOW_KEY_BYTES, TwoPhasePlan, _extract_pieces,
+                           _unpack_pieces, make_plan, read_windows,
+                           shuffle_send, shuffle_wire_bytes)
 from ..mpi import RankContext, collectives as coll
 from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
 from .recovery import (RecoveryPolicy, WindowKey, assign_orphans,
-                       degradation_needed, merge_missed, merge_missed_pairs,
-                       read_with_retry)
-
-#: ``make_payload`` callback: generator producing one destination's
-#: payload for one window (maps CC pieces / extracts raw pieces).
-PayloadFn = Callable[[RankContext, np.ndarray, int, WindowKey, int],
-                     Generator]
+                       degradation_needed, merge_missed, merge_missed_pairs)
 
 
 def _plan_keys(plan: TwoPhasePlan) -> List[WindowKey]:
@@ -91,49 +91,59 @@ def _plan_keys(plan: TwoPhasePlan) -> List[WindowKey]:
 def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
                  assigned: List[Tuple[int, WindowKey]],
                  targets: Dict[WindowKey, List[int]], base_tag: int,
-                 policy: RecoveryPolicy, round_index: int,
-                 make_payload: PayloadFn) -> Generator:
+                 policy: RecoveryPolicy, round_index: int, pipeline: bool,
+                 make_payload: Callable[..., Generator]) -> Generator:
     """One rank's serving side of one round: read each assigned window
-    (with retry), build each target's payload, send.
+    through the shared reader (retrying under ``policy.retry``, reading
+    ahead when ``pipeline``), build each target's payload, send.
 
     A crash injected for this (rank, round) stops serving at the drawn
     window; a read that exhausts its retries does the same (the rank's
     aggregation *role* fail-stops; the rank itself lives on to take part
-    in the agreement)."""
+    in the agreement).  An injected straggle stalls the window's
+    handler before it sends."""
     faults = getattr(ctx.machine, "faults", None)
     integ = getattr(ctx.machine, "integrity", None)
     wire_on = integ is not None and integ.config.wire_digests
+    wrapper = WINDOW_KEY_BYTES + (DIGEST_NBYTES if wire_on else 0)
     crash_at = (faults.crash_iteration(ctx.rank, len(assigned), round_index)
                 if faults is not None else None)
-    for k, (slot, key) in enumerate(assigned):
-        if crash_at is not None and k >= crash_at:
-            return None
+    if crash_at is not None:
+        assigned = assigned[:crash_at]
+    served = 0
+
+    def serve(k: int, read_lo: int, window_data: np.ndarray) -> Generator:
+        nonlocal served
+        slot, key = assigned[k]
+        tag = base_tag + slot
         if faults is not None:
             delay = faults.straggle_delay(ctx.rank, slot, round_index)
             if delay > 0:
                 yield ctx.kernel.timeout(delay)
-        agg_idx, t = key
-        r_lo, r_hi = plan.read_span(agg_idx, t)
-        try:
-            data = yield from read_with_retry(ctx, file, r_lo, r_hi - r_lo,
-                                              policy.retry)
-        except RecoveryError:
-            if faults is not None:
-                faults.record(
-                    "recover:failover", f"rank{ctx.rank}",
-                    f"window {key} read exhausted retries in round "
-                    f"{round_index}; serving role stops (as a crash)")
-            return None
-        window_data = np.frombuffer(data, dtype=np.uint8)
         sends = []
         for dest in targets[key]:
-            payload = yield from make_payload(ctx, window_data, r_lo, key,
-                                              dest)
+            payload, closed = yield from make_payload(ctx, window_data,
+                                                      read_lo, key, dest)
             wire = ((key, payload, payload_digest(payload)) if wire_on
                     else (key, payload))
-            sends.append(ctx.comm.isend(wire, dest, base_tag + slot))
+            sends.append(ctx.comm.isend(wire, dest, tag) if closed is None
+                         else shuffle_send(ctx, wire, dest, tag,
+                                           wrapper + closed,
+                                           "resilient window"))
         for req in sends:
             yield from ctx.wait_recording(req.event, "wait")
+        served = k + 1
+
+    try:
+        yield from read_windows(ctx, file,
+                                [plan.read_span(*key) for _s, key in assigned],
+                                pipeline, serve, retry=policy.retry)
+    except RecoveryError:
+        if faults is not None:
+            faults.record(
+                "recover:failover", f"rank{ctx.rank}",
+                f"window {assigned[served][1]} read exhausted retries in "
+                f"round {round_index}; serving role stops (as a crash)")
     return None
 
 
@@ -207,81 +217,80 @@ def _collect_round(ctx: RankContext, expect: List[Tuple[int, WindowKey]],
     return missed, corrupt
 
 
-def _run_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
-               assigned: List[Tuple[int, WindowKey]],
-               expect: List[Tuple[int, WindowKey]],
-               targets: Dict[WindowKey, List[int]],
-               server_of: Dict[WindowKey, int], base_tag: int,
-               policy: RecoveryPolicy, round_index: int,
-               make_payload: PayloadFn,
-               got: Dict[WindowKey, Any]) -> Generator:
-    """Run one rank's serving and receiving sides of a round
-    concurrently; returns that rank's ``(timed out, corrupt)`` window
-    key lists."""
-    procs = []
-    if assigned:
-        procs.append(ctx.kernel.process(
-            _serve_round(ctx, file, plan, assigned, targets, base_tag,
-                         policy, round_index, make_payload),
-            name=f"fserve:r{ctx.rank}.{round_index}"))
-    recv_proc = None
-    if expect:
-        recv_proc = ctx.kernel.process(
-            _collect_round(ctx, expect, server_of, base_tag, policy, got),
-            name=f"fcollect:r{ctx.rank}.{round_index}")
-        procs.append(recv_proc)
-    if procs:
-        yield ctx.kernel.all_of(procs)
-    return recv_proc.value if recv_proc is not None else ([], [])
-
-
 def _resilient_exchange(ctx: RankContext, file: PFSFile,
                         plan: TwoPhasePlan, policy: RecoveryPolicy,
-                        make_payload: PayloadFn,
+                        pipeline: bool,
+                        make_payload: Callable[..., Generator],
                         receivers_of: Callable[[WindowKey], List[int]],
                         timeline: Optional[PhaseTimeline] = None
                         ) -> Generator:
-    """The round loop shared by the raw and CC resilient paths.
+    """The round loop shared by the raw and CC resilient paths: serve
+    and receive concurrently, then agree.  Servers read ahead when
+    ``pipeline``; ``make_payload(ctx, window_bytes, read_lo, key, dest)``
+    returns ``(payload, closed)``, ``closed`` being the closed-form wire
+    size of raw bytes (sent through the shuffle choke point) or ``None``.
 
     Returns ``(got, missing, missed_by)``: the window payloads this rank
     received, plus — when the exchange degraded — the shared view of the
     windows nobody could serve collectively (for the caller to
-    self-serve with independent I/O).
+    self-serve with independent I/O).  Under ``REPRO_CHECK`` the two
+    must cover the rank's expected windows exactly once.
     """
     kernel = ctx.kernel
     faults = getattr(ctx.machine, "faults", None)
     integ = getattr(ctx.machine, "integrity", None)
     wire_on = integ is not None and integ.config.wire_digests
-    all_keys: List[WindowKey] = _plan_keys(plan)
+    # The windows one round serves: every plan window in round 0, the
+    # agreed missing ones in each failover round.
+    keys: List[WindowKey] = _plan_keys(plan)
     n_aggs = len(plan.aggregators)
-    server_of = {key: plan.aggregators[key[0]] for key in all_keys}
-    slot_of = {key: plan.flat_index(*key) for key in all_keys}
-    targets = {key: receivers_of(key) for key in all_keys}
+    server_of = {key: plan.aggregators[key[0]] for key in keys}
+    slot_of = {key: plan.flat_index(*key) for key in keys}
+    targets = {key: receivers_of(key) for key in keys}
     got: Dict[WindowKey, Any] = {}
-    base_tag = ctx.comm.next_collective_tags(max(len(all_keys), 1))
-    if faults is not None:
-        faults.allow_drops(base_tag, base_tag + max(len(all_keys), 1))
-    assigned = sorted((slot_of[k], k) for k in all_keys
-                      if server_of[k] == ctx.rank)
-    expect = sorted((slot_of[k], k) for k in all_keys
-                    if ctx.rank in targets[k])
-    missed, corrupt = yield from _run_round(ctx, file, plan, assigned,
-                                            expect, targets, server_of,
-                                            base_tag, policy, 0,
-                                            make_payload, got)
-    # The agreement payload only changes shape when wire digests are on,
-    # keeping the legacy allgather bytes (and fig14 schedules) intact.
-    if wire_on:
-        entries = yield from coll.allgather(
-            ctx.comm, (tuple(missed), tuple(corrupt)))
-        missing, missed_by, timeouts = merge_missed_pairs(entries)
-    else:
-        entries = yield from coll.allgather(ctx.comm, tuple(missed))
-        missing, missed_by = merge_missed(entries)
-        timeouts = missing
     suspected: set = set()
     round_index = 0
-    while missing:
+    while True:
+        base_tag = ctx.comm.next_collective_tags(max(len(keys), 1))
+        if faults is not None:
+            faults.allow_drops(base_tag, base_tag + max(len(keys), 1))
+        assigned = sorted((slot_of[k], k) for k in keys
+                          if server_of[k] == ctx.rank)
+        expect = sorted((slot_of[k], k) for k in keys
+                        if ctx.rank in targets[k])
+        t0 = kernel.now
+        procs = []
+        if assigned:
+            procs.append(kernel.process(
+                _serve_round(ctx, file, plan, assigned, targets, base_tag,
+                             policy, round_index, pipeline, make_payload),
+                name=f"fserve:r{ctx.rank}.{round_index}"))
+        recv_proc = None
+        if expect:
+            recv_proc = kernel.process(
+                _collect_round(ctx, expect, server_of, base_tag, policy,
+                               got),
+                name=f"fcollect:r{ctx.rank}.{round_index}")
+            procs.append(recv_proc)
+        if procs:
+            yield kernel.all_of(procs)
+        missed, corrupt = (recv_proc.value if recv_proc is not None
+                           else ([], []))
+        if round_index and timeline is not None and (assigned or expect):
+            timeline.record(ctx.rank, round_index, "recovery", t0,
+                            kernel.now)
+        # The agreement payload only changes shape when wire digests are
+        # on, keeping the legacy allgather bytes (and fig14 schedules).
+        if wire_on:
+            entries = yield from coll.allgather(
+                ctx.comm, (tuple(missed), tuple(corrupt)))
+            keys, missed_by, timeouts = merge_missed_pairs(entries)
+        else:
+            entries = yield from coll.allgather(ctx.comm, tuple(missed))
+            keys, missed_by = merge_missed(entries)
+            timeouts = keys
+        if not keys:
+            break
         suspected |= {server_of[k] for k in timeouts}
         alive = [a for a in plan.aggregators if a not in suspected]
         round_index += 1
@@ -292,43 +301,23 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
                 faults.record(
                     "recover:degraded", "job",
                     f"{len(alive)}/{n_aggs} aggregators alive after round "
-                    f"{round_index - 1}; {len(missing)} window(s) fall "
+                    f"{round_index - 1}; {len(keys)} window(s) fall "
                     f"back to independent I/O")
-            return got, missing, missed_by
+            break
         if faults is not None and ctx.rank == alive[0]:
             faults.record(
                 "recover:failover", "job",
-                f"round {round_index}: {len(missing)} window(s) adopted "
+                f"round {round_index}: {len(keys)} window(s) adopted "
                 f"by {len(alive)} surviving aggregator(s)")
-        assignment = assign_orphans(missing, alive)
-        slot_of = {k: i for i, k in enumerate(missing)}
-        targets = {k: missed_by[k] for k in missing}
-        base_tag = ctx.comm.next_collective_tags(len(missing))
-        if faults is not None:
-            faults.allow_drops(base_tag, base_tag + len(missing))
-        assigned = sorted((slot_of[k], k) for k in missing
-                          if assignment[k] == ctx.rank)
-        expect = sorted((slot_of[k], k) for k in missing
-                        if ctx.rank in targets[k])
-        t0 = kernel.now
-        missed, corrupt = yield from _run_round(ctx, file, plan, assigned,
-                                                expect, targets, assignment,
-                                                base_tag, policy,
-                                                round_index, make_payload,
-                                                got)
-        if timeline is not None and (assigned or expect):
-            timeline.record(ctx.rank, round_index, "recovery", t0,
-                            kernel.now)
-        if wire_on:
-            entries = yield from coll.allgather(
-                ctx.comm, (tuple(missed), tuple(corrupt)))
-            missing, missed_by, timeouts = merge_missed_pairs(entries)
-        else:
-            entries = yield from coll.allgather(ctx.comm, tuple(missed))
-            missing, missed_by = merge_missed(entries)
-            timeouts = missing
-        server_of = assignment
-    return got, [], {}
+        server_of = assign_orphans(keys, alive)
+        slot_of = {k: i for i, k in enumerate(keys)}
+        targets = {k: missed_by[k] for k in keys}
+    if flags.current().check:
+        check_recovery_coverage(
+            (k for k in _plan_keys(plan) if ctx.rank in receivers_of(k)),
+            got, (k for k in keys if ctx.rank in missed_by.get(k, [])),
+            f"resilient exchange rank {ctx.rank}")
+    return got, keys, missed_by
 
 
 def _refuse_two_level(hints: CollectiveHints, where: str) -> None:
@@ -339,6 +328,29 @@ def _refuse_two_level(hints: CollectiveHints, where: str) -> None:
             f"{where} does not support CollectiveHints(two_level=True): "
             "the resilient exchange (faults or integrity) runs one-level "
             "only; pass two_level=False")
+
+
+def _refuse_local(oio: ObjectIO) -> None:
+    """Refuse local analysis-in-I/O, which has no resilient twin, rather
+    than silently run the read-everything-then-compute protocol."""
+    if oio.mode == "independent" and not oio.block:
+        raise CollectiveComputingError(
+            "resilient_object_get does not support ObjectIO(mode="
+            "'independent', block=False): local analysis-in-I/O has no "
+            "resilient variant; pass block=True for the recoverable "
+            "read-then-compute path")
+
+
+def _read_own_pieces(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
+                     key: WindowKey, policy: RecoveryPolicy) -> Generator:
+    """Degraded mode: read this rank's own pieces of one unserved window
+    (independent I/O with retry); ``(pieces, lo, bytes)`` or ``None``."""
+    pieces = plan.window_pieces(ctx.rank, key[0], key[1])
+    if not len(pieces):
+        return None
+    lo, hi = pieces.extent()
+    data = yield from read_with_retry(ctx, file, lo, hi - lo, policy.retry)
+    return pieces, lo, np.frombuffer(data, dtype=np.uint8)
 
 
 # -- raw two-phase read -----------------------------------------------------
@@ -366,93 +378,38 @@ def resilient_collective_read(ctx: RankContext, file: PFSFile,
         pieces = plan.window_pieces(dest, key[0], key[1])
         payload = _extract_pieces(window_data, read_lo, pieces)
         yield from ctx.memcpy(pieces.total_bytes)
-        return payload
+        return payload, shuffle_wire_bytes(pieces)
 
     def receivers_of(key: WindowKey) -> List[int]:
         return plan.window_ranks(key[0], key[1])
 
     got, missing, missed_by = yield from _resilient_exchange(
-        ctx, file, plan, policy, make_payload, receivers_of, timeline)
-    if flags.current().check:
-        check_recovery_coverage(
-            (k for k in _plan_keys(plan) if ctx.rank in receivers_of(k)),
-            got,
-            (k for k in missing if ctx.rank in missed_by.get(k, [])),
-            f"resilient_collective_read rank {ctx.rank}")
+        ctx, file, plan, policy, hints.pipeline, make_payload, receivers_of,
+        timeline)
 
     placer = RunPlacer(request.runs)
     buf = np.empty(placer.total_bytes, dtype=np.uint8)
-    for key, payload in got.items():
-        nbytes = 0
-        for off, piece in payload:
-            n = len(piece)
-            (start, _fo, _n), = placer.place(off, n)
-            buf[start:start + n] = piece
-            nbytes += n
-        yield from ctx.memcpy(nbytes)
+    for payload in got.values():
+        yield from ctx.memcpy(_unpack_pieces(placer, buf, payload))
     # Degraded tail: read my own pieces of the unserved windows.
     t0 = ctx.kernel.now
     degraded = False
     for key in missing:
         if ctx.rank not in missed_by.get(key, []):
             continue
-        pieces = plan.window_pieces(ctx.rank, key[0], key[1])
-        if not len(pieces):
+        own = yield from _read_own_pieces(ctx, file, plan, key, policy)
+        if own is None:
             continue
         degraded = True
-        lo, hi = pieces.extent()
-        data = yield from read_with_retry(ctx, file, lo, hi - lo,
-                                          policy.retry)
-        arr = np.frombuffer(data, dtype=np.uint8)
-        for off, n in pieces:
-            (start, _fo, _n), = placer.place(off, n)
-            buf[start:start + n] = arr[off - lo:off - lo + n]
-        yield from ctx.memcpy(pieces.total_bytes)
+        pieces, lo, data = own
+        yield from ctx.memcpy(_unpack_pieces(
+            placer, buf, _extract_pieces(data, lo, pieces)))
     if degraded and timeline is not None:
         timeline.record(ctx.rank, 0, "degraded", t0, ctx.kernel.now)
     return buf
 
 
 # -- collective computing ---------------------------------------------------
-def _stamp_partial(ctx: RankContext,
-                   partial: Optional[PartialResult]
-                   ) -> Optional[PartialResult]:
-    """Stamp a freshly-mapped partial with its provenance digest (when
-    integrity with reduce verification is attached) so the reducer can
-    re-check it moments before combining — the last line of defence
-    behind the wire digests."""
-    integ = getattr(ctx.machine, "integrity", None)
-    if (partial is None or integ is None
-            or not integ.config.verify_reduce):
-        return partial
-    return replace(partial, digest=partial_digest(partial))
-
-
-def _self_map_window(ctx: RankContext, file: PFSFile, oio: ObjectIO,
-                     plan: TwoPhasePlan, key: WindowKey,
-                     policy: RecoveryPolicy,
-                     stats: Optional[CCStats]) -> Generator:
-    """Degraded mode: read and map this rank's own pieces of one
-    unserved window (independent I/O + retry, no aggregator)."""
-    agg_idx, t = key
-    pieces = plan.window_pieces(ctx.rank, agg_idx, t)
-    if not len(pieces):
-        return None
-    lo, hi = pieces.extent()
-    data = yield from read_with_retry(ctx, file, lo, hi - lo, policy.retry)
-    window_data = np.frombuffer(data, dtype=np.uint8)
-    t0 = ctx.kernel.now
-    partial, elements = map_pieces(oio.spec, oio.op, window_data, lo,
-                                   pieces, ctx.rank, t)
-    partial = _stamp_partial(ctx, partial)
-    yield from ctx.compute(elements, oio.op.ops_per_element)
-    if stats is not None and partial is not None:
-        stats.add_partial(partial)
-        stats.map_elements += elements
-        stats.map_time += ctx.kernel.now - t0
-    return partial
-
-
 def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
                               oio: ObjectIO,
                               policy: Optional[RecoveryPolicy] = None,
@@ -484,33 +441,23 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
     def make_payload(ctx: RankContext, window_data: np.ndarray,
                      read_lo: int, key: WindowKey, dest: int) -> Generator:
         agg_idx, t = key
-        t0 = ctx.kernel.now
-        if all_to_all:
-            pieces = plan.window_pieces(dest, agg_idx, t)
-            partial, elements = map_pieces(oio.spec, op, window_data,
-                                           read_lo, pieces, dest, t)
-            partial = _stamp_partial(ctx, partial)
-            payload: Any = partial
-            partials = [] if partial is None else [partial]
-        else:
-            partials = []
-            elements = 0
-            for r in plan.window_ranks(agg_idx, t):
-                partial, n = map_pieces(oio.spec, op, window_data,
-                                        read_lo,
-                                        plan.window_pieces(r, agg_idx, t),
-                                        r, t)
-                if partial is not None:
-                    partials.append(_stamp_partial(ctx, partial))
-                    elements += n
-            payload = partials
-        yield from ctx.compute_parallel(elements, op.ops_per_element)
-        if stats is not None:
-            for p in partials:
-                stats.add_partial(p)
-            stats.map_elements += elements
-            stats.map_time += ctx.kernel.now - t0
-        return payload
+        ranks = [dest] if all_to_all else plan.window_ranks(agg_idx, t)
+        partials = yield from map_window(
+            ctx, oio, window_data, read_lo,
+            [(r, plan.window_pieces(r, agg_idx, t)) for r in ranks], t,
+            stats)
+        return (partials[0] if all_to_all else partials), None
+
+    def self_map(key: WindowKey) -> Generator:
+        """Degraded mode: read and map my pieces of an unserved window."""
+        own = yield from _read_own_pieces(ctx, file, plan, key, policy)
+        if own is None:
+            return None
+        pieces, lo, data = own
+        partials = yield from map_window(ctx, oio, data, lo,
+                                         [(ctx.rank, pieces)], key[1],
+                                         stats, fan_out=False)
+        return partials[0]
 
     def receivers_of(key: WindowKey) -> List[int]:
         if all_to_all:
@@ -518,22 +465,8 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
         return [oio.root]
 
     got, missing, missed_by = yield from _resilient_exchange(
-        ctx, file, plan, policy, make_payload, receivers_of, timeline)
-    if flags.current().check:
-        if all_to_all:
-            expected: List[WindowKey] = [
-                k for k in _plan_keys(plan) if ctx.rank in receivers_of(k)]
-            self_served: List[WindowKey] = [
-                k for k in missing if ctx.rank in missed_by.get(k, [])]
-        else:
-            # all_to_one: the root expects every window; the degraded
-            # gather below re-serves every missed one to it.
-            expected = _plan_keys(plan) if ctx.rank == oio.root else []
-            self_served = list(missing) if ctx.rank == oio.root else []
-        check_recovery_coverage(
-            expected, got, self_served,
-            f"resilient_cc_read_compute rank {ctx.rank}")
-
+        ctx, file, plan, policy, oio.hints.pipeline, make_payload,
+        receivers_of, timeline)
     result = CCResult(stats=stats)
     if all_to_all:
         # Self-map the degraded windows into `got` first, then combine
@@ -545,8 +478,7 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
         t0 = ctx.kernel.now
         for key in missing:
             if ctx.rank in missed_by.get(key, []):
-                got[key] = yield from _self_map_window(ctx, file, oio, plan,
-                                                       key, policy, stats)
+                got[key] = yield from self_map(key)
         if missing and timeline is not None:
             timeline.record(ctx.rank, 0, "degraded", t0, ctx.kernel.now)
         received = [got[k] for k in sorted(got) if got[k] is not None]
@@ -563,73 +495,31 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
     # would have produced them in), and windows fold in sorted key
     # order, so the root's construction order — and every output bit —
     # matches the fault-free run exactly.
-    per_key: Dict[WindowKey, List[PartialResult]] = {}
-    if ctx.rank == oio.root:
-        for key, batch in got.items():
-            per_key[key] = list(batch)
+    per_key: Dict[WindowKey, List[PartialResult]] = (
+        dict(got) if ctx.rank == oio.root else {})
     base_tag = ctx.comm.next_collective_tags(max(len(missing), 1))
     for slot, key in enumerate(missing):
         members = plan.window_ranks(key[0], key[1])
         mine: Optional[PartialResult] = None
         if ctx.rank in members:
-            mine = yield from _self_map_window(ctx, file, oio, plan,
-                                               key, policy, stats)
+            mine = yield from self_map(key)
             if ctx.rank != oio.root:
                 yield from ctx.comm.send(mine, oio.root, base_tag + slot)
         if ctx.rank == oio.root:
-            by_rank: Dict[int, PartialResult] = {}
-            if mine is not None:
-                by_rank[ctx.rank] = mine
+            per_key[key] = []
             for r in members:
-                if r == oio.root:
-                    continue
-                partial = yield from ctx.comm.recv(r, base_tag + slot)
+                partial = (mine if r == ctx.rank else
+                           (yield from ctx.comm.recv(r, base_tag + slot)))
                 if partial is not None:
-                    by_rank[r] = partial
-            per_key[key] = [by_rank[r] for r in members if r in by_rank]
-    received_all: List[PartialResult] = [
-        p for key in sorted(per_key) for p in per_key[key]]
+                    per_key[key].append(partial)
     if ctx.rank == oio.root:
-        integ = getattr(ctx.machine, "integrity", None)
-        if integ is not None:
-            integ.verify_partials(ctx, received_all,
-                                  f"rank {ctx.rank} root construct")
-        t0 = ctx.kernel.now
-        blocks = sum(len(p.blocks) for p in received_all)
-        cost_units = (max(len(received_all), 1) * COMBINE_ELEMENT_COST
-                      + blocks * BLOCK_PARSE_COST)
-        yield from ctx.compute(cost_units, 1.0)
-        per_rank_payloads = construct_per_rank(op, received_all)
-        result.per_rank = {
-            r: op.finalize(p) for r, p in sorted(per_rank_payloads.items())
-        }
-        if per_rank_payloads:
-            result.global_result = op.finalize(
-                op.combine_many(per_rank_payloads.values()))
-        my_payload = per_rank_payloads.get(ctx.rank)
-        result.local = (None if my_payload is None
-                        else op.finalize(my_payload))
-        if stats is not None:
-            stats.local_reduction_time += ctx.kernel.now - t0
+        result = yield from construct_at_root(
+            ctx, op, [p for key in sorted(per_key) for p in per_key[key]],
+            stats)
     return result
 
 
 # -- traditional / independent baselines ------------------------------------
-def _independent_read_with_retry(ctx: RankContext, file: PFSFile,
-                                 request: AccessRequest,
-                                 policy: RecoveryPolicy) -> Generator:
-    """Per-run independent read with bounded retry; returns the packed
-    buffer (the resilient twin of :func:`repro.io.independent_read`)."""
-    placer = RunPlacer(request.runs)
-    buf = np.empty(placer.total_bytes, dtype=np.uint8)
-    for off, n in request.runs:
-        data = yield from read_with_retry(ctx, file, off, n, policy.retry)
-        (start, _fo, _n), = placer.place(off, n)
-        buf[start:start + n] = np.frombuffer(data, dtype=np.uint8)
-        yield from ctx.memcpy(n)
-    return buf
-
-
 def resilient_traditional_read_compute(ctx: RankContext, file: PFSFile,
                                        oio: ObjectIO,
                                        policy: Optional[RecoveryPolicy]
@@ -640,9 +530,9 @@ def resilient_traditional_read_compute(ctx: RankContext, file: PFSFile,
                                        ) -> Generator:
     """Fault-tolerant baseline: complete the (resilient) I/O, then
     compute, then reduce — the recoverable twin of
-    :func:`repro.core.api.traditional_read_compute`."""
-    from ..core.map_engine import linear_indices_of_runs
-
+    :func:`repro.core.api.traditional_read_compute`, sharing its
+    after-read compute (:func:`repro.core.api.compute_after_read`).
+    Independent mode reads every run under ``policy.retry``."""
     policy = policy or RecoveryPolicy()
     request = AccessRequest.from_subarray(oio.spec, oio.sub)
     if oio.mode == "collective":
@@ -650,25 +540,9 @@ def resilient_traditional_read_compute(ctx: RankContext, file: PFSFile,
                                                    oio.hints, policy,
                                                    timeline)
     else:
-        buf = yield from _independent_read_with_retry(ctx, file, request,
-                                                      policy)
-    payload = None
-    if request.nbytes:
-        values = buf.view(oio.spec.dtype)
-        indices = (linear_indices_of_runs(oio.spec, request.runs)
-                   if oio.op.needs_indices else None)
-        t0 = ctx.kernel.now
-        payload = oio.op.map_chunk(values, indices)
-        yield from ctx.compute(values.size, oio.op.ops_per_element)
-        if stats is not None:
-            stats.map_elements += values.size
-            stats.map_time += ctx.kernel.now - t0
-        if timeline is not None:
-            timeline.record(ctx.rank, 0, "compute", t0, ctx.kernel.now)
-    result = CCResult(stats=stats)
-    result.local = None if payload is None else oio.op.finalize(payload)
-    result.global_result = yield from global_reduce(ctx, oio.op, payload,
-                                                    oio.root, stats)
+        buf = yield from independent_read(ctx, file, request, policy.retry)
+    result = yield from compute_after_read(ctx, oio, request, buf, timeline,
+                                           stats)
     return result
 
 
@@ -679,13 +553,17 @@ def resilient_object_get(ctx: RankContext, file: PFSFile, oio: ObjectIO,
     """Fault-tolerant :func:`repro.core.api.object_get`: the same
     dispatch rules, each path replaced by its resilient twin.
 
-    ``block=True`` (or ``mode="independent"``) runs the recoverable
-    traditional path; ``block=False, mode="collective"`` runs the
-    resilient collective-computing pipeline.  Either collective path
-    raises :class:`~repro.errors.IOLayerError` for
+    ``block=True`` runs the recoverable traditional path (two-phase or
+    independent reads, per ``oio.mode``); ``block=False,
+    mode="collective"`` runs the resilient collective-computing
+    pipeline.  ``block=False, mode="independent"`` (local
+    analysis-in-I/O) has no resilient twin and raises
+    :class:`~repro.errors.CollectiveComputingError`.  Either collective
+    path raises :class:`~repro.errors.IOLayerError` for
     ``oio.hints.two_level``.
     """
-    if oio.block or oio.mode == "independent":
+    _refuse_local(oio)
+    if oio.block:
         result = yield from resilient_traditional_read_compute(
             ctx, file, oio, policy, timeline, stats)
     else:

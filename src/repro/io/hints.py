@@ -31,6 +31,10 @@ class CollectiveHints:
     pipeline:
         Overlap iteration ``i``'s shuffle with iteration ``i+1``'s read
         (the nonblocking two-phase variant the paper profiles in Fig 1).
+        Every read path honours it through the one window reader
+        (:func:`repro.io.twophase.read_windows`): the raw and CC
+        collective reads, independent-mode analysis, and the resilient
+        serving rounds under faults or integrity.
     two_level:
         Node-aware two-level aggregation.  The offset-list exchange and
         the shuffle stage data through one leader per node before any

@@ -16,6 +16,10 @@ Collective read, step by step (write is the mirror image):
    profile is the paper's Figure 1.
 4. Receivers unpack arriving pieces into their packed local buffer.
 
+Every read path iterates its windows through one reader,
+:func:`read_windows` (the paths differ only in the per-window handler),
+and every raw-byte shuffle message leaves through :func:`shuffle_send`.
+
 The protocol moves *real* bytes; the result is numerically identical to
 an independent read of the same request.
 """
@@ -27,7 +31,8 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .. import flags
 from ..dataspace import RunList, merge_runlists
 from ..errors import IOLayerError
 from ..mpi import RankContext, collectives as coll
-from ..mpi.comm import Communicator, NodeSplit
+from ..mpi.comm import NodeSplit, Request
 from ..mpi.wire import wire_size
 from ..obs import metrics
 from ..pfs import PFSFile
@@ -44,24 +49,56 @@ from .aggregation import (iteration_windows, partition_file_domains,
                           select_aggregators)
 from .hints import CollectiveHints
 from .requests import AccessRequest, RunPlacer
+from .independent import RetryPolicy, read_with_retry
+
+#: Closed form of :func:`~repro.mpi.wire.wire_size` for raw shuffle
+#: messages: a payload (or batch) list; one ``(offset, piece)`` pair
+#: before its bytes; one two-level batch entry ``(rank, payload)``; the
+#: resilient ``((agg, t), payload)`` wrapper (a wire digest adds 4).
+PAYLOAD_OVERHEAD_BYTES = 16
+PIECE_HEADER_BYTES = 24
+BATCH_ENTRY_BYTES = 24
+WINDOW_KEY_BYTES = 48
 
 
-def _record_shuffle(comm: Communicator, src: int, dst: int,
-                    closed: int, payload) -> None:
-    """Account one shuffle hop: the closed-form and measured wire bytes,
-    in total and split by whether the hop crosses a node boundary.  The
-    intra-/inter-node split always sums to ``io.shuffle_bytes``, which
-    :mod:`repro.obs.report` cross-checks as an invariant."""
+def shuffle_wire_bytes(pieces: RunList) -> int:
+    """Closed-form wire size of the shuffle payload carrying ``pieces``."""
+    return (PAYLOAD_OVERHEAD_BYTES + PIECE_HEADER_BYTES * len(pieces)
+            + pieces.total_bytes)
+
+
+def batch_wire_bytes(piece_lists: Iterable[RunList]) -> int:
+    """Closed-form wire size of a two-level batch: one ``(rank,
+    payload)`` entry per rank's pieces."""
+    return PAYLOAD_OVERHEAD_BYTES + sum(
+        BATCH_ENTRY_BYTES + shuffle_wire_bytes(pieces)
+        for pieces in piece_lists)
+
+
+def shuffle_send(ctx: RankContext, payload, dest: int, tag: int,
+                 nbytes: int, what: str) -> Request:
+    """Start one raw-byte shuffle send charged at its closed-form size
+    ``nbytes``, which ``REPRO_CHECK`` compares with ``wire_size``
+    (``what`` names the message).  With metrics on, the hop counts into
+    ``io.shuffle_bytes`` and its intra-/inter-node split, which
+    :mod:`repro.obs.report` checks sum to the total."""
+    if flags.current().check and nbytes != wire_size(payload):
+        raise IOLayerError(
+            f"{what} wire-size accounting drifted: closed form {nbytes} "
+            f"!= measured {wire_size(payload)} for rank {ctx.rank} -> "
+            f"{dest}, tag {tag}")
     m = metrics.current()
-    if m is None:
-        return
-    measured = wire_size(payload)
-    m.count("io.shuffle_bytes", closed)
-    m.count("io.shuffle_bytes_measured", measured)
-    prefix = ("io.intranode_bytes" if comm.node_of(src) == comm.node_of(dst)
-              else "io.internode_bytes")
-    m.count(prefix, closed)
-    m.count(prefix + "_measured", measured)
+    if m is not None:
+        comm = ctx.comm.comm
+        measured = wire_size(payload)
+        m.count("io.shuffle_bytes", nbytes)
+        m.count("io.shuffle_bytes_measured", measured)
+        prefix = ("io.intranode_bytes"
+                  if comm.node_of(ctx.rank) == comm.node_of(dest)
+                  else "io.internode_bytes")
+        m.count(prefix, nbytes)
+        m.count(prefix + "_measured", measured)
+    return ctx.comm.isend(payload, dest, tag, nbytes=nbytes)
 
 
 @dataclass(frozen=True)
@@ -432,6 +469,45 @@ def _extract_pieces(window_data: np.ndarray, window_lo: int,
     return out
 
 
+def read_windows(ctx: RankContext, file: PFSFile,
+                 spans: Sequence[Tuple[int, int]], pipeline: bool,
+                 handle: Callable[[int, int, np.ndarray], Generator],
+                 timeline: Optional[PhaseTimeline] = None,
+                 retry: RetryPolicy = RetryPolicy()) -> Generator:
+    """The window read loop of every read path: read each ``[lo, hi)``
+    of ``spans`` with :func:`~repro.io.independent.read_with_retry` as
+    its own process, record its ``read`` phase and run ``handle(t, lo,
+    window_bytes)`` inline.  With ``pipeline`` the next read is posted
+    before the handler runs (the I/O thread of the paper's Figure 7),
+    else after it.  A read out of retries raises its
+    :class:`~repro.errors.RecoveryError` here, no other read in flight.
+    """
+    kernel = ctx.kernel
+
+    def post(t: int):
+        lo, hi = spans[t]
+        read = kernel.process(read_with_retry(ctx, file, lo, hi - lo, retry),
+                              name=f"cbread:r{ctx.rank}@{lo}")
+        # A read-ahead may fail before it is waited for: raise its error
+        # at the wait below, not from the kernel.
+        read.defuse()
+        return read
+
+    pending = post(0) if spans else None
+    for t, (lo, _hi) in enumerate(spans):
+        t0 = kernel.now
+        data = yield from ctx.wait_recording(pending, "wait")
+        if timeline is not None:
+            timeline.record(ctx.rank, t, "read", t0, kernel.now)
+        more = t + 1 < len(spans)
+        if pipeline and more:
+            pending = post(t + 1)
+        yield from handle(t, lo, np.frombuffer(data, dtype=np.uint8))
+        if more and not pipeline:
+            pending = post(t + 1)
+    return None
+
+
 def _aggregator_read_loop(ctx: RankContext, file: PFSFile,
                           plan: TwoPhasePlan, agg_idx: int, base_tag: int,
                           hints: CollectiveHints,
@@ -446,83 +522,42 @@ def _aggregator_read_loop(ctx: RankContext, file: PFSFile,
     leader, tagged ``base_tag + flat_index`` (flat-window tags keep
     every (source, tag) pair unique once leaders multiplex traffic).
     """
-    my_windows = plan.windows[agg_idx]
     kernel = ctx.kernel
     comm = ctx.comm.comm
-    checking = flags.current().check
 
-    def issue_read(t: int):
-        r_lo, r_hi = plan.read_span(agg_idx, t)  # windows never empty
-        return r_lo, kernel.process(
-            ctx.fs.read(file, r_lo, r_hi - r_lo, client=ctx.node.index),
-            name=f"cbread:r{ctx.rank}@{r_lo}",
-        )
-
-    pending = issue_read(0) if my_windows else None
-    for t, (w_lo, w_hi) in enumerate(my_windows):
-        read_lo, read_proc = pending
-        t0 = kernel.now
-        data = yield from ctx.wait_recording(read_proc, "wait")
-        if timeline is not None:
-            timeline.record(ctx.rank, t, "read", t0, kernel.now)
-        if hints.pipeline and t + 1 < len(my_windows):
-            pending = issue_read(t + 1)
-        window_data = np.frombuffer(data, dtype=np.uint8)
+    def shuffle(t: int, read_lo: int, window_data: np.ndarray) -> Generator:
         t1 = kernel.now
         sends = []
         copy_bytes = 0
-        if ns is None:
-            for r in plan.window_ranks(agg_idx, t):
-                pieces = plan.window_pieces(r, agg_idx, t)
-                payload = _extract_pieces(window_data, read_lo, pieces)
-                nb = pieces.total_bytes
-                copy_bytes += nb
-                # Closed form of wire_size(payload) for a list of
-                # (int offset, array piece) pairs — skips the walk.
-                nbytes = 16 + 24 * len(pieces) + nb
-                if checking and nbytes != wire_size(payload):
-                    raise IOLayerError(
-                        f"shuffle wire-size accounting drifted: closed form "
-                        f"{nbytes} != measured {wire_size(payload)} for "
-                        f"rank {r}, window {t} of aggregator {agg_idx}")
-                _record_shuffle(comm, ctx.rank, r, nbytes, payload)
-                sends.append(ctx.comm.isend(payload, r, base_tag + t,
-                                            nbytes=nbytes))
-        else:
-            tag = base_tag + plan.flat_index(agg_idx, t)
-            by_node: Dict[int, List[Tuple[int, list]]] = {}
-            closed: Dict[int, int] = {}
-            for r in plan.window_ranks(agg_idx, t):
-                pieces = plan.window_pieces(r, agg_idx, t)
-                payload = _extract_pieces(window_data, read_lo, pieces)
-                nb = pieces.total_bytes
-                copy_bytes += nb
-                node = comm.node_of(r)
-                by_node.setdefault(node, []).append((r, payload))
-                # Closed form of one (rank, payload) batch entry: a
-                # 2-tuple (16) + the int rank (8) + the payload list.
-                closed[node] = (closed.get(node, 0)
-                                + 40 + 24 * len(pieces) + nb)
-            for node in sorted(by_node):
-                batch = by_node[node]
-                nbytes = 16 + closed[node]
-                if checking and nbytes != wire_size(batch):
-                    raise IOLayerError(
-                        f"two-level shuffle wire-size accounting drifted: "
-                        f"closed form {nbytes} != measured "
-                        f"{wire_size(batch)} for node {node}, window {t} "
-                        f"of aggregator {agg_idx}")
-                leader = comm.node_leader(node)
-                _record_shuffle(comm, ctx.rank, leader, nbytes, batch)
-                sends.append(ctx.comm.isend(batch, leader, tag,
-                                            nbytes=nbytes))
+        by_node: Dict[int, List[Tuple[int, list]]] = {}
+        for r in plan.window_ranks(agg_idx, t):
+            pieces = plan.window_pieces(r, agg_idx, t)
+            payload = _extract_pieces(window_data, read_lo, pieces)
+            copy_bytes += pieces.total_bytes
+            if ns is None:
+                sends.append(shuffle_send(ctx, payload, r, base_tag + t,
+                                          shuffle_wire_bytes(pieces),
+                                          "read shuffle"))
+            else:
+                by_node.setdefault(comm.node_of(r), []).append((r, payload))
+        for node in sorted(by_node):
+            batch = by_node[node]
+            sends.append(shuffle_send(
+                ctx, batch, comm.node_leader(node),
+                base_tag + plan.flat_index(agg_idx, t),
+                batch_wire_bytes(plan.window_pieces(r, agg_idx, t)
+                                 for r, _payload in batch),
+                "two-level read batch"))
         yield from ctx.memcpy(copy_bytes)
         for req in sends:
             yield from ctx.wait_recording(req.event, "wait")
         if timeline is not None:
             timeline.record(ctx.rank, t, "shuffle", t1, kernel.now)
-        if not hints.pipeline and t + 1 < len(my_windows):
-            pending = issue_read(t + 1)
+
+    spans = [plan.read_span(agg_idx, t)
+             for t in range(len(plan.windows[agg_idx]))]
+    yield from read_windows(ctx, file, spans, hints.pipeline, shuffle,
+                            timeline)
     return None
 
 
@@ -579,8 +614,6 @@ def _leader_read_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
     """The node leader's side of a two-level read shuffle: receive each
     per-node batch, keep this rank's own payload, forward the rest to
     the requesting co-located ranks (an intra-node hop)."""
-    comm = ctx.comm.comm
-    checking = flags.current().check
     node_any = plan.membership[ns.node_ranks].any(axis=0)
     for i, agg_rank in enumerate(plan.aggregators):
         for t in range(len(plan.windows[i])):
@@ -596,17 +629,10 @@ def _leader_read_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
                     nbytes = _unpack_pieces(placer, buf, payload)
                     yield from ctx.memcpy(nbytes)
                     continue
-                nb = sum(len(piece) for _off, piece in payload)
-                nbytes = 16 + 24 * len(payload) + nb
-                if checking and nbytes != wire_size(payload):
-                    raise IOLayerError(
-                        f"two-level forward wire-size accounting drifted: "
-                        f"closed form {nbytes} != measured "
-                        f"{wire_size(payload)} for rank {r}, window {t} "
-                        f"of aggregator {i}")
-                _record_shuffle(comm, ctx.rank, r, nbytes, payload)
-                forwards.append(ctx.comm.isend(payload, r, tag,
-                                               nbytes=nbytes))
+                forwards.append(shuffle_send(
+                    ctx, payload, r, tag,
+                    shuffle_wire_bytes(plan.window_pieces(r, i, t)),
+                    "two-level forward"))
             for fwd in forwards:
                 yield from ctx.wait_recording(fwd.event, "wait")
     return None
@@ -730,8 +756,6 @@ def _writer_send_loop(ctx: RankContext, plan: TwoPhasePlan, my_runs: RunList,
     the per-node batches.
     """
     placer = RunPlacer(my_runs)
-    checking = flags.current().check
-    comm = ctx.comm.comm
     if ns is not None and ns.is_leader:
         yield from _leader_write_relay(ctx, plan, ns, placer, flat, base_tag)
         return None
@@ -742,18 +766,14 @@ def _writer_send_loop(ctx: RankContext, plan: TwoPhasePlan, my_runs: RunList,
             payload, nbytes = _build_write_payload(plan, placer, flat,
                                                    ctx.rank, i, t)
             yield from ctx.memcpy(nbytes)
-            wire = 16 + 24 * len(payload) + nbytes
-            if checking and wire != wire_size(payload):
-                raise IOLayerError(
-                    f"write shuffle wire-size accounting drifted: closed "
-                    f"form {wire} != measured {wire_size(payload)} for "
-                    f"window {t} of aggregator {i}")
             if ns is None:
                 dest, tag = agg_rank, base_tag + t
             else:
                 dest, tag = ns.leader, base_tag + plan.flat_index(i, t)
-            _record_shuffle(comm, ctx.rank, dest, wire, payload)
-            yield from ctx.comm.send(payload, dest, tag, nbytes=wire)
+            yield shuffle_send(
+                ctx, payload, dest, tag,
+                shuffle_wire_bytes(plan.window_pieces(ctx.rank, i, t)),
+                "write shuffle").event
     return None
 
 
@@ -764,8 +784,6 @@ def _leader_write_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
     co-located ranks' payloads for each window (building its own
     in-place), batch them per window and send one message per
     (window, node) to the aggregator."""
-    comm = ctx.comm.comm
-    checking = flags.current().check
     member = plan.membership
     for i, agg_rank in enumerate(plan.aggregators):
         for t in range(len(plan.windows[i])):
@@ -774,7 +792,6 @@ def _leader_write_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
             if not senders:
                 continue
             batch = []
-            closed = 0
             for r in senders:
                 if r == ctx.rank:
                     payload, nb = _build_write_payload(plan, placer, flat,
@@ -782,19 +799,11 @@ def _leader_write_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
                     yield from ctx.memcpy(nb)
                 else:
                     payload = yield from ctx.comm.recv(r, base_tag + w)
-                    nb = sum(len(piece) for _off, piece in payload)
                 batch.append((r, payload))
-                closed += 40 + 24 * len(payload) + nb
-            nbytes = 16 + closed
-            if checking and nbytes != wire_size(batch):
-                raise IOLayerError(
-                    f"two-level write batch wire-size accounting drifted: "
-                    f"closed form {nbytes} != measured {wire_size(batch)} "
-                    f"for node {ns.node_index}, window {t} of "
-                    f"aggregator {i}")
-            _record_shuffle(comm, ctx.rank, agg_rank, nbytes, batch)
-            yield from ctx.comm.send(batch, agg_rank, base_tag + w,
-                                     nbytes=nbytes)
+            yield shuffle_send(
+                ctx, batch, agg_rank, base_tag + w,
+                batch_wire_bytes(plan.window_pieces(r, i, t) for r in senders),
+                "two-level write batch").event
     return None
 
 

@@ -8,7 +8,7 @@ from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.core import ObjectIO, SUM_OP, object_get
 from repro.dataspace import DatasetSpec, Subarray, block_partition
-from repro.errors import IOLayerError
+from repro.errors import CollectiveComputingError, IOLayerError, RecoveryError
 from repro.faults import (FaultInjector, FaultPlan, RecoveryPolicy,
                           RetryPolicy, resilient_collective_read,
                           resilient_object_get)
@@ -151,6 +151,35 @@ def test_object_get_refuses_two_level(block):
     k, m, f = build()
     with pytest.raises(IOLayerError, match="two_level=True"):
         mpi_run(m, NPROCS, main)
+
+
+def test_object_get_refuses_local_mode():
+    """Local analysis-in-I/O (``mode="independent", block=False``) has
+    no resilient twin: the front door names the combination instead of
+    silently running the read-everything-then-compute protocol."""
+    with pytest.raises(CollectiveComputingError,
+                       match="mode='independent', block=False"):
+        run_resilient(mode="independent")
+
+
+# -- independent reads under OST faults -------------------------------------
+
+def test_independent_path_reads_under_the_callers_retry_policy():
+    """No figure runs the resilient independent path: with only OST
+    failures injected it must return the fault-free answer through
+    logged retries, and the caller's ``RetryPolicy`` must reach every
+    read — with no retries allowed, the first EIO is fatal."""
+    plan = FaultPlan(seed=0, ost_fail_rate=0.2)
+    res, inj, _ = run_resilient(plan=plan, mode="independent", block=True)
+    plain = run_plain(mode="independent", block=True)
+    assert ([r.global_result for r in res]
+            == [r.global_result for r in plain])
+    assert {r.kind for r in inj.injected()} == {"inject:ost-fail"}
+    assert any(r.kind == "recover:retry" for r in inj.recovered())
+    no_retries = RecoveryPolicy(retry=RetryPolicy(max_retries=0))
+    with pytest.raises(RecoveryError, match="after 0 retries"):
+        run_resilient(plan=plan, policy=no_retries, mode="independent",
+                      block=True)
 
 
 # -- failover ---------------------------------------------------------------
