@@ -330,13 +330,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         from ..errors import SweepInterrupted
         from ..obs import metrics
-        from ..parallel import RunJournal, journal_root
+        from ..parallel import PointCache, journal_root
         from .chaos import run_campaign
         metrics.reset()
-        journal = RunJournal(journal_root(
-            f"chaos-n{args.chaos}-seed{args.chaos_seed}"))
+        journal = PointCache(journal_root(
+            f"chaos-n{args.chaos}-seed{args.chaos_seed}"), max_entries=None)
         if not args.resume:
-            journal.reset()
+            journal.clear()
         elif journal.entry_count() and not args.quiet:
             # Resume notes go to stderr: a resumed campaign's stdout is
             # byte-identical to an uninterrupted run's.
@@ -358,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "n": args.chaos, "base_seed": args.chaos_seed})
             if not args.quiet:
                 print(f"run manifest: {path}")
-        journal.discard()
+        journal.clear()
         return status
     if args.races:
         if args.static_only or args.smoke_only:

@@ -221,12 +221,13 @@ def run_campaign(n: int, base_seed: int = 0, quiet: bool = False,
     core); verdicts are collected and printed in job order, so the
     output is byte-identical to a serial run.
 
-    ``journal`` (a :class:`~repro.parallel.journal.RunJournal`) makes
-    the campaign crash-resumable: every completed job is recorded
-    durably, a rerun over the same journal replays recorded jobs
-    instead of re-simulating them, and the verdict stream stays
-    byte-identical either way.  ``resume_hint`` is the command a
-    SIGINT/SIGTERM report names for resuming.
+    ``journal`` (an unbounded :class:`~repro.parallel.PointCache` at
+    :func:`~repro.parallel.journal_root`) makes the campaign
+    crash-resumable: every completed job is stored durably, a rerun
+    over the same journal replays stored jobs instead of re-simulating
+    them, and the verdict stream stays byte-identical either way.
+    ``resume_hint`` is the command a SIGINT/SIGTERM report names for
+    resuming.
     """
     from ..parallel import SweepPoint, run_sweep
 

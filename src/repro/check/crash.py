@@ -3,7 +3,9 @@
 ``python -m repro.check --crash N`` runs ``N`` scenario instances that
 murder sweep executions at deterministic points and assert that the
 supervision layer (:mod:`repro.parallel.supervisor`) and the run
-journal (:mod:`repro.parallel.journal`) recover them *bit-exactly*:
+journal (a :class:`~repro.parallel.pointcache.PointCache` at
+:func:`~repro.parallel.pointcache.journal_root`) recover them
+*bit-exactly*:
 
 * ``worker-death`` — a supervised sweep whose trap point SIGKILLs its
   own worker on the first attempt (a stand-in for the OOM killer).
@@ -15,14 +17,14 @@ journal (:mod:`repro.parallel.journal`) recover them *bit-exactly*:
   hung worker, retry, and finish with exactly one deadline kill.
 * ``parent-kill-sweep`` — a journaled sweep runs in a subprocess that
   the ``REPRO_JOURNAL_DIE_AFTER=K`` hook SIGKILLs right after its
-  ``K``-th durable journal write.  A second invocation over the same
+  ``K``-th durable journal put.  A second invocation over the same
   journal must replay exactly ``K`` points, execute only the rest, and
   print exactly the results an uninterrupted run prints.
 * ``parent-kill-chaos`` — the same drill against the real integrity
   campaign: ``python -m repro.check --chaos M`` is killed mid-campaign
   and resumed with ``--resume`` under ``REPRO_OBS=1``; its stdout and
   its run manifest must be **byte-identical** to an uninterrupted
-  reference run's, and the journal must be discarded after the clean
+  reference run's, and the journal must be cleared after the clean
   finish.
 
 Every trap is seeded: instance ``i`` runs scenario ``i mod 4`` with
@@ -72,8 +74,8 @@ HANG_DEADLINE = 2.0
 
 #: Counter keys of the recovery summary (manifest ``recovery`` section).
 RECOVERY_KEYS = ("worker_deaths", "point_retries", "deadline_kills",
-                 "hedges", "points_total", "points_resumed",
-                 "points_executed", "points_cached")
+                 "points_total", "points_resumed", "points_executed",
+                 "points_cached")
 
 
 def steady_point(index: int, base_seed: int) -> List[int]:
@@ -193,7 +195,7 @@ def _scenario_deadline_hang(seed: int,
 def _scenario_parent_kill_sweep(seed: int,
                                 recovery: Dict[str, int]) -> Optional[str]:
     """Scenario 2: the sweep's *parent* is SIGKILLed after its K-th
-    journal write; a rerun over the journal replays exactly K points
+    journal put; a rerun over the journal replays exactly K points
     and completes with identical results."""
     kill_after = 1 + seed % (CHILD_POINTS - 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -243,7 +245,7 @@ def _scenario_parent_kill_chaos(seed: int,
                                 recovery: Dict[str, int]) -> Optional[str]:
     """Scenario 3: ``--chaos`` killed mid-campaign and ``--resume``d;
     stdout and run manifest must be byte-identical to an uninterrupted
-    reference, and the journal discarded after the clean finish."""
+    reference, and the journal cleared after the clean finish."""
     kill_after = 1 + seed % (CHAOS_JOBS - 1)
     cmd = [sys.executable, "-m", "repro.check", "--chaos",
            str(CHAOS_JOBS), "--chaos-seed", str(seed), "--jobs", "1"]
@@ -285,7 +287,7 @@ def _scenario_parent_kill_chaos(seed: int,
                        f"chaos-n{CHAOS_JOBS}-seed{seed}")
         if journal_dir.exists():
             return (f"journal {journal_dir.name} survived a clean finish "
-                    f"(should be discarded)")
+                    f"(should be cleared)")
     recovery["points_total"] += CHAOS_JOBS
     recovery["points_resumed"] += kill_after
     recovery["points_executed"] += CHAOS_JOBS - kill_after

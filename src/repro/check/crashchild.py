@@ -7,12 +7,13 @@ file::
     {"count": 6, "base_seed": 17, "jobs": 2, "journal_root": "..."}
 
 and prints a single JSON line with the results and the journal's
-replay/record split.  The campaign (:mod:`repro.check.crash`) launches
-it twice: once with ``REPRO_JOURNAL_DIE_AFTER=K`` in the environment —
-the journal SIGKILLs the process right after its ``K``-th durable write
-— and once more over the surviving journal, asserting the second run
-replays exactly ``K`` points and prints exactly what an uninterrupted
-run would.
+split into replayed (``"replays"``, the journal's hits) and recorded
+(``"records"``, its puts) points.  The campaign
+(:mod:`repro.check.crash`) launches it twice: once with
+``REPRO_JOURNAL_DIE_AFTER=K`` in the environment — the journal SIGKILLs
+the process right after its ``K``-th durable put — and once more over
+the surviving journal, asserting the second run replays exactly ``K``
+points and prints exactly what an uninterrupted run would.
 
 A separate executable module (rather than a ``subprocess -c`` snippet)
 so the ``spawn`` start method can re-import the main module by path in
@@ -35,16 +36,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
     spec = json.loads(Path(argv[0]).read_text())
-    from ..parallel import RunJournal, SweepPoint, run_sweep
+    from ..parallel import PointCache, SweepPoint, run_sweep
 
     points = [SweepPoint.make("repro.check.crash:steady_point",
                               label=f"child#{i}", index=i,
                               base_seed=spec["base_seed"])
               for i in range(spec["count"])]
-    journal = RunJournal(Path(spec["journal_root"]))
+    journal = PointCache(Path(spec["journal_root"]), max_entries=None)
     results = run_sweep(points, jobs=spec.get("jobs", 1), journal=journal)
-    print(json.dumps({"results": results, "replays": journal.replays,
-                      "records": journal.records}))
+    print(json.dumps({"results": results, "replays": journal.hits,
+                      "records": journal.puts}))
     return 0
 
 

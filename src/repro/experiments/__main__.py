@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     from ..check.races import assert_no_races
     from ..errors import SweepInterrupted
     from ..obs import metrics
-    from ..parallel import PointCache, RunJournal, journal_root
+    from ..parallel import PointCache, journal_root
     # One override around each run and its manifest; a CLI flag only
     # adds to what the environment asks for.
     switches = {name: True for name, on in (("check", args.check),
@@ -111,10 +111,10 @@ def main(argv=None) -> int:
             cache.hits = cache.misses = cache.evictions = 0
         # One crash-consistent journal per experiment id: a fresh run
         # starts it empty, --resume replays whatever a killed or
-        # interrupted run left behind, and a clean finish discards it.
-        journal = RunJournal(journal_root(name))
+        # interrupted run left behind, and a clean finish clears it.
+        journal = PointCache(journal_root(name), max_entries=None)
         if not args.resume:
-            journal.reset()
+            journal.clear()
         elif journal.entry_count():
             # Resume notes go to stderr: a resumed run's stdout is
             # byte-identical to an uninterrupted run's.
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
                     "experiment": name, "quick": bool(args.quick),
                     "check": bool(args.check), "races": bool(args.races)})
                 print(f"run manifest: {mpath}")
-        journal.discard()
+        journal.clear()
         # The note renders in every mode — serial, pooled, or with the
         # cache disabled — so run logs always say what the cache did.
         cache_note = (f", point cache {cache.stats()}"

@@ -53,9 +53,10 @@ def sweep(fn_path: str, point_kwargs: Sequence[Dict[str, Any]], *,
     order**, which is what keeps ``--jobs N`` output bit-identical to
     serial output.  ``cache`` is an optional
     :class:`~repro.parallel.PointCache`; ``journal`` an optional
-    :class:`~repro.parallel.RunJournal` recording every completed point
-    durably (the ``--resume`` path of the experiments CLI — entries are
-    content-keyed, so one journal safely covers every sweep of a run).
+    unbounded one at :func:`~repro.parallel.journal_root` storing every
+    completed point durably (the ``--resume`` path of the experiments
+    CLI — entries are content-keyed, so one journal safely covers every
+    sweep of a run).
     """
     from ..parallel import SweepPoint, run_sweep
     points = [SweepPoint.make(fn_path, label=f"{fn_path.rsplit(':')[-1]}#{i}",

@@ -232,7 +232,7 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
                         _fmt(reuses)),
                        ("plan reuse ratio", ratio)]
     for name in sorted(counters):
-        if name.startswith(("pfs.blockcache.", "parallel.cache.")):
+        if name.startswith("pfs.blockcache."):
             cache_rows.append((name, _fmt(counters[name])))
     if cache_rows:
         parts.append(_table(("cache metric", "value"), cache_rows,

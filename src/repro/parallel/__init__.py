@@ -23,21 +23,22 @@ This package is the engine that exploits that:
   chaos verdict and ledger summary is bit-identical to the serial run.
 * :mod:`~repro.parallel.supervisor` — the supervised execution loop
   behind ``jobs > 1``: detects worker deaths (SIGKILL/OOM) and
-  per-point deadline overruns, re-executes affected points under a
+  per-point deadline overruns, and re-executes affected points under a
   deterministic bounded :class:`~repro.parallel.supervisor.RetrySpec`
-  (backoff recorded, never slept), and optionally hedges stragglers.
+  (backoff recorded, never slept).
 * :class:`~repro.parallel.sweep.PointError` — raised when a point
   fails (or exhausts its crash/hang retries); it names the point
   (function, index, kwargs) and every prior attempt so the failure
   replays exactly with ``jobs=1``.
-* :class:`~repro.parallel.pointcache.PointCache` — an optional
-  persistent on-disk cache (``results/.pointcache/``) keyed by the
-  point's function, canonical kwargs and a digest of the package
-  source, so re-running an unchanged sweep is near-instant and any
-  source edit invalidates everything.
-* :class:`~repro.parallel.journal.RunJournal` — a per-run,
-  crash-consistent journal of completed points (same content address
-  as the cache, atomic writes) that backs ``--resume`` on both CLIs: a
+* :class:`~repro.parallel.pointcache.PointCache` — the one on-disk
+  store of point entries, keyed by the point's function, canonical
+  kwargs, the flags record and a digest of the package source (any
+  source edit invalidates everything), with atomic writes and torn
+  entries read as misses.  Bounded, it is the persistent point cache
+  (``results/.pointcache/``) that makes re-running an unchanged sweep
+  near-instant.  Unbounded, at
+  :func:`~repro.parallel.pointcache.journal_root`, it is a run's
+  crash-consistent journal that backs ``--resume`` on both CLIs: a
   SIGKILLed worker, a dead parent or a Ctrl-C loses only in-flight
   points, and the resumed run's merged output is byte-identical to an
   uninterrupted one.
@@ -53,9 +54,8 @@ reproduces the figures.
 from __future__ import annotations
 
 from ..errors import SweepInterrupted
-from .journal import DEFAULT_ROOT as JOURNAL_ROOT
-from .journal import RunJournal, journal_root
-from .pointcache import PointCache, code_digest, point_key
+from .pointcache import (JOURNAL_ROOT, PointCache, code_digest, journal_root,
+                         point_key)
 from .supervisor import Attempt, RetrySpec
 from .sweep import PointError, SweepPoint, default_jobs, run_sweep
 
@@ -65,7 +65,6 @@ __all__ = [
     "PointCache",
     "PointError",
     "RetrySpec",
-    "RunJournal",
     "SweepInterrupted",
     "SweepPoint",
     "code_digest",

@@ -24,14 +24,10 @@ module replaces it with an explicit supervision loop in the parent:
   run's results and metrics stay bit-identical to an undisturbed one.
   A point that fails ``max_retries + 1`` times raises
   :class:`~repro.parallel.sweep.PointError` naming every attempt.
-* **hedging** — with ``hedge_after``, a straggler still running past
-  that many seconds is duplicated onto an idle slot; the first copy to
-  finish wins and the loser is killed.  Points are deterministic pure
-  functions and journal writes are atomic and content-keyed, so a
-  duplicated execution is harmless by construction.
-* **journaling** — every completed point's entry is recorded to the
-  caller's :class:`~repro.parallel.journal.RunJournal` the moment it
-  arrives, which is what makes a killed *parent* resumable too.
+* **landing** — every completed point's entry is handed to the
+  caller's ``land`` callback the moment it arrives; the sweep engine
+  puts it to the run's journal there, which is what makes a killed
+  *parent* resumable too.
 * **one flag record** — the :class:`~repro.flags.Flags` record in force
   is captured once per sweep and shipped to every worker it spawns.
 
@@ -44,7 +40,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import flags
 from ..obs import metrics
@@ -97,34 +93,30 @@ class Attempt:
 class _Slot:
     """One live worker process and what it is currently running."""
 
-    __slots__ = ("proc", "conn", "task", "hedge", "started")
+    __slots__ = ("proc", "conn", "task", "started")
 
     def __init__(self, proc: Any, conn: Any) -> None:
         self.proc = proc
         self.conn = conn
         #: Point index in flight on this slot (``None`` = idle).
         self.task: Optional[int] = None
-        #: Whether the in-flight task is a hedged duplicate.
-        self.hedge = False
         #: Host-monotonic dispatch time of the in-flight task.
         self.started = 0.0
 
 
 def run_supervised(points: Sequence[Any], pending: Sequence[int],
-                   jobs: int, *, retry: Optional[RetrySpec] = None,
-                   deadline: Optional[float] = None,
-                   hedge_after: Optional[float] = None,
-                   journal: Optional[Any] = None,
-                   ) -> Dict[int, Any]:
+                   jobs: int, land: Callable[[int, Any], None], *,
+                   retry: Optional[RetrySpec] = None,
+                   deadline: Optional[float] = None) -> None:
     """Fan ``pending`` over supervised workers; see the module docstring.
 
-    Returns each point's entry ``(value, race findings, obs snapshot)``
-    keyed by point index.
+    Calls ``land(index, entry)`` with each point's entry ``(value, race
+    findings, obs snapshot)`` as it arrives.
     Raises :class:`~repro.parallel.sweep.PointError` on a point that
     raised, or that exhausted its crash/hang retries.  On
     ``KeyboardInterrupt`` (the sweep engine converts SIGINT/SIGTERM to
     it), every worker is killed before the exception propagates —
-    completed points are already journaled, so nothing is lost.
+    completed points have already landed, so nothing is lost.
     """
     import multiprocessing
     from multiprocessing.connection import wait as conn_wait
@@ -141,9 +133,6 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
     queue = deque(pending)
     #: point index -> failure history (crash/hang attempts only).
     attempts: Dict[int, List[Attempt]] = {i: [] for i in pending}
-    #: point index -> a hedge duplicate was already dispatched.
-    hedged: Dict[int, bool] = {}
-    results: Dict[int, Any] = {}
     slots: List[_Slot] = []
 
     def spawn_slot() -> _Slot:
@@ -176,21 +165,14 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
         if m is not None:
             m.count(name)
 
-    def still_running_elsewhere(index: int) -> bool:
-        return any(s.task == index for s in slots)
-
-    def dispatch(slot: _Slot, index: int, hedge: bool = False) -> None:
+    def dispatch(slot: _Slot, index: int) -> None:
         slot.task = index
-        slot.hedge = hedge
         slot.started = time.monotonic()  # repro: allow[wallclock] — host supervision deadline, never simulated ordering
         point = points[index]
         slot.conn.send((index, point.fn, point.kwargs))
 
-    def record_failure(slot: _Slot, index: int, kind: str,
-                       detail: str) -> None:
+    def record_failure(index: int, kind: str, detail: str) -> None:
         """One crash/hang on ``index``; requeue or raise when exhausted."""
-        if still_running_elsewhere(index):
-            return  # a hedged copy is still alive — not a failure yet
         history = attempts[index]
         number = len(history) + 1
         history.append(Attempt(number, kind, detail,
@@ -205,20 +187,18 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
         queue.append(index)
 
     def handle_death(slot: _Slot) -> None:
-        index, was_idle = slot.task, slot.task is None
+        index = slot.task
         detail = (f"worker pid {slot.proc.pid} died "
                   f"(exit code {slot.proc.exitcode})")
         kill_slot(slot)
-        if was_idle or index in results:
-            return  # idle worker died, or a hedge raced a finished point
+        if index is None:
+            return  # an idle worker died
         count("parallel.worker_deaths")
-        record_failure(slot, index, "worker-death", detail)
+        record_failure(index, "worker-death", detail)
 
     def handle_outcome(slot: _Slot, task_id: int,
                        outcome: Tuple[Any, ...]) -> None:
-        slot.task, slot.hedge = None, False
-        if task_id in results:
-            return  # stale duplicate from a hedge loser
+        slot.task = None
         if outcome[0] != "ok":
             _status, exc_type, exc_msg, tb_text = outcome
             teardown()
@@ -226,28 +206,18 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                              f"{exc_type}: {exc_msg}",
                              worker_traceback=tb_text,
                              attempts=tuple(attempts[task_id]))
-        entry = outcome[1:]
-        results[task_id] = entry
-        if journal is not None:
-            journal.record(points[task_id], entry)
-        # Kill any slot still running a duplicate of this point (the
-        # hedge loser): its result is no longer wanted.
-        for other in list(slots):
-            if other is not slot and other.task == task_id:
-                kill_slot(other)
+        land(task_id, outcome[1:])
 
     def next_timeout(busy: List[_Slot], now: float) -> float:
-        """Seconds until the earliest deadline/hedge trigger (capped)."""
+        """Seconds until the earliest deadline (capped)."""
         horizon = 1.0  # liveness-backstop poll
-        for limit in (deadline, hedge_after):
-            if limit is None:
-                continue
+        if deadline is not None:
             for slot in busy:
-                horizon = min(horizon, slot.started + limit - now)
+                horizon = min(horizon, slot.started + deadline - now)
         return max(horizon, 0.01)
 
     try:
-        while any(i not in results for i in pending):
+        while queue or any(slot.task is not None for slot in slots):
             # Keep every slot busy: reuse idle slots, spawn up to jobs.
             while queue:
                 idle = next((s for s in slots if s.task is None), None)
@@ -257,15 +227,11 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                     break
                 dispatch(idle, queue.popleft())
             busy = [s for s in slots if s.task is not None]
-            if not busy:
-                continue  # everything just completed or was requeued
             now = time.monotonic()  # repro: allow[wallclock] — host supervision deadline, never simulated ordering
             by_conn = {s.conn: s for s in busy}
             ready = conn_wait(list(by_conn), next_timeout(busy, now))
             for conn in ready:
                 slot = by_conn[conn]
-                if slot not in slots:
-                    continue  # already killed this round (hedge loser)
                 try:
                     task_id, outcome = conn.recv()
                 except (EOFError, OSError):
@@ -292,24 +258,9 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                     count("parallel.deadline_kills")
                     kill_slot(slot)
                     record_failure(
-                        slot, index, "deadline",
+                        index, "deadline",
                         f"exceeded the {deadline:g}s per-point wall "
                         f"deadline")
-            if hedge_after is not None:
-                for slot in list(slots):
-                    index = slot.task
-                    if (index is None or slot.hedge
-                            or hedged.get(index)
-                            or now - slot.started <= hedge_after):
-                        continue
-                    idle = next((s for s in slots if s.task is None), None)
-                    if idle is None and len(slots) < max_slots:
-                        idle = spawn_slot()
-                    if idle is None:
-                        continue  # no spare capacity this round
-                    hedged[index] = True
-                    count("parallel.hedges")
-                    dispatch(idle, index, hedge=True)
     except BaseException:  # noqa: BLE001 - teardown, then propagate
         teardown()
         raise
@@ -322,4 +273,3 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
     for slot in list(slots):
         slot.proc.join(timeout=2.0)
         kill_slot(slot)
-    return results

@@ -32,12 +32,13 @@ contract:
   the affected points re-executed under a deterministic bounded
   :class:`~repro.parallel.supervisor.RetrySpec`; exhausted points raise
   :class:`PointError` naming every attempt.
-* **Journaling & resume** — with a
-  :class:`~repro.parallel.journal.RunJournal`, every completed point
-  (executed *or* served by the cache) is recorded durably the moment
-  it lands; a later call with the same journal replays those entries
-  and only runs what is missing, which is what backs ``--resume`` on
-  both CLIs.
+* **Journaling & resume** — with a journal (an unbounded
+  :class:`~repro.parallel.pointcache.PointCache` at
+  :func:`~repro.parallel.pointcache.journal_root`), every completed
+  point (executed *or* served by the cache) is ``put`` durably the
+  moment it lands; a later call with the same journal replays those
+  entries and only runs what is missing, which is what backs
+  ``--resume`` on both CLIs.
 * **Whole-entry replay** — a point yields one entry (value, race
   findings, metric snapshot; see :mod:`repro.parallel.worker`),
   whether it executed here, in a worker, or was served by the journal
@@ -47,9 +48,10 @@ contract:
   the same races as the cold run that found them.
 * **Clean interruption** — SIGINT (and SIGTERM, when running on the
   main thread) during a sweep tears the workers down and surfaces as
-  :class:`~repro.errors.SweepInterrupted` reporting progress and, via
-  ``resume_hint``, the exact resume command.  The journal needs no
-  flush: it is written point-by-point with atomic replaces.
+  :class:`~repro.errors.SweepInterrupted` reporting how many of the
+  sweep's points had completed and, via ``resume_hint``, the exact
+  resume command.  The journal needs no flush: it is written
+  point-by-point with atomic replaces.
 * **Observability** — with ``REPRO_OBS`` on, every point executes
   inside its own :func:`repro.obs.metrics.capture_point` scope, so the
   merged metrics are bit-identical whatever the job count, cache
@@ -231,7 +233,6 @@ def _restore_sigterm(token: Optional[Tuple[Any]]) -> None:
 def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
               cache: Optional[Any] = None, journal: Optional[Any] = None,
               retry: Optional[Any] = None, deadline: Optional[float] = None,
-              hedge_after: Optional[float] = None,
               resume_hint: str = "") -> List[Any]:
     """Run every point and return their results in point order.
 
@@ -245,11 +246,13 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
         Optional :class:`~repro.parallel.pointcache.PointCache`.  Hits
         skip execution entirely; misses are executed and stored.
     journal:
-        Optional :class:`~repro.parallel.journal.RunJournal`.  Entries
-        already journaled are replayed without execution (that is the
-        resume path); everything that completes — including cache hits
-        — is recorded durably the moment it lands, so an interrupted or
-        killed run loses only in-flight points.
+        Optional run journal, a
+        :class:`~repro.parallel.pointcache.PointCache` with
+        ``max_entries=None``.  Entries already journaled are replayed
+        without execution (that is the resume path); everything that
+        completes — including cache hits — is ``put`` durably the
+        moment it lands, so an interrupted or killed run loses only
+        in-flight points.
     retry:
         Optional :class:`~repro.parallel.supervisor.RetrySpec` bounding
         how often a crashed/hung point is re-executed (default: two
@@ -257,10 +260,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     deadline:
         Optional per-point wall-clock budget in seconds; a supervised
         point exceeding it has its worker killed and is retried.
-    hedge_after:
-        Optional straggler threshold in seconds; a supervised point
-        still running past it is duplicated onto an idle worker and the
-        first copy to finish wins.
     resume_hint:
         The exact command that resumes this run; embedded in
         :class:`~repro.errors.SweepInterrupted` on SIGINT/SIGTERM.
@@ -278,6 +277,14 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     #: point index -> entry (journal/cache replay, serial execution or
     #: worker shipment) — replayed in point order below.
     entries: List[Optional[Entry]] = [None] * len(points)
+
+    # Every entry that lands is journaled first, so an interrupt never
+    # counts a point the journal lost.
+    def land(i: int, entry: Entry) -> None:
+        if journal is not None:
+            journal.put(points[i], entry)
+        entries[i] = entry
+
     pending: List[int] = []
     resumed = 0
     cached = 0
@@ -288,13 +295,12 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
                 resumed += 1
                 continue
         if cache is not None:
-            entries[i] = cache.get(point)
-            if entries[i] is not None:
+            entry = cache.get(point)
+            if entry is not None:
                 cached += 1
-                if journal is not None:
-                    # Journal the hit too: resume must not depend on
-                    # the cache still being warm (or present) later.
-                    journal.record(point, entries[i])
+                # Journal the hit too: resume must not depend on the
+                # cache still being warm (or present) later.
+                land(i, entry)
                 continue
         pending.append(i)
 
@@ -317,24 +323,19 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
             if jobs <= 1 or len(pending) == 1:
                 for i in pending:
                     t0 = time.perf_counter()  # repro: allow[wallclock] — volatile host metric, never ordering
-                    entries[i] = _run_serial(points[i], i)
+                    entry = _run_serial(points[i], i)
                     wall = time.perf_counter() - t0  # repro: allow[wallclock] — volatile host metric, never ordering
-                    if journal is not None:
-                        journal.record(points[i], entries[i])
+                    land(i, entry)
                     reg = metrics.current()
                     if reg is not None:
                         reg.observe("parallel.point_wall", wall,
                                     POINT_WALL_EDGES)
             else:
                 from .supervisor import run_supervised
-                for i, entry in run_supervised(
-                        points, pending, jobs, retry=retry,
-                        deadline=deadline, hedge_after=hedge_after,
-                        journal=journal).items():
-                    entries[i] = entry
+                run_supervised(points, pending, jobs, land, retry=retry,
+                               deadline=deadline)
         except KeyboardInterrupt:
-            completed = (journal.entry_count() if journal is not None
-                         else len(points) - len(pending))
+            completed = sum(entry is not None for entry in entries)
             raise SweepInterrupted(
                 completed, len(points),
                 sig_state.get("signame", "SIGINT"), resume_hint) from None

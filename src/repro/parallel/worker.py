@@ -78,7 +78,7 @@ def worker_main(conn: Any, flags: Flags) -> None:
     The task id rides along so the parent can attribute an outcome (or
     a death: the kernel closes this pipe when the process dies, which
     is how SIGKILL/OOM is detected) to the exact point that produced
-    it, whatever the resubmission or hedging history.
+    it, whatever the resubmission history.
 
     An outcome whose value does not pickle would crash ``send`` — and
     look like a worker death to the parent — so pickling failures are

@@ -23,20 +23,6 @@ def kill_always(index):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def slow_once(index, marker_dir):
-    """Straggle on the first execution only.
-
-    The first copy drops a marker and stalls far past any hedging
-    threshold; the hedged duplicate sees the marker and returns
-    immediately — so the hedge deterministically wins.
-    """
-    marker = Path(marker_dir) / f"slow-{index}"
-    if not marker.exists():
-        marker.write_text("first\n")
-        time.sleep(600.0)
-    return index * 17
-
-
 def interrupt_once(index, marker_dir):
     """Raise ``KeyboardInterrupt`` (i.e. Ctrl-C) on the first call only."""
     marker = Path(marker_dir) / f"intr-{index}"

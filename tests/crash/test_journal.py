@@ -1,11 +1,16 @@
-"""RunJournal unit tests: durability, miss semantics, lifecycle."""
+"""Run-journal unit tests: a journal is an unbounded PointCache at
+journal_root — durability, miss semantics, lifecycle, drill hook."""
 
 import pickle
 
-from repro.parallel import RunJournal, SweepPoint, journal_root
-from repro.parallel.journal import DIE_AFTER_ENV
+from repro.parallel import PointCache, SweepPoint, journal_root
+from repro.parallel.pointcache import DIE_AFTER_ENV
 
 FNS = "tests.crash.crashfuncs"
+
+
+def _journal(root):
+    return PointCache(root, max_entries=None)
 
 
 def _point(index=0, **extra):
@@ -14,58 +19,59 @@ def _point(index=0, **extra):
 
 
 def test_record_and_get_roundtrip(tmp_path):
-    journal = RunJournal(tmp_path / "j")
+    journal = _journal(tmp_path / "j")
     point = _point(3, base_seed=7)
     assert journal.get(point) is None
-    journal.record(point, ([3, 28], (), {"counters": {"x": 1}}))
+    journal.put(point, ([3, 28], (), {"counters": {"x": 1}}))
     assert journal.get(point) == ([3, 28], (), {"counters": {"x": 1}})
-    assert journal.records == 1
-    assert journal.replays == 1
+    assert (journal.hits, journal.misses, journal.puts) == (1, 1, 1)
     assert journal.entry_count() == 1
-    assert journal.stats() == "1 replayed / 1 recorded / 1 on disk"
 
 
 def test_get_is_keyed_on_point_content(tmp_path):
-    journal = RunJournal(tmp_path / "j")
-    journal.record(_point(0), ([0, 0], (), None))
+    journal = _journal(tmp_path / "j")
+    journal.put(_point(0), ([0, 0], (), None))
     assert journal.get(_point(1)) is None, \
         "a different point must never hit another's entry"
 
 
 def test_torn_entry_is_a_miss(tmp_path):
-    journal = RunJournal(tmp_path / "j")
+    journal = _journal(tmp_path / "j")
     point = _point(5)
-    journal.record(point, ("payload", (), None))
+    journal.put(point, ("payload", (), None))
     [entry] = sorted((tmp_path / "j").rglob("*.pkl"))
     # Truncate mid-pickle: the crash-consistency contract says a torn
     # entry reads as a miss, never as an error or a wrong value.
     entry.write_bytes(entry.read_bytes()[:3])
     assert journal.get(point) is None
-    assert journal.replays == 0
+    assert journal.hits == 0
 
 
 def test_entry_without_value_key_is_a_miss(tmp_path):
-    journal = RunJournal(tmp_path / "j")
+    journal = _journal(tmp_path / "j")
     point = _point(6)
-    journal.record(point, ("payload", (), None))
+    journal.put(point, ("payload", (), None))
     [entry] = sorted((tmp_path / "j").rglob("*.pkl"))
     entry.write_bytes(pickle.dumps({"not-value": 1}))
     assert journal.get(point) is None
 
 
 def test_reset_and_discard_remove_everything(tmp_path):
+    # Reset (empty the journal, keep using it) and discard (remove its
+    # root) are both one clear of the unbounded store.
     root = tmp_path / "j"
-    journal = RunJournal(root)
+    journal = _journal(root)
     for i in range(4):
-        journal.record(_point(i), (i, (), None))
+        journal.put(_point(i), (i, (), None))
     assert journal.entry_count() == 4
-    journal.reset()
+    assert journal.clear() == 4
     assert journal.entry_count() == 0
-    journal.record(_point(0), (0, (), None))
-    journal.discard()
+    journal.put(_point(0), (0, (), None))
+    assert journal.get(_point(0)) == (0, (), None)
+    assert journal.clear() == 1
     assert not root.exists()
-    # Discarding an already-absent journal is a harmless no-op.
-    journal.discard()
+    # Clearing an already-absent journal is a harmless no-op.
+    assert journal.clear() == 0
 
 
 def test_journal_root_composes_run_id(tmp_path):
@@ -76,19 +82,19 @@ def test_journal_root_composes_run_id(tmp_path):
 
 def test_die_after_env_parsing(tmp_path, monkeypatch):
     monkeypatch.setenv(DIE_AFTER_ENV, "3")
-    assert RunJournal(tmp_path)._die_after == 3
+    assert _journal(tmp_path)._die_after == 3
     monkeypatch.setenv(DIE_AFTER_ENV, "  2 ")
-    assert RunJournal(tmp_path)._die_after == 2
+    assert _journal(tmp_path)._die_after == 2
     monkeypatch.setenv(DIE_AFTER_ENV, "nope")
-    assert RunJournal(tmp_path)._die_after is None
+    assert _journal(tmp_path)._die_after is None
     monkeypatch.delenv(DIE_AFTER_ENV)
-    assert RunJournal(tmp_path)._die_after is None
+    assert _journal(tmp_path)._die_after is None
 
 
 def test_record_overwrite_is_idempotent(tmp_path):
-    journal = RunJournal(tmp_path / "j")
+    journal = _journal(tmp_path / "j")
     point = _point(9)
-    journal.record(point, ("same", (), None))
-    journal.record(point, ("same", (), None))
+    journal.put(point, ("same", (), None))
+    journal.put(point, ("same", (), None))
     assert journal.entry_count() == 1
     assert journal.get(point) == ("same", (), None)

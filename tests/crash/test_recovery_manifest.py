@@ -7,7 +7,7 @@ from repro.obs.report import check_invariants, check_recovery, render_manifest
 
 def _clean_recovery():
     return {"worker_deaths": 1, "point_retries": 2, "deadline_kills": 1,
-            "hedges": 0, "points_total": 10, "points_resumed": 3,
+            "points_total": 10, "points_resumed": 3,
             "points_executed": 6, "points_cached": 1}
 
 
@@ -48,7 +48,7 @@ def test_recovery_invariant_violations_are_each_reported():
     assert "lost or invented work" in msg
 
     negative = _clean_recovery()
-    negative["hedges"] = -1
+    negative["deadline_kills"] = -1
     msgs = check_recovery(negative)
     assert any("negative" in m for m in msgs)
 

@@ -98,18 +98,3 @@ def test_retry_exhaustion_raises_pointerror_with_history():
     assert [a.number for a in err.attempts] == [1, 2]
     # The recorded (never slept) backoff schedule rides along.
     assert [a.backoff for a in err.attempts] == [0.25, 0.5]
-
-
-@pytest.mark.slow
-def test_hedging_duplicates_stragglers(tmp_path):
-    # Point 0 stalls on its first copy; with a short hedge threshold
-    # the supervisor duplicates it onto the idle worker (freed by point
-    # 1), the duplicate returns immediately, and its value wins.
-    points = [SweepPoint.make(f"{FNS}:slow_once", label="slow#0", index=0,
-                              marker_dir=str(tmp_path)),
-              SweepPoint.make(f"{FNS}:ok", label="ok#1", index=1)]
-    results, counters = _counters_after(points, jobs=2, hedge_after=0.3)
-    assert results == [0, [1, 3]]
-    assert counters.get("parallel.hedges") == 1
-    # Killing the straggling loser is not a worker death.
-    assert counters.get("parallel.worker_deaths") is None

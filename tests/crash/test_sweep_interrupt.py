@@ -6,9 +6,13 @@ import signal
 import pytest
 
 from repro.errors import SweepInterrupted
-from repro.parallel import RunJournal, SweepPoint, run_sweep
+from repro.parallel import PointCache, SweepPoint, run_sweep
 
 FNS = "tests.crash.crashfuncs"
+
+
+def _journal(tmp_path):
+    return PointCache(tmp_path / "journal", max_entries=None)
 
 
 def _ok_points(n, base_seed=0):
@@ -41,7 +45,7 @@ def test_serial_interrupt_reports_progress_and_resumes(tmp_path):
     # on its first call.  The sweep must surface SweepInterrupted with
     # the journaled progress, and a second run over the same journal
     # must replay the completed points and finish.
-    journal = RunJournal(tmp_path / "journal")
+    journal = _journal(tmp_path)
     points = _ok_points(2) + [
         SweepPoint.make(f"{FNS}:interrupt_once", label="intr#2", index=2,
                         marker_dir=str(tmp_path))]
@@ -54,11 +58,30 @@ def test_serial_interrupt_reports_progress_and_resumes(tmp_path):
     assert exc.resume_hint == "rerun --resume"
     assert journal.entry_count() == 2
 
-    resumed = RunJournal(tmp_path / "journal")
+    resumed = _journal(tmp_path)
     results = run_sweep(points, jobs=1, journal=resumed)
     assert results == [[0, 0], [1, 3], 2 * 19]
-    assert resumed.replays == 2
-    assert resumed.records == 1
+    assert resumed.hits == 2
+    assert resumed.puts == 1
+
+
+def test_interrupt_counts_the_sweeps_points_not_the_journals(tmp_path):
+    # One journal serves every sweep of a run (fig10 runs a calibration
+    # sweep, then its points), so the progress report must count this
+    # sweep's completed points, not the journal's files; and without a
+    # journal the points executed before the interrupt count too.
+    journal = _journal(tmp_path)
+    run_sweep(_ok_points(1, base_seed=9), jobs=1, journal=journal)
+    for run_journal in (journal, None):
+        marker_dir = tmp_path / f"markers-{run_journal is None}"
+        marker_dir.mkdir()
+        points = _ok_points(1) + [
+            SweepPoint.make(f"{FNS}:interrupt_once", label="intr#1",
+                            index=1, marker_dir=str(marker_dir)),
+            SweepPoint.make(f"{FNS}:ok", label="ok#2", index=2)]
+        with pytest.raises(SweepInterrupted) as excinfo:
+            run_sweep(points, jobs=1, journal=run_journal)
+        assert (excinfo.value.completed, excinfo.value.total) == (1, 3)
 
 
 def test_sigterm_converts_to_sweepinterrupted(tmp_path):
@@ -66,7 +89,7 @@ def test_sigterm_converts_to_sweepinterrupted(tmp_path):
     # SweepInterrupted report as Ctrl-C, naming the signal — and the
     # previous SIGTERM disposition must be restored afterwards.
     previous = signal.getsignal(signal.SIGTERM)
-    journal = RunJournal(tmp_path / "journal")
+    journal = _journal(tmp_path)
     points = _ok_points(1) + [
         SweepPoint.make(f"{FNS}:sigterm_self", label="term#1", index=1)]
     with pytest.raises(SweepInterrupted) as excinfo:
@@ -82,10 +105,10 @@ def test_zero_pending_never_touches_the_pool(tmp_path, monkeypatch):
     # Regression guard: when the journal already covers every point,
     # run_sweep at jobs>1 must return without creating a pool, a signal
     # handler or a worker — so a poisoned supervisor must never fire.
-    journal = RunJournal(tmp_path / "journal")
+    journal = _journal(tmp_path)
     points = _ok_points(3, base_seed=5)
     warm = run_sweep(points, jobs=1, journal=journal)
-    assert journal.records == 3
+    assert journal.puts == 3
 
     import repro.parallel.supervisor as supervisor
     import repro.parallel.sweep as sweep_mod
@@ -95,5 +118,5 @@ def test_zero_pending_never_touches_the_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(supervisor, "run_supervised", boom)
     monkeypatch.setattr(sweep_mod, "_install_sigterm", boom)
-    results = run_sweep(points, jobs=4, journal=RunJournal(tmp_path / "journal"))
+    results = run_sweep(points, jobs=4, journal=_journal(tmp_path))
     assert results == warm

@@ -14,7 +14,7 @@ def _registry():
     reg.count("faults.inject:ost-corrupt", 2)
     reg.count("faults.detect:ost-corrupt", 2)
     reg.count("faults.recover:retry", 2)
-    reg.count("parallel.cache.hits", 9)  # volatile: must not appear
+    reg.count("parallel.points_cached", 9)  # volatile: must not appear
     return reg
 
 
@@ -33,7 +33,7 @@ def test_build_manifest_shape():
     assert len(manifest["code_digest"]) == 64
     assert manifest["ledger"] == {
         "injected": 2, "detected": 2, "recovered": 2}
-    assert "parallel.cache.hits" not in manifest["metrics"]["counters"]
+    assert "parallel.points_cached" not in manifest["metrics"]["counters"]
 
 
 def test_build_manifest_requires_obs():

@@ -55,12 +55,12 @@ def test_snapshot_is_sorted_and_order_independent():
 
 def test_snapshot_excludes_volatile_by_default(registry):
     registry.count("pfs.blockcache.hits")
-    registry.count("parallel.cache.hits")
+    registry.count("parallel.points_cached")
     registry.count("mpi.messages")
     assert list(registry.snapshot()["counters"]) == ["mpi.messages"]
     full = registry.snapshot(volatile=True)
     assert set(full["counters"]) == {
-        "pfs.blockcache.hits", "parallel.cache.hits", "mpi.messages"}
+        "pfs.blockcache.hits", "parallel.points_cached", "mpi.messages"}
 
 
 def test_merge_reproduces_serial_recording():

@@ -10,8 +10,7 @@ import pytest
 
 from repro.check.races import drain_findings
 from repro.flags import Flags, current, override
-from repro.parallel import (PointCache, RunJournal, SweepPoint, point_key,
-                            run_sweep)
+from repro.parallel import PointCache, SweepPoint, point_key, run_sweep
 
 FNS = "tests.parallel.pointfuncs"
 
@@ -39,16 +38,16 @@ def test_shake_seeds_key_apart(tmp_path):
 
 
 def test_journal_entry_is_not_replayed_under_another_record(tmp_path):
-    journal = RunJournal(tmp_path / "j")
+    journal = PointCache(tmp_path / "j", max_entries=None)
     points = [SweepPoint.make(f"{FNS}:probe_shake")]
     with override(shake=7):
         assert run_sweep(points, journal=journal) == [7]
     with override(shake=None):
         assert run_sweep(points, journal=journal) == [None]
-    assert journal.replays == 0
+    assert journal.hits == 0
     with override(shake=7):
         assert run_sweep(points, journal=journal) == [7]
-    assert journal.replays == 1
+    assert journal.hits == 1
 
 
 def _finding_messages(sweep):
@@ -69,11 +68,11 @@ def test_cached_race_finding_is_refiled_on_a_warm_hit(tmp_path):
 
 
 def test_journaled_race_finding_is_refiled_on_replay(tmp_path):
-    journal = RunJournal(tmp_path / "j")
+    journal = PointCache(tmp_path / "j", max_entries=None)
     points = [SweepPoint.make(f"{FNS}:emit_finding", tag="j")]
     cold = _finding_messages(lambda: run_sweep(points, journal=journal))
     resumed = _finding_messages(lambda: run_sweep(points, journal=journal))
-    assert journal.replays == 1
+    assert journal.hits == 1
     assert cold == resumed == ["j"]
 
 
