@@ -11,9 +11,13 @@ as good as its invariants, so this layer checks them mechanically:
 2. **Collective-protocol verifier** (:mod:`repro.check.protocol`) — an
    opt-in runtime sanitizer threaded through
    :class:`~repro.mpi.comm.CommHandle` and the sim kernel.
-3. **Plan sanitizers** (:mod:`repro.check.plan`) — invariant checks on
-   :class:`~repro.io.twophase.TwoPhasePlan` and
-   :class:`~repro.core.plan_cache.PlanMemo`.
+3. **Plan sanitizers** (:mod:`repro.check.plan`) — one plan check on
+   :class:`~repro.io.twophase.TwoPhasePlan` (coverage, domains, the
+   receiver schedule and the memoized per-window artifacts, linear in
+   the (rank, window) pairs that hold data) and the translation check
+   of :class:`~repro.core.plan_cache.PlanMemo`.  Shuffle wire sizes
+   are checked on every real message by
+   :func:`~repro.io.twophase.shuffle_send`.
 4. **Recovery-coverage check** (:mod:`repro.check.faults`) — asserts
    the fault-recovery accounting of :mod:`repro.faults.resilient`:
    every expected window is served exactly once (by an aggregator or
@@ -51,8 +55,7 @@ __all__ = [
     "drain_findings",
     "check_recovery_coverage",
     "CollectiveLedger", "payload_signature",
-    "check_plan", "check_plan_deep", "check_shuffle_accounting",
-    "check_translation", "check_window_consistency",
+    "check_plan", "check_translation",
     "run_battery", "shake_seeds",
 ]
 
@@ -60,10 +63,7 @@ _LAZY = {  # repro: allow[pool-global] — static lazy-export map, assigned once
     "CollectiveLedger": ("protocol", "CollectiveLedger"),
     "payload_signature": ("protocol", "payload_signature"),
     "check_plan": ("plan", "check_plan"),
-    "check_plan_deep": ("plan", "check_plan_deep"),
-    "check_shuffle_accounting": ("plan", "check_shuffle_accounting"),
     "check_translation": ("plan", "check_translation"),
-    "check_window_consistency": ("plan", "check_window_consistency"),
     "run_battery": ("shake", "run_battery"),
     "shake_seeds": ("shake", "shake_seeds"),
 }

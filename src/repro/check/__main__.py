@@ -141,7 +141,7 @@ def _run_smoke(quiet: bool) -> int:
     def smoke_two_level():
         """Two-level (node-aware) aggregation equals one-level exactly,
         for the raw two-phase read/write and the CC reduction, with the
-        leader sub-collective and batch sanitizers forced on."""
+        leader sub-collective and shuffle wire-size checks forced on."""
         from ..core import MAXLOC_OP
         from ..io import CollectiveHints
 

@@ -3,11 +3,10 @@
 The race detector (:mod:`repro.check.races`) says "no races"; this
 module turns that verdict into evidence by *running different
 schedules*.  A kernel constructed under
-``repro.flags.override(shake=seed)`` permutes same-``(time,
-priority)`` event-queue ties with a seeded bijection (see
-``Kernel.schedule``), so each seed exercises a different — but fully
-deterministic and replayable — interleaving of simultaneously-enabled
-events.
+``repro.flags.override(shake=seed)`` permutes same-time event-queue
+ties with a seeded bijection (see ``Kernel.schedule``), so each seed
+exercises a different — but fully deterministic and replayable —
+interleaving of simultaneously-enabled events.
 
 The scenario list
 -----------------

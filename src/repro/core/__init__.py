@@ -17,8 +17,8 @@ fail-stop aggregator degradation (:mod:`.fault`), which
 from .api import (local_read_compute, locate, object_get,
                   traditional_read_compute)
 from .fault import cc_read_compute_ft, degrade_plan
-from .iterative import (IterativeAnalysis, IterativeStats, shift_plan,
-                        sliding_windows, translation_delta)
+from .iterative import (IterativeAnalysis, IterativeStats, sliding_windows,
+                        translation_delta)
 from .map_engine import linear_indices_of_runs, map_pieces
 from .metadata import CCStats, PartialResult
 from .object_io import MODES, REDUCE_MODES, ObjectIO
@@ -47,6 +47,6 @@ __all__ = [
     "global_reduce", "make_reduce_op",
     "CCResult", "cc_read_compute",
     "cc_read_compute_ft", "degrade_plan",
-    "IterativeAnalysis", "IterativeStats", "shift_plan",
-    "sliding_windows", "translation_delta",
+    "IterativeAnalysis", "IterativeStats", "sliding_windows",
+    "translation_delta",
 ]

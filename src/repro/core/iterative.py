@@ -20,35 +20,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
-from ..dataspace import RunList, Subarray, flatten_subarray
+from ..dataspace import Subarray, flatten_subarray
 from ..errors import CollectiveComputingError
-from ..io.twophase import TwoPhasePlan, make_plan
 from ..mpi import RankContext
 from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
+from .api import _memoized_plan
 from .metadata import CCStats
 from .object_io import ObjectIO
 from .plan_cache import PlanMemo, translation_delta
 from .runtime import CCResult, cc_read_compute
 
-__all__ = ["IterativeAnalysis", "IterativeStats", "shift_plan",
-           "sliding_windows", "translation_delta"]
-
-
-def shift_plan(plan: TwoPhasePlan, delta: int) -> TwoPhasePlan:
-    """The plan for a byte-translated access: every run list, domain and
-    window moved by ``delta`` bytes.  Kept as a module-level helper for
-    compatibility; delegates to :meth:`TwoPhasePlan.shifted`."""
-    return plan.shifted(delta)
+__all__ = ["IterativeAnalysis", "IterativeStats", "sliding_windows",
+           "translation_delta"]
 
 
 @dataclass
 class IterativeStats:
-    """Bookkeeping for one iterative run."""
+    """Bookkeeping for one iterative run: its step count, and the plan
+    exchanges and reuses its :class:`PlanMemo` counted."""
 
+    memo: PlanMemo
     steps: int = 0
-    plans_exchanged: int = 0
-    plans_reused: int = 0
+
+    @property
+    def plans_exchanged(self) -> int:
+        """Steps that paid a full offset exchange."""
+        return self.memo.exchanges
+
+    @property
+    def plans_reused(self) -> int:
+        """Steps that reused a translated plan."""
+        return self.memo.reuses
 
 
 class IterativeAnalysis:
@@ -75,30 +78,8 @@ class IterativeAnalysis:
             )
         self.file = file
         self.oio = oio
-        self.stats = IterativeStats()
         self.memo = PlanMemo()
-
-    def _plan_for(self, ctx: RankContext, runs: RunList) -> Generator:
-        """Cached-or-fresh plan for this step's request.
-
-        Reuse requires every rank to observe a translation; ranks vote
-        with the *same* deterministic criterion on the same data (their
-        own runs), and run lists of all ranks shift together when the
-        global pattern is a translation — so the decision is coherent
-        without extra communication for the common case of a rigid
-        time-axis sweep.  The mechanics live in :class:`PlanMemo`, which
-        is also usable directly via ``object_get(..., plan_memo=...)``.
-        """
-        plan = self.memo.lookup(runs, self.oio.spec.itemsize)
-        if plan is not None:
-            self.stats.plans_reused += 1
-            return plan
-        grid = (self.oio.spec.file_offset, self.oio.spec.itemsize)
-        plan = yield from make_plan(ctx, runs, self.file, self.oio.hints,
-                                    grid)
-        self.memo.store(runs, plan)
-        self.stats.plans_exchanged += 1
-        return plan
+        self.stats = IterativeStats(self.memo)
 
     def run(self, ctx: RankContext, regions: Sequence[Subarray],
             timeline: Optional[PhaseTimeline] = None,
@@ -109,11 +90,18 @@ class IterativeAnalysis:
         Collective: all ranks call it with region sequences of the same
         length (each rank passes *its own* per-step regions).
         """
+        # Reuse requires every rank to observe a translation; ranks vote
+        # with the same deterministic criterion on their own runs, and
+        # the run lists of all ranks shift together when the global
+        # pattern is a translation, so the decision is coherent without
+        # extra communication for a rigid time-axis sweep.
+        grid = (self.oio.spec.file_offset, self.oio.spec.itemsize)
         results: List[CCResult] = []
         for sub in regions:
             step_oio = self.oio.for_rank(sub)
             runs = flatten_subarray(step_oio.spec, sub)
-            plan = yield from self._plan_for(ctx, runs)
+            plan = yield from _memoized_plan(ctx, self.file, step_oio,
+                                             self.memo, runs, grid)
             result = yield from cc_read_compute(
                 ctx, self.file, step_oio, timeline, stats, plan=plan)
             results.append(result)

@@ -54,9 +54,9 @@ class PlanMemo:
     :meth:`store`, which re-bases the memo (a sweep that jumps once and
     then resumes striding reuses the post-jump plan).
 
-    Counters mirror :class:`repro.core.iterative.IterativeStats`:
-    ``exchanges`` counts stores (full offset exchanges), ``reuses``
-    counts successful lookups.
+    ``exchanges`` counts stores (full offset exchanges) and ``reuses``
+    successful lookups; :class:`repro.core.iterative.IterativeStats`
+    reports them as ``plans_exchanged`` and ``plans_reused``.
     """
 
     __slots__ = ("base_runs", "base_plan", "exchanges", "reuses")

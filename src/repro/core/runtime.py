@@ -224,7 +224,7 @@ def _cc_aggregator_loop(ctx: RankContext, file: PFSFile, oio: ObjectIO,
         else:  # all_to_one: one message with every partial of the window
             sends.append(ctx.comm.isend(partials, oio.root, base_tag + t))
         for req in sends:
-            yield from ctx.wait_recording(req.event, "wait")
+            yield from ctx.wait_recording(req.event)
         if timeline is not None:
             timeline.record(ctx.rank, t, "shuffle", t_sh, kernel.now)
         return None
@@ -343,7 +343,7 @@ def _cc_receiver_all_to_all_two_level(ctx: RankContext, oio: ObjectIO,
             continue
         sends.append(ctx.comm.isend(per_rank[r], r, fwd_tag))
     for req in sends:
-        yield from ctx.wait_recording(req.event, "wait")
+        yield from ctx.wait_recording(req.event)
     payload = yield from combine_partials(ctx, op,
                                           per_rank.get(ctx.rank, []), stats)
     return payload
@@ -388,7 +388,7 @@ def _cc_receiver_all_to_all(ctx: RankContext, oio: ObjectIO,
                 if not node_any[plan.flat_index(i, t)]:
                     continue
                 req = ctx.comm.irecv(agg_rank, base_tag + t)
-                msg = yield from ctx.wait_recording(req.event, "wait")
+                msg = yield from ctx.wait_recording(req.event)
                 for partial in msg.data:
                     if partial.dest_rank == ctx.rank:
                         received.append(partial)
@@ -396,14 +396,14 @@ def _cc_receiver_all_to_all(ctx: RankContext, oio: ObjectIO,
                         forwards.append(ctx.comm.isend(
                             partial, partial.dest_rank, base_tag + t))
         for req in forwards:
-            yield from ctx.wait_recording(req.event, "wait")
+            yield from ctx.wait_recording(req.event)
     else:
         # One forwarded partial per (window, aggregator) holding my
         # data, in ascending window order — the same schedule the
         # leader's forwarding loop produces.
         for t, _agg_rank in plan.receiver_schedule(ctx.rank):
             req = ctx.comm.irecv(leader, base_tag + t)
-            msg = yield from ctx.wait_recording(req.event, "wait")
+            msg = yield from ctx.wait_recording(req.event)
             received.append(msg.data)
     payload = yield from combine_partials(ctx, oio.op, received, stats)
     return payload
@@ -429,13 +429,13 @@ def _cc_receiver_all_to_one(ctx: RankContext, oio: ObjectIO,
             if plan.windows[i]})
         for s in stage_nodes:
             req = ctx.comm.irecv(comm.node_leader(s), xnode_tag)
-            msg = yield from ctx.wait_recording(req.event, "wait")
+            msg = yield from ctx.wait_recording(req.event)
             received.extend(msg.data)
     else:
         for i, agg_rank in enumerate(plan.aggregators):
             for t in range(len(plan.windows[i])):
                 req = ctx.comm.irecv(agg_rank, base_tag + t)
-                msg = yield from ctx.wait_recording(req.event, "wait")
+                msg = yield from ctx.wait_recording(req.event)
                 received.extend(msg.data)
     result = yield from construct_at_root(ctx, oio.op, received, stats)
     return result

@@ -21,11 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..errors import DataspaceError
 from .dataset import DatasetSpec
-from .subarray import Subarray
 
 
 @dataclass(frozen=True)
@@ -43,10 +40,6 @@ class LogicalBlock:
     def n_elements(self) -> int:
         """Elements covered by the block."""
         return math.prod(self.count)
-
-    def as_subarray(self) -> Subarray:
-        """The block as a :class:`Subarray` selection."""
-        return Subarray(self.start, self.count)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LogicalBlock(start={self.start}, count={self.count})"

@@ -80,21 +80,24 @@ class SweepInterrupted(ReproError):
     """A sweep was interrupted (SIGINT/SIGTERM) before every point ran.
 
     Raised by :func:`repro.parallel.run_sweep` after a clean teardown:
-    worker processes are terminated, and every point that completed
-    before the signal is already journaled (the run journal is written
-    point-by-point with atomic replaces, so there is nothing left to
-    flush).  The message reports progress and, when the caller supplied
-    one, the exact resume command.
+    worker processes are terminated, and when the sweep keeps a run
+    journal (``journaled``) every point that completed before the
+    signal is already in it (the journal is written point-by-point with
+    atomic replaces, so there is nothing left to flush).  The message
+    reports progress, whether it was journaled and, when the caller
+    supplied one, the exact resume command.
     """
 
     def __init__(self, completed: int, total: int, signame: str = "SIGINT",
-                 resume_hint: str = "") -> None:
+                 resume_hint: str = "", journaled: bool = False) -> None:
         self.completed = completed
         self.total = total
         self.signame = signame
         self.resume_hint = resume_hint
+        self.journaled = journaled
         detail = (f"sweep interrupted by {signame} after {completed} of "
-                  f"{total} point(s); completed points are journaled")
+                  f"{total} point(s); completed points "
+                  f"{'are' if journaled else 'were not'} journaled")
         if resume_hint:
             detail += f"\n  resume with: {resume_hint}"
         else:
@@ -105,7 +108,7 @@ class SweepInterrupted(ReproError):
         # Default exception pickling calls ``cls(*args)``, which does
         # not match this constructor; rebuild from the fields.
         return (self.__class__, (self.completed, self.total, self.signame,
-                                 self.resume_hint))
+                                 self.resume_hint, self.journaled))
 
 
 class RaceError(ReproError):

@@ -13,10 +13,10 @@ question the conclusion leaves open.
 
 from .common import (DEFAULT_HINTS, PAPER_COST, ExperimentResult, RunOutcome,
                      hopper_platform, measure_io_time, run_objectio_job)
-from .registry import EXPERIMENTS, names, run
+from .registry import names, run
 
 __all__ = [
     "DEFAULT_HINTS", "PAPER_COST", "ExperimentResult", "RunOutcome",
     "hopper_platform", "measure_io_time", "run_objectio_job",
-    "EXPERIMENTS", "names", "run",
+    "names", "run",
 ]

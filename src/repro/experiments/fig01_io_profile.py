@@ -15,16 +15,16 @@ genuinely all-to-all); see EXPERIMENTS.md for scaling notes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..config import KiB, MiB
+from ..config import KiB
 from ..core import SUM_OP
 from ..io import CollectiveHints
 from ..workloads.climate import interleaved_workload
-from .common import (DEFAULT_HINTS, ExperimentResult, PAPER_COST,
-                     hopper_platform, run_objectio_job, sweep)
+from .common import (ExperimentResult, hopper_platform, run_objectio_job,
+                     sweep)
 
 #: The paper's machine shape for this figure.
 NPROCS = 72
@@ -109,33 +109,3 @@ def run(iterations: int = 40, cb_buffer_size: int = 256 * KiB, *,
             "time despite nonblocking overlap"
         ),
     )
-
-
-def shuffle_overhead(iterations: int = 40) -> float:
-    """The headline number: fraction the shuffle adds to the job time
-    versus a collective-computing run that eliminates it."""
-    platform = hopper_platform(NODES, cores_per_node=CORES_PER_NODE,
-                               n_osts=N_OSTS)
-    hints = CollectiveHints(cb_buffer_size=256 * KiB,
-                            aggregators_per_node=AGGREGATORS_PER_NODE)
-    n_aggr = NODES * AGGREGATORS_PER_NODE
-    total_bytes = iterations * n_aggr * hints.cb_buffer_size
-    workload = interleaved_workload(NPROCS,
-                                    per_rank_bytes=total_bytes // NPROCS,
-                                    dtype=np.float32, time_steps=12, plane=16)
-    kwargs = dict(hints=hints, stripe_size=hints.cb_buffer_size,
-                  stripe_count=N_OSTS)
-    with_shuffle = run_objectio_job(platform, workload,
-                                    SUM_OP.with_cost(1e-9), block=True,
-                                    **kwargs)
-    without = run_objectio_job(platform, workload, SUM_OP.with_cost(1e-9),
-                               block=False, **kwargs)
-    return with_shuffle.time / without.time - 1.0
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

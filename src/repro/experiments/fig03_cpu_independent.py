@@ -86,11 +86,3 @@ def run(iterations: int = 30, bins: int = 16, *,
             "(no shuffle phase)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,9 +17,8 @@ from typing import Any, Dict
 from ..config import MiB
 from ..core import SUM_OP
 from ..workloads.climate import interleaved_workload, ratio_ops_per_element
-from .common import (DEFAULT_HINTS, ExperimentResult, PAPER_COST,
-                     hopper_platform, measure_io_time, run_objectio_job,
-                     sweep)
+from .common import (ExperimentResult, PAPER_COST, hopper_platform,
+                     measure_io_time, run_objectio_job, sweep)
 
 #: The paper's configuration.
 NPROCS = 120
@@ -115,11 +114,3 @@ def run(per_rank_mib: float = 2.0,
             "averages above the computation-heavy side"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

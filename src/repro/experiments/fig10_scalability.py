@@ -102,11 +102,3 @@ def run(per_rank_mib: float = 1.0,
             "to 1.7x at 1024), and the absolute time saved grows"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

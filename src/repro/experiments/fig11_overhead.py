@@ -26,7 +26,7 @@ from typing import Any, Dict
 
 from ..config import MiB
 from ..core import SUM_OP
-from ..workloads.climate import Workload, interleaved_workload
+from ..workloads.climate import Workload
 from ..dataspace import DatasetSpec, block_partition, full_selection
 from .common import (ExperimentResult, hopper_platform, run_objectio_job,
                      sweep)
@@ -129,11 +129,3 @@ def run(total_mib_small: float = 48.0,
             "values far below the total I/O cost (paper: ~76 s I/O)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

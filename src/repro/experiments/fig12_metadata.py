@@ -16,7 +16,6 @@ of 1-10 MiB (deterministically varied), sweep the paper's buffer sizes
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -124,11 +123,3 @@ def run(scale: float = 1.0,
             "optimum around 8-12 MB, with little further gain beyond"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

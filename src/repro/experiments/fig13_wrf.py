@@ -15,13 +15,12 @@ both paths find the true extremum.
 
 from __future__ import annotations
 
-import math
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster import Machine
-from ..config import KiB, MiB
+from ..config import KiB
 from ..core import CCStats, MAXLOC_OP, MINLOC_OP, locate
 from ..dataspace import DatasetSpec
 from ..highlevel import NCFile, create_dataset
@@ -30,8 +29,7 @@ from ..sim import Kernel
 from typing import Any, Dict
 from ..workloads.wrf import HurricaneGrid, hurricane_workload
 from ..io import CollectiveHints
-from .common import (DEFAULT_HINTS, ExperimentResult, hopper_platform,
-                     sweep)
+from .common import ExperimentResult, hopper_platform, sweep
 
 NPROCS = 96
 NODES = 4
@@ -197,11 +195,3 @@ def verify_against_truth(scale: float = 0.03) -> bool:
         t_value, t_linear = truth_fn(gsub)
         ok = ok and (linear == t_linear) and abs(value - t_value) < 1e-9
     return ok
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -171,11 +171,3 @@ def run(nprocs: int = 48, per_rank_kib: int = 512,
             "where suspicion timeouts dominate both pipelines"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -183,11 +183,3 @@ def run(nprocs: int = 24, per_rank_kib: int = 64,
             "the wire because its re-serves ship compact partials"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,7 +24,7 @@ two protocols; the win is wire bytes and simulated time only.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..cluster import Machine
 from ..config import KiB, MiB
@@ -130,11 +130,3 @@ def run(nprocs: int = 48, per_rank_kib: int = 384, time_steps: int = 24,
             "every row stays bit-identical (result_ok)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,7 +7,7 @@ figure; ``all`` runs everything in order.
 from __future__ import annotations
 
 from types import ModuleType
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from . import (fig01_io_profile, fig02_cpu_collective, fig03_cpu_independent,
                fig09_ratio_speedup, fig10_scalability, fig11_overhead,
@@ -32,11 +32,6 @@ MODULES: Dict[str, ModuleType] = {
     "fig14": fig14_faults,
     "fig15": fig15_integrity,
     "fig16": fig16_intranode,
-}
-
-#: All experiment runners, in paper order (kept for API compatibility).
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    name: module.run for name, module in MODULES.items()
 }
 
 

@@ -44,11 +44,3 @@ def run(*, jobs: int = 1, cache: Any = None,
             "approaches PB scale (sum over projects ~0.8PB)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -131,7 +131,7 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
                                            wrapper + closed,
                                            "resilient window"))
         for req in sends:
-            yield from ctx.wait_recording(req.event, "wait")
+            yield from ctx.wait_recording(req.event)
         served = k + 1
 
     try:

@@ -60,7 +60,7 @@ class MPIFile:
                              client=self.ctx.node.index),
             name=f"read_at:r{self.ctx.rank}",
         )
-        data = yield from self.ctx.wait_recording(proc, "wait")
+        data = yield from self.ctx.wait_recording(proc)
         return data
 
     def write_at(self, offset: int, data: bytes) -> Generator:
@@ -70,7 +70,7 @@ class MPIFile:
                               client=self.ctx.node.index),
             name=f"write_at:r{self.ctx.rank}",
         )
-        yield from self.ctx.wait_recording(proc, "wait")
+        yield from self.ctx.wait_recording(proc)
         return None
 
     # -- file views ------------------------------------------------------------

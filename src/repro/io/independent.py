@@ -113,7 +113,7 @@ def independent_read(ctx: RankContext, file: PFSFile,
             read_with_retry(ctx, file, offset, length, retry),
             name=f"iread:r{ctx.rank}@{offset}",
         )
-        data = yield from ctx.wait_recording(read, "wait")
+        data = yield from ctx.wait_recording(read)
         for local, _file_off, piece in placer.place(offset, length):
             buf[local:local + piece] = np.frombuffer(data, dtype=np.uint8)
         yield from ctx.memcpy(length)
@@ -133,6 +133,6 @@ def independent_write(ctx: RankContext, file: PFSFile,
             ctx.fs.write(file, offset, piece, client=ctx.node.index),
             name=f"iwrite:r{ctx.rank}@{offset}",
         )
-        yield from ctx.wait_recording(write, "wait")
+        yield from ctx.wait_recording(write)
         pos += length
     return None

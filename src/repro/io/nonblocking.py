@@ -50,5 +50,5 @@ def wait_and_unpack(ctx: RankContext, req: Request,
                     request: AccessRequest) -> Generator:
     """Wait for an :func:`icollective_read` and view the result as the
     request's element type (recorded as I/O wait time)."""
-    buf = yield from ctx.wait_recording(req.event, "wait")
+    buf = yield from ctx.wait_recording(req.event)
     return request.as_array(buf)

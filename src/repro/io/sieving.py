@@ -47,7 +47,7 @@ def sieving_read(ctx: RankContext, file: PFSFile, request: AccessRequest,
                 ctx.fs.read(file, r_lo, r_hi - r_lo, client=ctx.node.index),
                 name=f"sieve:r{ctx.rank}@{r_lo}",
             )
-            data = yield from ctx.wait_recording(read, "wait")
+            data = yield from ctx.wait_recording(read)
             raw = np.frombuffer(data, dtype=np.uint8)
             useful = 0
             for local, file_off, piece in placer.place_clipped(r_lo, r_hi - r_lo):

@@ -78,26 +78,29 @@ def batch_wire_bytes(piece_lists: Iterable[RunList]) -> int:
 def shuffle_send(ctx: RankContext, payload, dest: int, tag: int,
                  nbytes: int, what: str) -> Request:
     """Start one raw-byte shuffle send charged at its closed-form size
-    ``nbytes``, which ``REPRO_CHECK`` compares with ``wire_size``
-    (``what`` names the message).  With metrics on, the hop counts into
+    ``nbytes``, which ``REPRO_CHECK`` compares with ``wire_size`` of the
+    real payload (``what`` names the message) — the one check of the
+    shuffle closed forms.  With metrics on, the hop counts into
     ``io.shuffle_bytes`` and its intra-/inter-node split, which
     :mod:`repro.obs.report` checks sum to the total."""
-    if flags.current().check and nbytes != wire_size(payload):
-        raise IOLayerError(
-            f"{what} wire-size accounting drifted: closed form {nbytes} "
-            f"!= measured {wire_size(payload)} for rank {ctx.rank} -> "
-            f"{dest}, tag {tag}")
+    check = flags.current().check
     m = metrics.current()
-    if m is not None:
-        comm = ctx.comm.comm
+    if check or m is not None:
         measured = wire_size(payload)
-        m.count("io.shuffle_bytes", nbytes)
-        m.count("io.shuffle_bytes_measured", measured)
-        prefix = ("io.intranode_bytes"
-                  if comm.node_of(ctx.rank) == comm.node_of(dest)
-                  else "io.internode_bytes")
-        m.count(prefix, nbytes)
-        m.count(prefix + "_measured", measured)
+        if check and nbytes != measured:
+            raise IOLayerError(
+                f"{what} wire-size accounting drifted: closed form "
+                f"{nbytes} != measured {measured} for rank {ctx.rank} -> "
+                f"{dest}, tag {tag}")
+        if m is not None:
+            comm = ctx.comm.comm
+            m.count("io.shuffle_bytes", nbytes)
+            m.count("io.shuffle_bytes_measured", measured)
+            prefix = ("io.intranode_bytes"
+                      if comm.node_of(ctx.rank) == comm.node_of(dest)
+                      else "io.internode_bytes")
+            m.count(prefix, nbytes)
+            m.count(prefix + "_measured", measured)
     return ctx.comm.isend(payload, dest, tag, nbytes=nbytes)
 
 
@@ -377,8 +380,8 @@ def derive_plan(machine, nprocs: int, all_runs: List[RunList],
     plan = TwoPhasePlan(all_runs, aggregators, domains, windows)
     plan.__dict__["global_runs"] = global_runs
     if flags.current().check:
-        from ..check.plan import check_plan_deep
-        check_plan_deep(plan)
+        from ..check.plan import check_plan
+        check_plan(plan)
     return plan
 
 
@@ -496,7 +499,7 @@ def read_windows(ctx: RankContext, file: PFSFile,
     pending = post(0) if spans else None
     for t, (lo, _hi) in enumerate(spans):
         t0 = kernel.now
-        data = yield from ctx.wait_recording(pending, "wait")
+        data = yield from ctx.wait_recording(pending)
         if timeline is not None:
             timeline.record(ctx.rank, t, "read", t0, kernel.now)
         more = t + 1 < len(spans)
@@ -550,7 +553,7 @@ def _aggregator_read_loop(ctx: RankContext, file: PFSFile,
                 "two-level read batch"))
         yield from ctx.memcpy(copy_bytes)
         for req in sends:
-            yield from ctx.wait_recording(req.event, "wait")
+            yield from ctx.wait_recording(req.event)
         if timeline is not None:
             timeline.record(ctx.rank, t, "shuffle", t1, kernel.now)
 
@@ -602,7 +605,7 @@ def _receiver_loop(ctx: RankContext, plan: TwoPhasePlan, my_runs: RunList,
         else:
             w = plan.flat_index(plan.aggregator_index(agg_rank), t)
             req = ctx.comm.irecv(ns.leader, base_tag + w)
-        msg = yield from ctx.wait_recording(req.event, "wait")
+        msg = yield from ctx.wait_recording(req.event)
         nbytes = _unpack_pieces(placer, buf, msg.data)
         yield from ctx.memcpy(nbytes)
     return buf
@@ -622,7 +625,7 @@ def _leader_read_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
                 continue
             tag = base_tag + w
             req = ctx.comm.irecv(agg_rank, tag)
-            msg = yield from ctx.wait_recording(req.event, "wait")
+            msg = yield from ctx.wait_recording(req.event)
             forwards = []
             for r, payload in msg.data:
                 if r == ctx.rank:
@@ -634,7 +637,7 @@ def _leader_read_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
                     shuffle_wire_bytes(plan.window_pieces(r, i, t)),
                     "two-level forward"))
             for fwd in forwards:
-                yield from ctx.wait_recording(fwd.event, "wait")
+                yield from ctx.wait_recording(fwd.event)
     return None
 
 
@@ -675,16 +678,12 @@ def collective_read(ctx: RankContext, file: PFSFile, request: AccessRequest,
 def _shuffle_setup(ctx: RankContext, plan: TwoPhasePlan,
                    hints: CollectiveHints) -> Generator:
     """Common two-phase shuffle preamble: resolve the (cached) node
-    split when two-level mode is on, sanitize the two-level schedule
-    under ``REPRO_CHECK``, and reserve the shuffle tag block —
+    split when two-level mode is on and reserve the shuffle tag block —
     ``ntimes`` tags one-level, one tag per flat window two-level (leader
     multiplexing needs unique (source, tag) pairs per window)."""
     ns: Optional[NodeSplit] = None
     if hints.two_level and ctx.size > 1:
         ns = yield from ctx.comm.node_split()
-        if flags.current().check:
-            from ..check.plan import check_two_level_schedule
-            check_two_level_schedule(plan, ctx.comm.comm.node_of)
         n_tags = sum(len(ws) for ws in plan.windows)
     else:
         n_tags = plan.ntimes
@@ -829,7 +828,7 @@ def _aggregator_write_loop(ctx: RankContext, file: PFSFile,
         if ns is None:
             for r in senders:
                 req = ctx.comm.irecv(r, base_tag + t)
-                msg = yield from ctx.wait_recording(req.event, "wait")
+                msg = yield from ctx.wait_recording(req.event)
                 nbytes = 0
                 for off, piece in msg.data:
                     window[off - r_lo:off - r_lo + len(piece)] = piece
@@ -839,7 +838,7 @@ def _aggregator_write_loop(ctx: RankContext, file: PFSFile,
             tag = base_tag + plan.flat_index(agg_idx, t)
             for node in sorted({comm.node_of(r) for r in senders}):
                 req = ctx.comm.irecv(comm.node_leader(node), tag)
-                msg = yield from ctx.wait_recording(req.event, "wait")
+                msg = yield from ctx.wait_recording(req.event)
                 nbytes = 0
                 for _r, payload in msg.data:
                     for off, piece in payload:
@@ -857,7 +856,7 @@ def _aggregator_write_loop(ctx: RankContext, file: PFSFile,
                              client=ctx.node.index),
                 name=f"cbwrite:r{ctx.rank}@{off}",
             ))
-        yield from ctx.wait_recording(kernel.all_of(writes), "wait")
+        yield from ctx.wait_recording(kernel.all_of(writes))
         if timeline is not None:
             timeline.record(ctx.rank, t, "write", t1, kernel.now)
     return None

@@ -323,10 +323,6 @@ class Communicator:
         self._pair_next_in[pair] = expected
         return None
 
-    def idle_ranks(self) -> int:  # pragma: no cover - diagnostics
-        """Ranks with posted-but-unmatched receives (debug aid)."""
-        return sum(1 for p in self._posted if p)
-
     def describe_blocked(self) -> List[str]:
         """Per-rank blocked-state lines for deadlock reports: pending
         receives with source/tag, the wait-for cycle when one exists,

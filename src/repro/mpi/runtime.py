@@ -83,10 +83,6 @@ class RankContext:
         duration *= self.node.slowdown
         yield from self._occupy_cores(duration, "user")
 
-    def compute_seconds(self, seconds: float) -> Generator:
-        """Occupy one core for a fixed duration of *user* work."""
-        yield from self._occupy_cores(seconds * self.node.slowdown, "user")
-
     def compute_parallel(self, elements: int, ops_per_element: float = 1.0,
                          ways: Optional[int] = None) -> Generator:
         """Compute using up to ``ways`` cores of this node concurrently.
@@ -122,7 +118,7 @@ class RankContext:
             for start, end in spans:
                 self.profiler.record(self.rank, kind, start, end)
 
-    def wait_recording(self, event: Event, kind: str = "wait") -> Generator:
+    def wait_recording(self, event: Event) -> Generator:
         """Yield on ``event`` and record the blocked span in the profiler.
 
         Used by the I/O layer so time blocked on disk or on the shuffle
@@ -131,7 +127,7 @@ class RankContext:
         start = self.kernel.now
         value = yield event
         if self.profiler is not None and self.kernel.now > start:
-            self.profiler.record(self.rank, kind, start, self.kernel.now)
+            self.profiler.record(self.rank, "wait", start, self.kernel.now)
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

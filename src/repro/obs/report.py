@@ -63,10 +63,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-def _counter(manifest: Dict[str, Any], name: str) -> Optional[float]:
-    return manifest.get("metrics", {}).get("counters", {}).get(name)
-
-
 def _counters(manifest: Dict[str, Any]) -> Dict[str, float]:
     return manifest.get("metrics", {}).get("counters", {})
 

@@ -269,8 +269,9 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     PointError
         If any point fails (or exhausts its crash/hang retries).
     SweepInterrupted
-        On SIGINT/SIGTERM, after tearing the workers down.  Every point
-        completed before the signal is already journaled.
+        On SIGINT/SIGTERM, after tearing the workers down.  With a
+        ``journal``, every point completed before the signal is already
+        in it.
     """
     if jobs == 0:
         jobs = default_jobs()
@@ -338,7 +339,8 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
             completed = sum(entry is not None for entry in entries)
             raise SweepInterrupted(
                 completed, len(points),
-                sig_state.get("signame", "SIGINT"), resume_hint) from None
+                sig_state.get("signame", "SIGINT"), resume_hint,
+                journaled=journal is not None) from None
         finally:
             _restore_sigterm(token)
         if cache is not None:

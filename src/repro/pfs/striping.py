@@ -11,7 +11,7 @@ The layout answers the only two questions the I/O path needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import PFSError
 
@@ -93,18 +93,6 @@ class StripeLayout:
                 segments.append(Segment(ost, pos, piece))
             pos += piece
         return segments
-
-    def iter_stripes(self, offset: int, length: int) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(stripe_index, start_offset, piece_length)`` covering
-        the extent, without merging — diagnostic helper."""
-        pos = offset
-        end = offset + length
-        while pos < end:
-            stripe_index = pos // self.stripe_size
-            stripe_end = (stripe_index + 1) * self.stripe_size
-            piece = min(end, stripe_end) - pos
-            yield (stripe_index, pos, piece)
-            pos += piece
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<StripeLayout size={self.stripe_size} "

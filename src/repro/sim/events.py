@@ -28,12 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Sentinel stored in ``Event._value`` before the event is triggered.
 PENDING = object()
 
-#: Priority used for ordinary events popped at equal timestamps.
-NORMAL = 1
-#: Priority that sorts *before* NORMAL at the same timestamp (used by the
-#: kernel to make resource releases visible before new acquisitions).
-URGENT = 0
-
 
 class Event:
     """A one-shot occurrence inside a simulation.

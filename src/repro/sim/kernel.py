@@ -8,10 +8,9 @@ a whole "cluster run" is a single-threaded, fully deterministic replay.
 Determinism contract
 --------------------
 Events scheduled for the same timestamp are processed in the order they
-were scheduled (FIFO via a monotonically increasing sequence number), with
-a two-level priority so that internal bookkeeping events (``URGENT``) beat
-ordinary ones.  Two runs of the same program produce bit-identical event
-orders and therefore identical timings and results.
+were scheduled (FIFO via a monotonically increasing sequence number).
+Two runs of the same program produce bit-identical event orders and
+therefore identical timings and results.
 
 Schedule shaking
 ----------------
@@ -20,8 +19,8 @@ grants under contention), but no *data result* may depend on it.  To
 make that checkable, a kernel constructed while
 :mod:`repro.flags` sets a ``shake`` seed replaces the raw sequence
 number in each queue entry with a seeded bijective permutation of it:
-same-``(time, priority)`` entries are then popped in a pseudo-random
-but fully deterministic order, while causal order is untouched (an
+same-time entries are then popped in a pseudo-random but fully
+deterministic order, while causal order is untouched (an
 event scheduled while processing another still runs after it, because
 time never goes backwards and the front slot only holds the global
 minimum).  The permutation is a bijection over 63 bits, so tie-break
@@ -44,7 +43,7 @@ from typing import Any, Generator, Iterable, List, Optional, Set, Tuple
 
 from .. import flags
 from ..errors import DeadlockError, SimulationError
-from .events import AllOf, AnyOf, Event, Timeout, NORMAL, URGENT
+from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 #: 63-bit mask for the shaken tie-break permutation (queue keys stay
@@ -78,7 +77,7 @@ class Kernel:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         #: Happens-before tracker (see module docstring); bound for the
         #: kernel's life when ``REPRO_RACES`` is on at construction.
@@ -94,7 +93,7 @@ class Kernel:
         #: The dominant scheduling pattern — an event processed now
         #: scheduling its successor for the immediate future — then
         #: costs one comparison instead of a heappush + heappop pair.
-        self._next: Optional[Tuple[float, int, int, Event]] = None
+        self._next: Optional[Tuple[float, int, Event]] = None
         #: Number of live (not yet finished) processes; used for deadlock
         #: detection when the queue drains.
         self._active_processes = 0
@@ -134,8 +133,7 @@ class Kernel:
         return Process(self, generator, name=name)
 
     # -- scheduling (used by Event/Process internals) ----------------------
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue a triggered ``event`` for processing at ``now + delay``.
 
         The entry lands in the front slot when it is the new global
@@ -156,7 +154,7 @@ class Kernel:
             seq = (x * 0x94D049BB133111EB + 1) & _SHAKE_MASK
         if self._tracker is not None:
             self._tracker.on_schedule(event)
-        entry = (self._now + delay, priority, seq, event)
+        entry = (self._now + delay, seq, event)
         head = self._next
         if head is None:
             queue = self._queue
@@ -170,10 +168,6 @@ class Kernel:
         else:
             heapq.heappush(self._queue, entry)
 
-    def schedule_urgent(self, event: Event) -> None:
-        """Enqueue ``event`` at the current time ahead of normal events."""
-        self.schedule(event, 0.0, priority=URGENT)
-
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event (advance the clock to it)."""
@@ -184,7 +178,7 @@ class Kernel:
             entry = heapq.heappop(self._queue)
         else:
             raise SimulationError("step() on an empty event queue")
-        self._now, _prio, _seq, event = entry
+        self._now, _seq, event = entry
         if self._tracker is not None:
             self._tracker.begin_event(event)
         callbacks = event.callbacks
@@ -225,7 +219,7 @@ class Kernel:
                     entry = pop(queue)
                 else:
                     break
-                self._now, _prio, _seq, event = entry
+                self._now, _seq, event = entry
                 if tracker is not None:
                     tracker.begin_event(event)
                 callbacks = event.callbacks

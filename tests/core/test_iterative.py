@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.core import (IterativeAnalysis, ObjectIO, SUM_OP, shift_plan,
+from repro.core import (IterativeAnalysis, ObjectIO, SUM_OP,
                         sliding_windows, translation_delta)
 from repro.core.iterative import IterativeStats
 from repro.dataspace import (DatasetSpec, RunList, Subarray,
@@ -74,7 +74,7 @@ def test_shift_plan_translates_everything():
 
     mpi_run(m, 4, main)
     plan = captured["plan"]
-    shifted = shift_plan(plan, 4096)
+    shifted = plan.shifted(4096)
     assert shifted.aggregators == plan.aggregators
     assert shifted.domains[0][0] == plan.domains[0][0] + 4096
     for ws, wo in zip(shifted.windows, plan.windows):

@@ -22,16 +22,20 @@ def _ok_points(n, base_seed=0):
 
 def test_sweepinterrupted_message_and_pickle():
     exc = SweepInterrupted(3, 8, "SIGTERM",
-                           "python -m repro.experiments fig10 --resume")
+                           "python -m repro.experiments fig10 --resume",
+                           journaled=True)
     assert exc.completed == 3
     assert exc.total == 8
     assert exc.signame == "SIGTERM"
     assert "interrupted by SIGTERM after 3 of 8 point(s)" in str(exc)
     assert "resume with: python -m repro.experiments fig10 --resume" in str(exc)
-    clone = pickle.loads(pickle.dumps(exc))
-    assert (clone.completed, clone.total, clone.signame,
-            clone.resume_hint) == (3, 8, "SIGTERM", exc.resume_hint)
-    assert str(clone) == str(exc)
+    for journaled in (True, False):
+        exc = SweepInterrupted(3, 8, "SIGTERM", exc.resume_hint, journaled)
+        clone = pickle.loads(pickle.dumps(exc))
+        assert (clone.completed, clone.total, clone.signame,
+                clone.resume_hint, clone.journaled) == (
+                    3, 8, "SIGTERM", exc.resume_hint, journaled)
+        assert str(clone) == str(exc)
 
 
 def test_sweepinterrupted_without_resume_hint():
@@ -69,10 +73,12 @@ def test_interrupt_counts_the_sweeps_points_not_the_journals(tmp_path):
     # One journal serves every sweep of a run (fig10 runs a calibration
     # sweep, then its points), so the progress report must count this
     # sweep's completed points, not the journal's files; and without a
-    # journal the points executed before the interrupt count too.
+    # journal the points executed before the interrupt count too, but
+    # the report must not claim they were journaled.
     journal = _journal(tmp_path)
     run_sweep(_ok_points(1, base_seed=9), jobs=1, journal=journal)
-    for run_journal in (journal, None):
+    for run_journal, claim in ((journal, "are journaled"),
+                               (None, "were not journaled")):
         marker_dir = tmp_path / f"markers-{run_journal is None}"
         marker_dir.mkdir()
         points = _ok_points(1) + [
@@ -82,6 +88,9 @@ def test_interrupt_counts_the_sweeps_points_not_the_journals(tmp_path):
         with pytest.raises(SweepInterrupted) as excinfo:
             run_sweep(points, jobs=1, journal=run_journal)
         assert (excinfo.value.completed, excinfo.value.total) == (1, 3)
+        assert excinfo.value.journaled is (run_journal is not None)
+        assert (f"after 1 of 3 point(s); completed points {claim}"
+                in str(excinfo.value))
 
 
 def test_sigterm_converts_to_sweepinterrupted(tmp_path):

@@ -1,11 +1,11 @@
 """The fig14 fault-rate sweep, at test scale."""
 
 from repro.experiments import fig14_faults
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import MODULES
 
 
 def test_fig14_registered():
-    assert EXPERIMENTS["fig14"] is fig14_faults.run
+    assert MODULES["fig14"] is fig14_faults
 
 
 def test_fig14_small_sweep_reproduces_fault_free_numbers():

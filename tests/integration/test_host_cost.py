@@ -4,11 +4,14 @@ kernel events that model nothing.
 
 One Figure 11-shaped collective-computing job (contiguous decomposition,
 64 KiB collective buffer, one aggregator per node, all-to-all reduce)
-runs at P = 64 and P = 128, counting the calls of three per-rank
+runs at P = 64 and P = 128, counting the calls of four per-rank
 primitives: the allgather's ``wire_size``, the placement's
-``Machine.node_of_rank`` and the plan memo's ``RunList.signature``.
-Linear total work grows each count about 2x when P doubles; a per-peer
-walk repeated on every rank grows it 4x.  The bound is 2.5x.
+``Machine.node_of_rank``, the plan memo's ``RunList.signature`` and
+``RunList.clip``, which the schedule and, under ``REPRO_CHECK`` (on in
+this suite), the plan sanitizer call.  Linear total work grows each
+count about 2x when P doubles; a per-peer walk repeated on every rank
+(or a check clipping every (rank, window) pair) grows it 4x.  The bound
+is 2.5x.
 """
 
 import math
@@ -32,7 +35,7 @@ MAX_EVENTS_P128 = 8600
 
 
 def _counted_job(monkeypatch, nprocs):
-    counts = {"wire_size": 0, "node_of_rank": 0, "signature": 0}
+    counts = {"wire_size": 0, "node_of_rank": 0, "signature": 0, "clip": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -50,6 +53,7 @@ def _counted_job(monkeypatch, nprocs):
                    counting("node_of_rank", Machine.node_of_rank))
         mp.setattr(RunList, "signature",
                    counting("signature", RunList.signature))
+        mp.setattr(RunList, "clip", counting("clip", RunList.clip))
         out = run_objectio_job(platform, workload, op, block=False,
                                reduce_mode="all_to_all",
                                hints=fig11.HINTS_FIG11)

@@ -1,11 +1,11 @@
 """The fig15 silent-corruption sweep, at test scale."""
 
 from repro.experiments import fig15_integrity
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import MODULES
 
 
 def test_fig15_registered():
-    assert EXPERIMENTS["fig15"] is fig15_integrity.run
+    assert MODULES["fig15"] is fig15_integrity
 
 
 def test_fig15_small_sweep_reproduces_checksums_off_numbers():

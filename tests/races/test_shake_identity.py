@@ -1,11 +1,11 @@
 """Schedule-invariance tests: shaking the event queue must not change
 any data result.
 
-The shaker permutes same-``(time, priority)`` tie-breaks with a seeded
-bijection, so each seed is a different — but fully deterministic —
-interleaving of simultaneously-enabled events.  Data results must be
-bit-identical across schedules everywhere; figures whose rows carry no
-contended timings must be *row*-identical too.
+The shaker permutes same-time tie-breaks with a seeded bijection, so
+each seed is a different — but fully deterministic — interleaving of
+simultaneously-enabled events.  Data results must be bit-identical
+across schedules everywhere; figures whose rows carry no contended
+timings must be *row*-identical too.
 """
 
 import numpy as np
