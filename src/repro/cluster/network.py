@@ -14,7 +14,7 @@ transfers (an out-holder waits only on in-slots, never on out-slots).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Generator, List
 
 from ..config import CostModel
 from ..sim import Kernel, hold
@@ -43,21 +43,10 @@ class Network:
         self.nodes = nodes
         self.topology = topology
         self.cost = cost
-        #: Cumulative transferred bytes keyed by (src_node, dst_node);
-        #: experiments use this to report shuffle traffic volumes.
-        self.traffic: Dict[tuple, int] = {}
         #: Total bytes moved across node boundaries.
         self.inter_node_bytes = 0
         #: Total bytes moved within nodes (shared memory).
         self.intra_node_bytes = 0
-
-    def _account(self, src: int, dst: int, nbytes: int) -> None:
-        key = (src, dst)
-        self.traffic[key] = self.traffic.get(key, 0) + nbytes
-        if src == dst:
-            self.intra_node_bytes += nbytes
-        else:
-            self.inter_node_bytes += nbytes
 
     def transfer(self, src: int, dst: int, nbytes: int) -> Generator:
         """Sub-process performing one message transfer.
@@ -70,10 +59,11 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        self._account(src, dst, nbytes)
         if src == dst:
+            self.intra_node_bytes += nbytes
             yield self.kernel.timeout(self.cost.intra_node_msg_time(nbytes))
             return
+        self.inter_node_bytes += nbytes
         hops = self.topology.hops(src, dst)
         # Keeps ``src.nic_out`` while it queues for ``dst.nic_in``.
         yield from hold((self.nodes[src].nic_out, self.nodes[dst].nic_in),
@@ -101,9 +91,3 @@ class Network:
         self.inter_node_bytes += nbytes
         yield from hold(self.nodes[src].nic_out,
                         self.cost.msg_time(nbytes, hops=1))
-
-    def reset_counters(self) -> None:
-        """Clear traffic accounting (between experiment phases)."""
-        self.traffic.clear()
-        self.inter_node_bytes = 0
-        self.intra_node_bytes = 0

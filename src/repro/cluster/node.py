@@ -12,8 +12,6 @@ A :class:`Node` contributes three contention points to the simulation:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Kernel, Resource
 
 

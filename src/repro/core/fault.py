@@ -28,7 +28,7 @@ results at degraded speed.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Generator, List, Optional, Set, Tuple
+from typing import AbstractSet, Generator, List, Optional, Tuple
 
 from ..errors import CollectiveComputingError
 from ..io import AccessRequest
@@ -38,7 +38,7 @@ from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
 from .metadata import CCStats
 from .object_io import ObjectIO
-from .runtime import CCResult, cc_read_compute
+from .runtime import cc_read_compute
 
 
 def degrade_plan(plan: TwoPhasePlan,

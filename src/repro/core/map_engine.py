@@ -16,7 +16,7 @@ inside the I/O pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ per dimension per block) plus the payload size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..dataspace import LogicalBlock
 

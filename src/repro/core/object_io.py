@@ -13,7 +13,6 @@ identical to the traditional MPI-IO code").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..dataspace import DatasetSpec, Subarray
 from ..errors import CollectiveComputingError

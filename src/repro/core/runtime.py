@@ -76,14 +76,13 @@ def map_window(ctx: RankContext, oio: ObjectIO, window_data: np.ndarray,
     (bytes from file offset ``read_lo``), record the ``map`` phase and
     return the partials.
 
-    Partials get provenance digests when the machine's integrity
-    manager verifies reduces.  CPU is charged as an aggregator's
+    Partials get provenance digests when the machine has an integrity
+    manager attached.  CPU is charged as an aggregator's
     fan-out over its node's idle cores (Figure 7's worker threads) or,
     with ``fan_out=False``, on the rank's own core."""
     t0 = ctx.kernel.now
     op = oio.op
-    integ = getattr(ctx.machine, "integrity", None)
-    stamp = integ is not None and integ.config.verify_reduce
+    stamp = getattr(ctx.machine, "integrity", None) is not None
     partials: List[PartialResult] = []
     elements = 0
     for r, pieces in members:

@@ -12,8 +12,6 @@ import math
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import DataspaceError
 from .subarray import Subarray
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import DataspaceError
 from .dataset import DatasetSpec
 

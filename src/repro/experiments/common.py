@@ -13,17 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..cluster import Machine
 from ..config import CostModel, MiB, PlatformSpec
-from ..core import CCStats, MapReduceOp, ObjectIO, object_get
-from ..errors import ConfigError
+from ..core import SUM_OP, CCStats, MapReduceOp, ObjectIO, object_get
+from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
+                      resilient_object_get)
+from ..integrity import IntegrityManager
 from ..io import CollectiveHints
 from ..mpi import mpi_run
-from ..pfs import PFSFile
-from ..profiling import (CpuProfiler, PhaseTimeline, format_bar_chart,
-                         format_kv, format_table)
+from ..profiling import CpuProfiler, PhaseTimeline, format_kv, format_table
 from ..sim import Kernel
 from ..workloads.climate import Workload, climate_field
 
@@ -79,10 +77,18 @@ def hopper_platform(nodes: int, *, cores_per_node: int = 24,
 
 @dataclass
 class RunOutcome:
-    """Everything measured from one simulated job."""
+    """Everything measured from one simulated job.
 
-    #: Simulated wall time of the whole job (seconds).
+    It keeps numbers, the per-rank results and the recorders, never the
+    machine: a sweep point may hold several outcomes at once.
+    """
+
+    #: Simulated time when the job's event queue drained (seconds).
     time: float
+    #: The latest per-rank finish (seconds).  A resilient job's
+    #: cancelled receive timers keep the queue running past it, so this
+    #: is that job's completion time.
+    finish: float
     #: Per-rank return values.
     results: List[Any]
     #: The CC statistics accumulator (shared across ranks).
@@ -91,12 +97,20 @@ class RunOutcome:
     timeline: Optional[PhaseTimeline]
     #: CPU profiler, if requested.
     profiler: Optional[CpuProfiler]
-    #: Total payload bytes sent through MPI messages.
-    mpi_bytes: int
-    #: Total MPI messages.
-    mpi_messages: int
-    #: Bytes served by the file system.
-    fs_bytes: int
+    #: Bytes moved across node boundaries (messages and file traffic).
+    inter_node_bytes: int
+    #: Bytes moved within nodes (shared-memory messages).
+    intra_node_bytes: int
+    #: Injected faults, integrity detections and recovery records
+    #: (0 without a fault plan or integrity checking).
+    injected: int
+    detected: int
+    recovered: int
+
+    @property
+    def mpi_bytes(self) -> int:
+        """Every byte the interconnect carried (inter- plus intra-node)."""
+        return self.inter_node_bytes + self.intra_node_bytes
 
     @property
     def global_result(self) -> Any:
@@ -114,12 +128,19 @@ def run_objectio_job(platform: PlatformSpec, workload: Workload,
                      field_func: Callable = climate_field,
                      record_timeline: bool = False,
                      record_cpu: bool = False,
-                     mode: str = "collective") -> RunOutcome:
+                     mode: str = "collective",
+                     policy: Optional[RecoveryPolicy] = None,
+                     faults: Optional[FaultPlan] = None,
+                     integrity: bool = False) -> RunOutcome:
     """Build a fresh machine + file and run one analysis job on it.
 
     ``block=True`` gives the traditional-MPI baseline; ``block=False``
-    the collective-computing pipeline.  Every run uses its own kernel,
-    so outcomes are independent and deterministic.
+    the collective-computing pipeline.  A ``policy`` runs the resilient
+    twin of either (:func:`~repro.faults.resilient_object_get`);
+    ``faults`` attaches a :class:`~repro.faults.FaultInjector` with
+    that plan and ``integrity`` an
+    :class:`~repro.integrity.IntegrityManager`.  Every run uses its
+    own kernel, so outcomes are independent and deterministic.
     """
     kernel = Kernel()
     machine = Machine(kernel, platform)
@@ -130,53 +151,44 @@ def run_objectio_job(platform: PlatformSpec, workload: Workload,
         func=field_func, stripe_size=stripe_size,
         stripe_count=stripe_count if stripe_count is not None else -1,
     )
+    integ = IntegrityManager.attach(machine) if integrity else None
+    injector = (FaultInjector.attach(machine, faults)
+                if faults is not None else None)
     timeline = PhaseTimeline() if record_timeline else None
     profiler = CpuProfiler(nprocs) if record_cpu else None
     stats = CCStats()
+    finish = [0.0] * nprocs
 
     def main(ctx) -> Generator:
         oio = ObjectIO(workload.dspec, workload.parts[ctx.rank], op,
                        mode=mode, block=block, reduce_mode=reduce_mode,
                        hints=hints)
-        result = yield from object_get(ctx, file, oio, timeline, stats)
+        if policy is None:
+            result = yield from object_get(ctx, file, oio, timeline, stats)
+        else:
+            result = yield from resilient_object_get(ctx, file, oio, policy,
+                                                     timeline, stats)
+        finish[ctx.rank] = ctx.kernel.now
         return result
 
     results = mpi_run(machine, nprocs, main, profiler=profiler)
     return RunOutcome(
-        time=kernel.now, results=results, stats=stats, timeline=timeline,
-        profiler=profiler,
-        mpi_bytes=_world_bytes(machine),
-        mpi_messages=_world_messages(machine),
-        fs_bytes=machine.fs.total_bytes_served(),
+        time=kernel.now, finish=max(finish), results=results, stats=stats,
+        timeline=timeline, profiler=profiler,
+        inter_node_bytes=machine.network.inter_node_bytes,
+        intra_node_bytes=machine.network.intra_node_bytes,
+        injected=len(injector.injected()) if injector is not None else 0,
+        detected=integ.detected() if integ is not None else 0,
+        recovered=len(injector.recovered()) if injector is not None else 0,
     )
 
 
-def _world_bytes(machine: Machine) -> int:
-    return machine.network.inter_node_bytes + machine.network.intra_node_bytes
-
-
-def _world_messages(machine: Machine) -> int:
-    return len(machine.network.traffic)
-
-
-def measure_io_time(platform: PlatformSpec, workload: Workload, *,
-                    hints: CollectiveHints = DEFAULT_HINTS,
-                    stripe_size: int = 1 * MiB,
-                    stripe_count: Optional[int] = None,
-                    with_shuffle: bool = False) -> float:
-    """The ``I/O`` denominator of the paper's ratios.
-
-    By default this is the *data-ingestion* time: a collective-computing
-    run with negligible compute, i.e. the read pipeline without the raw
-    shuffle.  ``with_shuffle=True`` instead times the full traditional
-    two-phase read (read + shuffle).
-    """
-    from ..core import SUM_OP
-    out = run_objectio_job(platform, workload, SUM_OP.with_cost(1e-9),
-                           block=with_shuffle, hints=hints,
-                           stripe_size=stripe_size,
-                           stripe_count=stripe_count)
-    return out.time
+def measure_io_time(platform: PlatformSpec, workload: Workload) -> float:
+    """The ``I/O`` denominator of the paper's ratios: the
+    *data-ingestion* time, i.e. a collective-computing run with
+    negligible compute (the read pipeline without the raw shuffle)."""
+    return run_objectio_job(platform, workload, SUM_OP.with_cost(1e-9),
+                            block=False).time
 
 
 @dataclass

@@ -23,16 +23,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster import Machine
 from ..config import KiB, MiB
-from ..core import ObjectIO, SUM_OP
-from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
-                      RetryPolicy)
-from ..faults.resilient import resilient_object_get
-from ..mpi import mpi_run
-from ..sim import Kernel
-from ..workloads.climate import Workload, interleaved_workload
-from .common import (DEFAULT_HINTS, ExperimentResult, hopper_platform,
+from ..core import SUM_OP
+from ..faults import FaultPlan, RecoveryPolicy, RetryPolicy
+from ..pfs import default_field
+from ..workloads.climate import interleaved_workload
+from .common import (ExperimentResult, hopper_platform, run_objectio_job,
                      sweep)
 
 #: Injected fault rates swept (0.0 first: the bit-identity reference).
@@ -46,6 +42,9 @@ STRAGGLE_SECONDS = 1.0
 #: ``--quick`` configuration.
 QUICK_KWARGS: Dict[str, Any] = dict(nprocs=24, per_rank_kib=128,
                                     fault_rates=(0.0, 0.1, 0.4))
+
+#: Recovery policy of every job (the settings report its knobs).
+POLICY = RecoveryPolicy(retry=RetryPolicy(max_retries=6))
 
 _FN = "repro.experiments.fig14_faults:run_point"
 
@@ -61,53 +60,18 @@ def _fault_plan(rate: float, seed: int) -> Optional[FaultPlan]:
                              agg_straggle_seconds=STRAGGLE_SECONDS)
 
 
-def _run_resilient(platform, workload: Workload, op, *, block: bool,
-                   plan: Optional[FaultPlan],
-                   policy: RecoveryPolicy) -> Tuple[float, int, int, int, Any]:
-    """One resilient job: returns (completion time, wire bytes,
-    injected count, recovery count, root's global result)."""
-    kernel = Kernel()
-    machine = Machine(kernel, platform)
-    nprocs = workload.nprocs
-    machine.validate_job(nprocs)
-    file = machine.fs.create_procedural_file(
-        "dataset.nc", workload.dspec.n_elements,
-        dtype=workload.dspec.dtype, stripe_size=1 * MiB, stripe_count=-1)
-    if plan is not None:
-        FaultInjector.attach(machine, plan)
-    finish = [0.0] * nprocs
-
-    def main(ctx):
-        oio = ObjectIO(workload.dspec, workload.parts[ctx.rank], op,
-                       block=block, hints=DEFAULT_HINTS)
-        result = yield from resilient_object_get(ctx, file, oio,
-                                                 policy=policy)
-        # Completion = the rank finishing, not the queue draining:
-        # cancelled receives leave their timeout events pending.
-        finish[ctx.rank] = ctx.kernel.now
-        return result
-
-    results = mpi_run(machine, nprocs, main)
-    wire = machine.network.inter_node_bytes + machine.network.intra_node_bytes
-    injected = recovered = 0
-    if machine.faults is not None:
-        injected = len(machine.faults.injected())
-        recovered = len(machine.faults.recovered())
-        FaultInjector.detach(machine)
-    return max(finish), wire, injected, recovered, results[0].global_result
-
-
 def run_point(nprocs: int, per_rank_kib: int, rate: float, seed: int,
               block: bool) -> Tuple[float, int, int, int, Any]:
-    """One resilient job (one pipeline at one fault rate); returns the
-    raw ``_run_resilient`` tuple for the merge phase."""
-    platform = hopper_platform(max(1, -(-nprocs // 24)))
-    workload = interleaved_workload(nprocs,
-                                    per_rank_bytes=per_rank_kib * KiB)
-    policy = RecoveryPolicy(retry=RetryPolicy(max_retries=6))
-    plan = _fault_plan(rate, seed)
-    return _run_resilient(platform, workload, SUM_OP, block=block,
-                          plan=plan, policy=policy)
+    """One resilient job (one pipeline at one fault rate); returns
+    (completion time, wire bytes, injected count, recovery count,
+    root's global result) for the merge phase."""
+    out = run_objectio_job(
+        hopper_platform(max(1, -(-nprocs // 24))),
+        interleaved_workload(nprocs, per_rank_bytes=per_rank_kib * KiB),
+        SUM_OP, block=block, field_func=default_field, policy=POLICY,
+        faults=_fault_plan(rate, seed))
+    return (out.finish, out.mpi_bytes, out.injected, out.recovered,
+            out.global_result)
 
 
 def points(nprocs: int, per_rank_kib: int, fault_rates: Sequence[float],
@@ -131,7 +95,6 @@ def run(nprocs: int = 48, per_rank_kib: int = 512,
         journal: Any = None) -> ExperimentResult:
     """Regenerate Figure 14 (completion time and wire bytes vs injected
     fault rate, resilient CC vs resilient two-phase baseline)."""
-    policy = RecoveryPolicy(retry=RetryPolicy(max_retries=6))
     payloads = sweep(_FN, points(nprocs, per_rank_kib, fault_rates, seed),
                      jobs=jobs, cache=cache, journal=journal)
     rows: List[Tuple] = []
@@ -157,9 +120,9 @@ def run(nprocs: int = 48, per_rank_kib: int = 512,
             ("per-rank request (KiB)", per_rank_kib),
             ("fault-plan seed", seed),
             ("straggle (s)", STRAGGLE_SECONDS),
-            ("receive timeout (s)", policy.read_timeout),
-            ("min aggregator fraction", policy.min_aggregator_fraction),
-            ("retry budget", policy.retry.max_retries),
+            ("receive timeout (s)", POLICY.read_timeout),
+            ("min aggregator fraction", POLICY.min_aggregator_fraction),
+            ("retry budget", POLICY.retry.max_retries),
         ],
         paper_expectation=(
             "not in the paper (its conclusion leaves fault tolerance "

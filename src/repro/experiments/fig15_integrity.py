@@ -29,17 +29,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster import Machine
 from ..config import KiB, MiB
-from ..core import ObjectIO, SUM_OP
-from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
-                      RetryPolicy)
-from ..faults.resilient import resilient_object_get
-from ..integrity import IntegrityManager
-from ..mpi import mpi_run
-from ..sim import Kernel
-from ..workloads.climate import Workload, interleaved_workload
-from .common import (DEFAULT_HINTS, ExperimentResult, hopper_platform,
+from ..core import SUM_OP
+from ..faults import FaultPlan, RecoveryPolicy, RetryPolicy
+from ..pfs import default_field
+from ..workloads.climate import interleaved_workload
+from .common import (ExperimentResult, hopper_platform, run_objectio_job,
                      sweep)
 
 #: Corruption rates swept (0.0 first: prices the idle integrity layer
@@ -51,6 +46,9 @@ SEED = 2015
 #: ``--quick`` configuration.
 QUICK_KWARGS: Dict[str, Any] = dict(nprocs=12, per_rank_kib=32,
                                     corrupt_rates=(0.0, 0.02, 0.1))
+
+#: Recovery policy of every job (the settings report its knobs).
+POLICY = RecoveryPolicy(retry=RetryPolicy(max_retries=6))
 
 _FN = "repro.experiments.fig15_integrity:run_point"
 
@@ -65,55 +63,19 @@ def _corruption_plan(rate: float, seed: int) -> Optional[FaultPlan]:
                      corrupt_msg_rate=rate)
 
 
-def _run_checked(platform, workload: Workload, op, *, block: bool,
-                 plan: Optional[FaultPlan], policy: RecoveryPolicy,
-                 checksums: bool) -> Tuple[float, int, int, int, Any]:
-    """One job; returns (completion time, wire bytes, detections,
-    repair-record count, root's global result)."""
-    kernel = Kernel()
-    machine = Machine(kernel, platform)
-    nprocs = workload.nprocs
-    machine.validate_job(nprocs)
-    file = machine.fs.create_procedural_file(
-        "dataset.nc", workload.dspec.n_elements,
-        dtype=workload.dspec.dtype, stripe_size=1 * MiB, stripe_count=-1)
-    integ = IntegrityManager.attach(machine) if checksums else None
-    if plan is not None:
-        FaultInjector.attach(machine, plan)
-    finish = [0.0] * nprocs
-
-    def main(ctx):
-        oio = ObjectIO(workload.dspec, workload.parts[ctx.rank], op,
-                       block=block, hints=DEFAULT_HINTS)
-        result = yield from resilient_object_get(ctx, file, oio,
-                                                 policy=policy)
-        finish[ctx.rank] = ctx.kernel.now
-        return result
-
-    results = mpi_run(machine, nprocs, main)
-    wire = machine.network.inter_node_bytes + machine.network.intra_node_bytes
-    detected = integ.detected() if integ is not None else 0
-    repaired = 0
-    if machine.faults is not None:
-        repaired = len(machine.faults.recovered())
-        FaultInjector.detach(machine)
-    if integ is not None:
-        IntegrityManager.detach(machine)
-    return max(finish), wire, detected, repaired, results[0].global_result
-
-
 def run_point(nprocs: int, per_rank_kib: int, rate: float, seed: int,
               block: bool, checksums: bool) -> Tuple[float, int, int, int,
                                                      Any]:
-    """One job (one pipeline at one corruption rate, checksums on or
-    off); returns the raw ``_run_checked`` tuple for the merge phase."""
-    platform = hopper_platform(max(1, -(-nprocs // 24)))
-    workload = interleaved_workload(nprocs,
-                                    per_rank_bytes=per_rank_kib * KiB)
-    policy = RecoveryPolicy(retry=RetryPolicy(max_retries=6))
-    plan = _corruption_plan(rate, seed)
-    return _run_checked(platform, workload, SUM_OP, block=block,
-                        plan=plan, policy=policy, checksums=checksums)
+    """One resilient job (one pipeline at one corruption rate, checksums
+    on or off); returns (completion time, wire bytes, detections,
+    repair-record count, root's global result) for the merge phase."""
+    out = run_objectio_job(
+        hopper_platform(max(1, -(-nprocs // 24))),
+        interleaved_workload(nprocs, per_rank_bytes=per_rank_kib * KiB),
+        SUM_OP, block=block, field_func=default_field, policy=POLICY,
+        faults=_corruption_plan(rate, seed), integrity=checksums)
+    return (out.finish, out.mpi_bytes, out.detected, out.recovered,
+            out.global_result)
 
 
 def points(nprocs: int, per_rank_kib: int,
@@ -144,7 +106,6 @@ def run(nprocs: int = 24, per_rank_kib: int = 64,
     """Regenerate Figure 15 (completion time and wire bytes vs silent
     corruption rate, checksummed CC vs checksummed two-phase, verified
     bit-identical to the checksums-off fault-free run)."""
-    policy = RecoveryPolicy(retry=RetryPolicy(max_retries=6))
     payloads = sweep(_FN, points(nprocs, per_rank_kib, corrupt_rates, seed),
                      jobs=jobs, cache=cache, journal=journal)
     # The reference: checksums off, no faults.  Every checksummed row —
@@ -170,8 +131,8 @@ def run(nprocs: int = 24, per_rank_kib: int = 64,
             ("processes", nprocs),
             ("per-rank request (KiB)", per_rank_kib),
             ("fault-plan seed", seed),
-            ("receive timeout (s)", policy.read_timeout),
-            ("retry budget", policy.retry.max_retries),
+            ("receive timeout (s)", POLICY.read_timeout),
+            ("retry budget", POLICY.retry.max_retries),
         ],
         paper_expectation=(
             "not in the paper (it assumes faithful storage and wires): "

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ..cluster import Machine
 from ..config import KiB, MiB
-from ..core import MAXLOC_OP, ObjectIO, object_get
+from ..core import MAXLOC_OP
 from ..io import CollectiveHints
-from ..mpi import mpi_run
-from ..sim import Kernel
+from ..pfs import default_field
 from ..workloads.climate import interleaved_workload
-from .common import (ExperimentResult, hopper_platform, sweep)
+from .common import (ExperimentResult, hopper_platform, run_objectio_job,
+                     sweep)
 
 #: Ranks-per-node sweep (1 first: the degenerate self-leader reference).
 RPNS: Tuple[int, ...] = (1, 2, 4, 8)
@@ -50,27 +49,14 @@ def run_point(nprocs: int, rpn: int, per_rank_kib: int, time_steps: int,
     """One job at one (ranks-per-node, pipeline, protocol) point;
     returns (completion time, inter-node bytes, intra-node bytes,
     root's global result) for the merge phase."""
-    platform = hopper_platform(nprocs // rpn, cores_per_node=rpn)
-    workload = interleaved_workload(nprocs,
-                                    per_rank_bytes=per_rank_kib * KiB,
-                                    time_steps=time_steps)
-    hints = CollectiveHints(cb_buffer_size=1 * MiB, two_level=two_level)
-    kernel = Kernel()
-    machine = Machine(kernel, platform)
-    machine.validate_job(nprocs)
-    file = machine.fs.create_procedural_file(
-        "dataset.nc", workload.dspec.n_elements,
-        dtype=workload.dspec.dtype, stripe_size=1 * MiB, stripe_count=-1)
-
-    def main(ctx):
-        oio = ObjectIO(workload.dspec, workload.parts[ctx.rank], MAXLOC_OP,
-                       block=block, hints=hints)
-        result = yield from object_get(ctx, file, oio)
-        return result.global_result
-
-    results = mpi_run(machine, nprocs, main)
-    return (kernel.now, machine.network.inter_node_bytes,
-            machine.network.intra_node_bytes, results[0])
+    out = run_objectio_job(
+        hopper_platform(nprocs // rpn, cores_per_node=rpn),
+        interleaved_workload(nprocs, per_rank_bytes=per_rank_kib * KiB,
+                             time_steps=time_steps),
+        MAXLOC_OP, block=block, field_func=default_field,
+        hints=CollectiveHints(cb_buffer_size=1 * MiB, two_level=two_level))
+    return (out.time, out.inter_node_bytes, out.intra_node_bytes,
+            out.global_result)
 
 
 def points(nprocs: int, per_rank_kib: int, time_steps: int,

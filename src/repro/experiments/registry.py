@@ -15,10 +15,11 @@ from . import (fig01_io_profile, fig02_cpu_collective, fig03_cpu_independent,
                fig16_intranode, table1_incite)
 from .common import ExperimentResult
 
-#: All experiment modules, in paper order.  Every module exposes the
-#: sweep protocol — ``points()`` + ``run_point()`` consumed by
-#: :func:`repro.parallel.run_sweep`, a ``run(*, jobs=1, cache=None)``
-#: entrypoint, and a ``QUICK_KWARGS`` dict for ``--quick``.
+#: All experiment modules, in paper order.  Every module exposes a
+#: ``run(*, jobs=1, cache=None, journal=None)`` entrypoint and a
+#: ``QUICK_KWARGS`` dict for ``--quick``; its sweep points come from a
+#: ``points()`` + ``run_point()`` pair consumed by
+#: :func:`repro.parallel.run_sweep` (Figure 3 runs Figure 2's).
 MODULES: Dict[str, ModuleType] = {
     "table1": table1_incite,
     "fig1": fig01_io_profile,

@@ -103,8 +103,7 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
     in the agreement).  An injected straggle stalls the window's
     handler before it sends."""
     faults = getattr(ctx.machine, "faults", None)
-    integ = getattr(ctx.machine, "integrity", None)
-    wire_on = integ is not None and integ.config.wire_digests
+    wire_on = getattr(ctx.machine, "integrity", None) is not None
     wrapper = WINDOW_KEY_BYTES + (DIGEST_NBYTES if wire_on else 0)
     crash_at = (faults.crash_iteration(ctx.rank, len(assigned), round_index)
                 if faults is not None else None)
@@ -149,10 +148,10 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
 
 def _take_window(ctx: RankContext, integ, msg, key: WindowKey,
                  got: Dict[WindowKey, Any]) -> bool:
-    """Verify (when wire digests are on) and store one delivered window
+    """Verify (when integrity is attached) and store one delivered window
     payload; returns ``True`` when the payload was corrupt in transit
     (detected, discarded, to be re-served next round)."""
-    if integ is not None and integ.config.wire_digests:
+    if integ is not None:
         _rkey, payload, digest = msg.data
         if payload_digest(payload) != digest:
             integ.wire_detection(ctx.rank, msg.source, key, msg.tag)
@@ -180,14 +179,13 @@ def _collect_round(ctx: RankContext, expect: List[Tuple[int, WindowKey]],
     feed the suspect set."""
     faults = getattr(ctx.machine, "faults", None)
     integ = getattr(ctx.machine, "integrity", None)
-    wire_on = integ is not None and integ.config.wire_digests
     missed: List[WindowKey] = []
     corrupt: List[WindowKey] = []
     suspects: set = set()
     for slot, key in expect:
         src = server_of[key]
         if src in suspects:
-            if wire_on:
+            if integ is not None:
                 req = ctx.comm.irecv(src, base_tag + slot)
                 # A synchronous match against the unexpected queue
                 # triggers the event immediately (before the kernel
@@ -238,8 +236,7 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
     """
     kernel = ctx.kernel
     faults = getattr(ctx.machine, "faults", None)
-    integ = getattr(ctx.machine, "integrity", None)
-    wire_on = integ is not None and integ.config.wire_digests
+    wire_on = getattr(ctx.machine, "integrity", None) is not None
     # The windows one round serves: every plan window in round 0, the
     # agreed missing ones in each failover round.
     keys: List[WindowKey] = _plan_keys(plan)

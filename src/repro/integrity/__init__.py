@@ -25,7 +25,7 @@ same way :class:`~repro.faults.FaultInjector` attaches injection.
 
 from .corrupt import corrupt_object, flip_bit
 from .digest import DIGEST_NBYTES, crc32c, partial_digest, payload_digest
-from .manager import IntegrityConfig, IntegrityManager
+from .manager import IntegrityManager
 
 __all__ = [
     "DIGEST_NBYTES",
@@ -34,6 +34,5 @@ __all__ = [
     "partial_digest",
     "flip_bit",
     "corrupt_object",
-    "IntegrityConfig",
     "IntegrityManager",
 ]

@@ -3,7 +3,7 @@
 Mirror of :class:`~repro.faults.injector.FaultInjector`: integrity is
 an opt-in runtime attachment (``IntegrityManager.attach(machine)``), so
 the fault-free hot path — every existing figure — pays nothing when it
-is off.  Attached, it wires three verification points:
+is off.  Attached, it wires all three verification points:
 
 * **storage** — every :meth:`repro.pfs.LustreFS.read` recomputes the
   per-stripe-block CRC32C digests of the served extent against the
@@ -26,8 +26,7 @@ one Chrome trace), falling back to a local record list otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..errors import IntegrityError
 from ..obs import metrics
@@ -37,32 +36,11 @@ from .digest import crc32c, partial_digest
 _DETECT_KINDS = ("ost", "msg", "partial")
 
 
-@dataclass(frozen=True)
-class IntegrityConfig:
-    """Which verification points are active.
-
-    All three default on; experiments flip individual layers to price
-    them separately (Figure 15 measures the whole stack).
-    """
-
-    #: Verify served extents against stored block digests in
-    #: :meth:`repro.pfs.LustreFS.read`.
-    verify_reads: bool = True
-    #: Stamp + check data-plane window messages in the resilient
-    #: exchange.
-    wire_digests: bool = True
-    #: Stamp partial results with provenance digests and re-verify at
-    #: combine/construct time.
-    verify_reduce: bool = True
-
-
 class IntegrityManager:
     """Runtime integrity verification for one simulated machine."""
 
-    def __init__(self, machine, config: Optional[IntegrityConfig] = None
-                 ) -> None:
+    def __init__(self, machine) -> None:
         self.machine = machine
-        self.config = config or IntegrityConfig()
         #: Fallback detection log when no injector is attached.
         self.records: List[Any] = []
         #: Stripe blocks digested at create/refresh time.
@@ -76,11 +54,10 @@ class IntegrityManager:
 
     # -- wiring ------------------------------------------------------------
     @classmethod
-    def attach(cls, machine, config: Optional[IntegrityConfig] = None
-               ) -> "IntegrityManager":
+    def attach(cls, machine) -> "IntegrityManager":
         """Create a manager, wire it into ``machine`` and its file
         system, and digest every already-registered file."""
-        manager = cls(machine, config)
+        manager = cls(machine)
         machine.integrity = manager
         machine.fs.integrity = manager
         for file in machine.fs._files.values():
@@ -195,8 +172,6 @@ class IntegrityManager:
         means corruption slipped past the wire check — there is no
         repair path this late, so it raises.
         """
-        if not self.config.verify_reduce:
-            return
         for p in partials:
             if p is None or getattr(p, "digest", None) is None:
                 continue

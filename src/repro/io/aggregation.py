@@ -8,7 +8,7 @@ even partitioning, with optional Lustre-style stripe alignment.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

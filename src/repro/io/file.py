@@ -12,10 +12,9 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..dataspace import RunList
 from ..errors import IOLayerError
 from ..mpi import RankContext
-from ..mpi.datatypes import Basic, Datatype
+from ..mpi.datatypes import Datatype
 from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
 from .hints import CollectiveHints

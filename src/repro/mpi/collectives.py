@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional, Sequence
 
 from ..errors import MPIError
-from .comm import ANY_SOURCE, CommHandle
+from .comm import CommHandle
 from .op import Op
 from .wire import CONTAINER_OVERHEAD, wire_size
 

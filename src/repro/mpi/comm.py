@@ -190,8 +190,7 @@ class Communicator:
         # Held-back values are None for messages the fault injector
         # dropped after they occupied the wire (sequencing still moves).
         self._held_back: Dict[Tuple[int, int], Dict[int, Optional[Message]]] = {}
-        #: Total messages and payload bytes sent (experiment accounting).
-        self.messages_sent = 0
+        #: Total payload bytes sent.
         self.bytes_sent = 0
         #: Collective-protocol verifier (:mod:`repro.check.protocol`),
         #: attached when ``REPRO_CHECK`` is on at construction.  With it
@@ -396,7 +395,6 @@ class CommHandle:
         races = self.comm.races
         if races is not None:
             races.note_send(msg)
-        self.comm.messages_sent += 1
         self.comm.bytes_sent += size
         m = metrics.current()
         if m is not None:

@@ -14,7 +14,7 @@ Offsets in a flattened type are **relative to the type's origin**;
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ tuples for the ``*LOC`` variants) element-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 

@@ -83,23 +83,22 @@ class RankContext:
         duration *= self.node.slowdown
         yield from self._occupy_cores(duration, "user")
 
-    def compute_parallel(self, elements: int, ops_per_element: float = 1.0,
-                         ways: Optional[int] = None) -> Generator:
-        """Compute using up to ``ways`` cores of this node concurrently.
+    def compute_parallel(self, elements: int,
+                         ops_per_element: float = 1.0) -> Generator:
+        """Compute on every core of this node concurrently (at most one
+        core per element).
 
         Models the threaded runtime of the paper's Figure 7: a
         collective-computing aggregator maps the freshly read window
         with worker threads on its node's otherwise-idle cores (the
         node's other ranks are blocked waiting for partial results).
-        Work splits evenly, and the fan-out is one ``ways``-unit
+        Work splits evenly, and the fan-out is one multi-unit
         :func:`~repro.sim.resources.hold` on the node's cores: one
         event when the cores are free, FIFO queueing per core when
         other ranks are genuinely computing.  Each core's share is one
         profiler interval.
         """
-        if ways is None:
-            ways = self.node.n_cores
-        ways = max(1, min(int(ways), self.node.n_cores, max(elements, 1)))
+        ways = max(1, min(self.node.n_cores, elements))
         total = self.cost.compute_time(elements, ops_per_element)
         total *= self.node.slowdown
         yield from self._occupy_cores(total / ways, "user", ways)

@@ -18,7 +18,7 @@ internally (a read may start or end mid-element).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -44,28 +44,25 @@ class BlockCache:
     Values are read-only numpy arrays.
     """
 
-    __slots__ = ("capacity_bytes", "hits", "misses", "_blocks", "_nbytes")
+    __slots__ = ("capacity_bytes", "_blocks", "_nbytes")
 
     def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if capacity_bytes < 0:
             raise PFSError(f"negative cache capacity {capacity_bytes}")
         self.capacity_bytes = int(capacity_bytes)
-        self.hits = 0
-        self.misses = 0
         self._blocks: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
         self._nbytes = 0
 
     def get(self, key: Tuple) -> Optional[np.ndarray]:
-        """The cached block for ``key`` (marking it recently used)."""
+        """The cached block for ``key`` (marking it recently used).
+        Hits and misses are the ``pfs.blockcache.*`` metrics."""
         m = metrics.current()
         blk = self._blocks.get(key)
         if blk is None:
-            self.misses += 1
             if m is not None:
                 m.count("pfs.blockcache.misses")
             return None
         self._blocks.move_to_end(key)
-        self.hits += 1
         if m is not None:
             m.count("pfs.blockcache.hits")
         return blk
@@ -89,7 +86,7 @@ class BlockCache:
             m.gauge("pfs.blockcache.bytes", self._nbytes)
 
     def clear(self) -> None:
-        """Drop every cached block (counters are kept)."""
+        """Drop every cached block."""
         self._blocks.clear()
         self._nbytes = 0
 

@@ -10,14 +10,14 @@ contention visible when many aggregators hit the same stripes.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
-from ..config import CostModel, PlatformSpec
+from ..config import CostModel
 from ..errors import PFSError, TransientIOError
 from ..sim import Kernel
-from .datasource import ArraySource, DataSource, ProceduralSource, ZeroSource
+from .datasource import DataSource, ProceduralSource
 from .file import PFSFile
 from .ost import OST
 from .striping import StripeLayout
@@ -172,7 +172,7 @@ class LustreFS:
         # poisoning the reduction downstream.
         if self.faults is not None and self.faults.plan.corrupt_ost_rate:
             data = self.faults.corrupt_served(file, offset, data)
-        if self.integrity is not None and self.integrity.config.verify_reads:
+        if self.integrity is not None:
             self.integrity.verify_read(file, offset, data)
         return data
 

@@ -12,7 +12,7 @@ them over simulated time and reports percentages exactly like the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ReproError
 

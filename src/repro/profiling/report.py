@@ -8,7 +8,7 @@ the speedup figures.  Keeping rendering here lets benchmarks and the
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 def _fmt_cell(value: Any) -> str:

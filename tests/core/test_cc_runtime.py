@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
-from repro.config import CostModel, small_test_machine
+from repro.config import small_test_machine
 from repro.core import (CCStats, MAXLOC_OP, MEAN_OP, MINLOC_OP, MOMENTS_OP,
                         ObjectIO, SUM_OP, HistogramOp, UserOp, locate,
                         object_get, cc_read_compute)
@@ -15,7 +15,6 @@ from repro.dataspace import DatasetSpec, Subarray, block_partition
 from repro.errors import CollectiveComputingError
 from repro.io import CollectiveHints
 from repro.mpi import mpi_run
-from repro.pfs import linear_field
 from repro.sim import Kernel
 
 DSPEC = DatasetSpec((12, 10, 8), np.float64, name="T")

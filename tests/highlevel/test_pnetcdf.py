@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.core import MEAN_OP, MINLOC_OP, SUM_OP
+from repro.core import MINLOC_OP, SUM_OP
 from repro.errors import DataspaceError
 from repro.highlevel import HEADER_BYTES, NCFile, VariableDef, create_dataset
 from repro.mpi import mpi_run

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import Machine
-from repro.config import CostModel, PlatformSpec, small_test_machine
+from repro.config import small_test_machine
 from repro.core import CCStats, ObjectIO, SUM_OP, object_get
-from repro.dataspace import DatasetSpec, block_partition, full_selection
 from repro.io import CollectiveHints
 from repro.mpi import mpi_run
 from repro.sim import Kernel
-from repro.workloads.climate import Workload, interleaved_workload
+from repro.workloads.climate import interleaved_workload
 
 
 def run_workload(workload, op, *, block, nodes=2, cores=8, n_osts=4,

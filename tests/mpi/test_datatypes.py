@@ -1,11 +1,10 @@
 """Unit tests for MPI derived datatypes and flattening."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MPIError
-from repro.mpi import (BYTE, DOUBLE, FLOAT, INT, Basic, Contiguous,
-                       SubarrayType, Vector)
+from repro.mpi import (BYTE, DOUBLE, FLOAT, INT, Contiguous, SubarrayType,
+                       Vector)
 
 
 def test_basic_types():

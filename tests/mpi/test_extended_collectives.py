@@ -1,14 +1,13 @@
 """Tests for scan/exscan/reduce_scatter, Bruck vs ring allgather, and
 communicator splitting."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.errors import MPIError
-from repro.mpi import SUM, MAX, Op, collectives, mpi_run
+from repro.mpi import SUM, Op, collectives, mpi_run
 from repro.sim import Kernel
 
 

@@ -1,12 +1,11 @@
 """Stress/property tests for message-ordering guarantees under load."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.mpi import ANY_SOURCE, ANY_TAG, mpi_run
+from repro.mpi import ANY_SOURCE, mpi_run
 from repro.sim import Kernel
 
 

@@ -164,6 +164,7 @@ def test_instrumented_run_records_when_on(obs_on):
 
 
 def test_env_var_enables_registry_in_fresh_process():
+    import os
     import subprocess
     import sys
 
@@ -172,6 +173,9 @@ def test_env_var_enables_registry_in_fresh_process():
     for env_value, expected in (("1", 0), ("off", 3)):
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env={"PYTHONPATH": "src", "REPRO_OBS": env_value, "PATH": ""},
+            env={"PYTHONPATH": "src", "REPRO_OBS": env_value, "PATH": "",
+                 # The caller's choice not to write .pyc files holds here too.
+                 **{k: v for k, v in os.environ.items()
+                    if k == "PYTHONDONTWRITEBYTECODE"}},
             cwd=".", check=False)
         assert proc.returncode == expected, env_value

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Kernel
-from repro.sim.events import AllOf, AnyOf
+from repro.sim.events import AllOf
 
 
 def test_event_lifecycle():

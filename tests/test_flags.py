@@ -1,6 +1,7 @@
 """The one flags record: parsing, the scoped override, and the
 observability registry that is derived from it."""
 
+import os
 import subprocess
 import sys
 
@@ -42,7 +43,10 @@ def test_malformed_value_fails_loudly(var, value):
 def test_malformed_environment_fails_at_import():
     proc = subprocess.run(
         [sys.executable, "-c", "import repro"],
-        env={"PYTHONPATH": "src", "REPRO_SHAKE": "abc", "PATH": ""},
+        env={"PYTHONPATH": "src", "REPRO_SHAKE": "abc", "PATH": "",
+             # The caller's choice not to write .pyc files holds here too.
+             **{k: v for k, v in os.environ.items()
+                if k == "PYTHONDONTWRITEBYTECODE"}},
         cwd=".", capture_output=True, text=True, check=False)
     assert proc.returncode != 0
     assert "ConfigError: REPRO_SHAKE='abc' is not an integer seed" \
