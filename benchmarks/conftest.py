@@ -7,8 +7,6 @@ to the pytest-benchmark record via ``benchmark.extra_info``, so
 prints the reproduced result rows.
 """
 
-import pytest
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark (simulations are

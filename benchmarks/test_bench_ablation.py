@@ -13,11 +13,11 @@ These are not paper figures; they quantify the individual mechanisms:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.config import KiB, MiB
-from repro.core import CCStats, ObjectIO, SUM_OP, object_get
+from repro.core import SUM_OP
 from repro.cluster import Machine
+from repro.faults import FaultPlan, RecoveryPolicy
 from repro.io import (AccessRequest, CollectiveHints, icollective_read,
                       wait_and_unpack)
 from repro.mpi import mpi_run
@@ -103,7 +103,6 @@ def test_ablation_buffer_size_vs_time(benchmark):
     def run():
         out = []
         for cb in (256 * KiB, 1 * MiB, 4 * MiB, 12 * MiB):
-            stats = CCStats()
             res = run_objectio_job(
                 PLATFORM, WORKLOAD, OP, block=False,
                 hints=CollectiveHints(cb_buffer_size=cb))
@@ -120,33 +119,23 @@ def test_ablation_buffer_size_vs_time(benchmark):
 
 def test_ablation_fault_tolerance(benchmark):
     """Future-work feature: aggregator fail-stop recovery — identical
-    results at degraded speed as survivors absorb the failed
+    results at degraded speed as survivors absorb the crashed
     aggregator's windows."""
-    from repro.core import ObjectIO, cc_read_compute_ft
-    from repro.dataspace import block_partition
 
-    parts = list(WORKLOAD.parts)
-
-    def job(failed):
-        kernel = Kernel()
-        machine = Machine(kernel, PLATFORM)
-        file = machine.fs.create_procedural_file(
-            "d.nc", WORKLOAD.dspec.n_elements, dtype=WORKLOAD.dspec.dtype,
-            stripe_size=256 * KiB)
-
-        def main(ctx):
-            oio = ObjectIO(WORKLOAD.dspec, parts[ctx.rank], OP,
-                           hints=CollectiveHints(cb_buffer_size=1 * MiB))
-            res = yield from cc_read_compute_ft(ctx, file, oio,
-                                                failed_aggregators=failed)
-            return res.global_result
-
-        out = mpi_run(machine, WORKLOAD.nprocs, main)
-        return kernel.now, out[0]
+    def job(faults):
+        # ``finish``, not ``time``: cancelled receive timers keep the
+        # kernel clock running after the last rank returns.
+        res = run_objectio_job(
+            PLATFORM, WORKLOAD, OP, block=False,
+            hints=CollectiveHints(cb_buffer_size=1 * MiB),
+            stripe_size=256 * KiB, policy=RecoveryPolicy(), faults=faults)
+        return res.finish, res.results[0].global_result, res.injected
 
     def run():
-        t_ok, g_ok = job(frozenset())
-        t_deg, g_deg = job(frozenset({24}))  # one of three aggregators
+        t_ok, g_ok, _ = job(None)
+        # Seed 14 crashes aggregator rank 24 (of 0, 24 and 48) only.
+        t_deg, g_deg, injected = job(FaultPlan(seed=14, agg_crash_rate=0.5))
+        assert injected
         assert abs(g_ok - g_deg) < 1e-9 * abs(g_ok)
         return t_ok, t_deg
 
@@ -154,14 +143,13 @@ def test_ablation_fault_tolerance(benchmark):
     benchmark.extra_info["healthy_s"] = round(t_ok, 4)
     benchmark.extra_info["degraded_s"] = round(t_deg, 4)
     assert t_deg >= t_ok
-    print(f"\nhealthy {t_ok:.4f}s | one aggregator failed {t_deg:.4f}s "
+    print(f"\nhealthy {t_ok:.4f}s | one aggregator crashed {t_deg:.4f}s "
           f"({t_deg / t_ok:.2f}x) — identical result")
 
 
 def test_ablation_iterative_plan_caching(benchmark):
     """Future-work feature: a rigid time sweep re-exchanges the offset
     lists only once; later steps reuse the shifted plan."""
-    import numpy as np
     from repro.core import IterativeAnalysis, ObjectIO, sliding_windows
     from repro.dataspace import DatasetSpec, Subarray, block_partition
 

@@ -4,8 +4,9 @@
 Sweeps a moving window over the time axis of a climate variable,
 computing per-step moments with :class:`IterativeAnalysis` — the plan
 is exchanged once and reused (shifted) for every later step — and then
-repeats one step with injected aggregator failures to show the
-fault-tolerant runtime reproducing the identical answer, slower.
+repeats one step under a seeded :class:`~repro.faults.FaultPlan` that
+crashes an aggregator, to show the resilient runtime reproducing the
+identical answer, slower.
 
 Run:  python examples/iterative_timeseries.py
 """
@@ -14,8 +15,10 @@ import numpy as np
 
 from repro import (CollectiveHints, DatasetSpec, Kernel, Machine, MiB,
                    MOMENTS_OP, ObjectIO, Subarray, hopper_like, mpi_run)
-from repro.core import IterativeAnalysis, cc_read_compute_ft, sliding_windows
+from repro.core import IterativeAnalysis, sliding_windows
 from repro.dataspace import block_partition
+from repro.faults import (FaultInjector, FaultPlan, RecoveryPolicy,
+                          resilient_object_get)
 from repro.workloads.climate import climate_field
 
 NPROCS = 48
@@ -62,29 +65,45 @@ def main():
         print(f"  window t=[{s * WINDOW_T:2d},{(s + 1) * WINDOW_T:2d}): "
               f"mean {mean:7.3f} K  var {var:6.2f}  {bar}")
 
-    # --- fault tolerance: rerun step 0 with a failed aggregator -------
-    def run_step0(failed):
-        k, m, f = build()
+    # --- fault tolerance: rerun step 0 with an aggregator crash -------
+    # A healthy step takes a few ms, so a 20 ms receive timeout never
+    # suspects a live aggregator (the default 0.5 s suits larger jobs).
+    policy = RecoveryPolicy(read_timeout=0.02)
+
+    def run_step0(plan):
+        _k, m, f = build()
+        injector = FaultInjector.attach(m, plan)
+        finish = [0.0] * NPROCS
 
         def rank_main(ctx):
             # Smaller windows here so the failure's extra work is visible.
             oio = ObjectIO(spec, parts[ctx.rank],
                            MOMENTS_OP.with_cost(40.0),
                            hints=CollectiveHints(cb_buffer_size=MiB // 8))
-            res = yield from cc_read_compute_ft(ctx, f, oio,
-                                                failed_aggregators=failed)
+            res = yield from resilient_object_get(ctx, f, oio, policy)
+            # Cancelled receive timers keep the kernel clock running past
+            # the job, so the job ends at its latest rank finish.
+            finish[ctx.rank] = ctx.kernel.now
             return res.global_result
 
         out = mpi_run(m, NPROCS, rank_main)
-        return out[0], k.now
+        return out[0], max(finish), injector.injected()
 
-    healthy, t_ok = run_step0(frozenset())
-    degraded, t_deg = run_step0(frozenset({24}))  # node 1's aggregator
-    assert healthy == degraded
-    print(f"\nfault tolerance: aggregator rank 24 failed mid-campaign —")
-    print(f"  healthy  run: mean {healthy[0]:.3f} K in {t_ok * 1e3:.1f} ms")
-    print(f"  degraded run: mean {degraded[0]:.3f} K in {t_deg * 1e3:.1f} ms "
-          f"({t_deg / t_ok:.2f}x slower, bit-identical result)")
+    healthy, t_ok, _ = run_step0(FaultPlan())
+    # Seed 6 crashes aggregator rank 0 (of ranks 0 and 24) mid-schedule,
+    # then rank 24 after adopting rank 0's windows: one failover round,
+    # then the last window falls back to independent reads.
+    crashed, t_crash, injected = run_step0(
+        FaultPlan(seed=6, agg_crash_rate=0.5))
+    assert healthy == crashed
+    assert any(r.kind == "inject:agg-crash" for r in injected)
+    print("\nfault tolerance: step 0 rerun under FaultPlan(seed=6, "
+          "agg_crash_rate=0.5)")
+    for record in injected:
+        print(f"  {record.format()}")
+    print(f"  healthy run: mean {healthy[0]:.3f} K in {t_ok * 1e3:.1f} ms")
+    print(f"  crashed run: mean {crashed[0]:.3f} K in {t_crash * 1e3:.1f} ms "
+          f"({t_crash / t_ok:.2f}x slower, bit-identical result)")
 
 
 if __name__ == "__main__":

@@ -6,13 +6,13 @@ per-(rank, window) derivations are memoized shared artifacts.  Two
 checks prove, for one concrete plan, that the schedule is sound and
 the artifacts agree with their from-scratch definitions:
 
-* :func:`check_plan` — file-domain/window coverage and non-overlap
-  (delegating to :meth:`TwoPhasePlan.validate`), windows staying inside
-  their aggregator's file domain, and the receiver schedule: every
-  ``membership`` pair holds data, every rank's bytes sit in its member
-  windows, and the memoized ``window_pieces``/``read_span`` equal a
-  fresh clip.  It costs one clip per (rank, window) pair that holds
-  data plus one per window, never one per (rank, window) pair;
+* :func:`check_plan` — file-domain/window coverage, non-overlap and
+  domain containment (delegating to :meth:`TwoPhasePlan.validate`),
+  and the receiver schedule: every ``membership`` pair holds data,
+  every rank's bytes sit in its member windows, and the memoized
+  ``window_pieces``/``read_span`` equal a fresh clip.  It costs one
+  clip per (rank, window) pair that holds data plus one per window,
+  never one per (rank, window) pair;
 * :func:`check_translation` — :class:`~repro.core.plan_cache.PlanMemo`
   soundness: a claimed translation really is one, and the shifted plan
   passes :func:`check_plan`.
@@ -43,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def check_plan(plan: "TwoPhasePlan") -> None:
     """Structural invariants plus the receiver schedule and memos.
 
-    * :meth:`TwoPhasePlan.validate` (coverage, non-overlap);
-    * every window lies inside its aggregator's file domain;
+    * :meth:`TwoPhasePlan.validate` (coverage, non-overlap, domain
+      containment);
     * for each rank, a fresh clip of its runs to every window
       ``membership`` marks for it is non-empty and equals any memoized
       ``window_pieces``, and those clips sum to the rank's
@@ -54,15 +54,8 @@ def check_plan(plan: "TwoPhasePlan") -> None:
     * every memoized ``read_span`` is its window's fresh extent.
     """
     plan.validate()
-    coords = []
-    for i, (d_lo, d_hi) in enumerate(plan.domains):
-        for t, (w_lo, w_hi) in enumerate(plan.windows[i]):
-            if w_lo < d_lo or w_hi > d_hi:
-                raise IOLayerError(
-                    f"plan sanitizer: aggregator {i} window "
-                    f"({w_lo}, {w_hi}) escapes its file domain "
-                    f"({d_lo}, {d_hi})")
-            coords.append((i, t))
+    coords = [(i, t) for i, ws in enumerate(plan.windows)
+              for t in range(len(ws))]
     member = plan.membership
     memo = plan.__dict__.get("_window_pieces", {})
     for r, runs in enumerate(plan.all_runs):

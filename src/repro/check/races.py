@@ -17,8 +17,9 @@ layer that flags
     non-overtaking rule fixes their order.)
 ``shared-state``
     Two happens-before-concurrent accesses to a labelled piece of
-    shared simulated state (an OST's served-bytes counters, a
-    :class:`~repro.sim.resources.Store` queue), at least one a write.
+    shared simulated state (a cell named in
+    :meth:`KernelRaceTracker.access`, such as an OST's served-bytes
+    counters), at least one a write.
     State guarded by a :class:`~repro.sim.resources.Resource` is
     automatically ordered — a queued grant's edge ``release →
     succeed(next)`` flows through the event graph, and a grant made on
@@ -34,9 +35,9 @@ Design
 Every happens-before edge in the system flows through
 ``Event.succeed()/fail() → Kernel.schedule()``: message delivery
 (the recv event succeeds with the message), resource grants (release
-succeeds the next request), store hand-offs, process fork (the
-bootstrap event) and join (the process *is* an event).  So the tracker
-only hooks the kernel spine:
+succeeds the next request), process fork (the bootstrap event) and
+join (the process *is* an event).  So the tracker only hooks the
+kernel spine:
 
 * ``Kernel.schedule`` stamps the scheduling context's clock onto the
   event (:attr:`Event._vc`);

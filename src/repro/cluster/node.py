@@ -26,17 +26,16 @@ class Node:
         Node id within the machine (0-based).
     cores:
         Number of CPU cores (concurrent compute slots).
-    slowdown:
-        Multiplier applied to this node's compute durations; >1 makes the
-        node a straggler (used by failure-injection tests).
+
+    A straggling node is a fault, not a node property: a
+    :class:`~repro.faults.FaultPlan` delays an overloaded aggregator's
+    windows (``agg_straggle_*``) on the resilient path.
     """
 
-    def __init__(self, kernel: Kernel, index: int, cores: int,
-                 slowdown: float = 1.0) -> None:
+    def __init__(self, kernel: Kernel, index: int, cores: int) -> None:
         self.kernel = kernel
         self.index = index
         self.n_cores = cores
-        self.slowdown = float(slowdown)
         self.cores = Resource(kernel, capacity=cores, name=f"node{index}.cores")
         self.nic_out = Resource(kernel, capacity=1, name=f"node{index}.nic_out")
         self.nic_in = Resource(kernel, capacity=1, name=f"node{index}.nic_in")

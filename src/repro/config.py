@@ -89,11 +89,11 @@ class CostModel:
         """Time for a message between two ranks on the same node."""
         return self.intra_node_latency + nbytes / self.intra_node_bandwidth
 
-    def ost_time(self, nbytes: int, slowdown: float = 1.0) -> float:
+    def ost_time(self, nbytes: int) -> float:
         """Service time for one contiguous request on one OST."""
         if nbytes < 0:
             raise ConfigError(f"negative I/O size {nbytes}")
-        return (self.ost_seek + nbytes / self.ost_bandwidth) * slowdown
+        return self.ost_seek + nbytes / self.ost_bandwidth
 
     def compute_time(self, elements: int, ops_per_element: float = 1.0) -> float:
         """CPU (user) time to apply an operator to ``elements`` values."""

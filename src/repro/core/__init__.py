@@ -8,15 +8,13 @@ right after reading it and shuffle only small partial results.
 **Paper mapping.** §III in full — object I/O (§III-A), the logical map
 (§III-B, via :mod:`repro.dataspace`), the read/map/shuffle pipeline of
 Figure 7, and the all-to-one / all-to-all results reduce with result
-construction (§III-C) — plus the §VI future-work items: iterative
-sweeps with plan reuse (:mod:`.iterative`, :mod:`.plan_cache`) and
-fail-stop aggregator degradation (:mod:`.fault`), which
-:mod:`repro.faults` generalizes to live fault injection and recovery.
+construction (§III-C) — plus the §VI future-work item of iterative
+sweeps with plan reuse (:mod:`.iterative`, :mod:`.plan_cache`).  The
+other future-work item, fault tolerance, is :mod:`repro.faults`.
 """
 
 from .api import (local_read_compute, locate, object_get,
                   traditional_read_compute)
-from .fault import cc_read_compute_ft, degrade_plan
 from .iterative import (IterativeAnalysis, IterativeStats, sliding_windows,
                         translation_delta)
 from .map_engine import linear_indices_of_runs, map_pieces
@@ -46,7 +44,6 @@ __all__ = [
     "construct_per_rank",
     "global_reduce", "make_reduce_op",
     "CCResult", "cc_read_compute",
-    "cc_read_compute_ft", "degrade_plan",
     "IterativeAnalysis", "IterativeStats", "sliding_windows",
     "translation_delta",
 ]

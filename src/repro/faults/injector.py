@@ -7,7 +7,7 @@ was injected or recovered (:class:`FaultRecord`).  Attach it with
 :meth:`FaultInjector.attach`, which wires the three hook points:
 
 * ``machine.fs.faults`` — consulted by :meth:`repro.pfs.LustreFS.read`
-  for per-segment OST slowdowns and transient EIOs;
+  for per-segment slow OST requests and transient EIOs;
 * ``machine.faults`` — consulted by
   :meth:`repro.mpi.comm.Communicator._send_proc` for message drops and
   delays;

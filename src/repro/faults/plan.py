@@ -144,8 +144,9 @@ class FaultPlan:
     @classmethod
     def uniform(cls, seed: int, rate: float, **overrides) -> "FaultPlan":
         """The one-knob plan of the fault-rate experiments: apply
-        ``rate`` to every fault class at once (OST slowdowns and EIOs,
-        aggregator crashes and stragglers, message drops and delays)."""
+        ``rate`` to every fault class at once (slow and failed OST
+        requests, aggregator crashes and stragglers, message drops and
+        delays)."""
         fields = dict(
             seed=seed,
             ost_slow_rate=rate, ost_fail_rate=rate,

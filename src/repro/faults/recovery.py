@@ -96,8 +96,8 @@ def assign_orphans(missing: Sequence[WindowKey],
     ``missing`` must be sorted and ``survivors`` in rank order on every
     rank (both are derived from the allgathered agreement data), so all
     ranks compute the identical assignment without further
-    communication — the same discipline as
-    :func:`repro.core.fault.degrade_plan`.
+    communication.  This is the only place a window changes server:
+    the windows themselves, and so what is served, never change.
     """
     if not survivors:
         raise RecoveryError(

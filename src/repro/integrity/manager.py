@@ -89,20 +89,15 @@ class IntegrityManager:
     def ensure_digests(self, file) -> None:
         """Compute ``file``'s per-stripe-block digests if absent."""
         if file.block_digests is None:
-            digested = file.compute_digests()
-            self.blocks_digested += digested
-            m = metrics.current()
-            if m is not None:
-                m.count("integrity.blocks_digested", digested)
+            self.count_digested(file.compute_digests())
 
-    def refresh_digests(self, file, offset: int, nbytes: int) -> None:
-        """Re-digest the blocks an in-place write touched."""
-        if file.block_digests is not None:
-            digested = file.refresh_digests(offset, nbytes)
-            self.blocks_digested += digested
-            m = metrics.current()
-            if m is not None:
-                m.count("integrity.blocks_digested", digested)
+    def count_digested(self, blocks: int) -> None:
+        """Count ``blocks`` stripe blocks (re)digested: at create or
+        attach time, or by an in-place :meth:`repro.pfs.LustreFS.write`."""
+        self.blocks_digested += blocks
+        m = metrics.current()
+        if m is not None:
+            m.count("integrity.blocks_digested", blocks)
 
     def verify_read(self, file, offset: int, data) -> None:
         """Verify one served extent against ``file``'s block digests.

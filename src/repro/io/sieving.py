@@ -16,7 +16,9 @@ from ..config import MiB
 from ..errors import IOLayerError
 from ..mpi import RankContext
 from ..pfs import PFSFile
+from .aggregation import iteration_windows
 from .requests import AccessRequest, RunPlacer
+from .twophase import read_windows
 
 
 def sieving_read(ctx: RankContext, file: PFSFile, request: AccessRequest,
@@ -25,35 +27,31 @@ def sieving_read(ctx: RankContext, file: PFSFile, request: AccessRequest,
 
     Windows of at most ``buffer_size`` bytes sweep the request's extent;
     each window is fetched with one contiguous PFS read from its first
-    to its last needed byte, then the useful runs are copied out.
-    Returns the packed ``uint8`` buffer.
+    to its last needed byte, then the useful runs are copied out.  The
+    reads go through the shared window reader
+    (:func:`~repro.io.twophase.read_windows`), so a transient EIO is
+    retried as on every other read path.  Returns the packed ``uint8``
+    buffer.
     """
     if buffer_size < 1:
         raise IOLayerError(f"buffer_size must be >= 1, got {buffer_size}")
-    placer = RunPlacer(request.runs)
+    runs = request.runs
+    placer = RunPlacer(runs)
     buf = np.empty(placer.total_bytes, dtype=np.uint8)
-    ext = request.runs.extent()
+    ext = runs.extent()
     if ext is None:
         return buf
-    lo, hi = ext
-    pos = lo
-    while pos < hi:
-        win_hi = min(pos + buffer_size, hi)
-        window = request.runs.clip(pos, win_hi)
-        wext = window.extent()
-        if wext is not None:
-            r_lo, r_hi = wext
-            read = ctx.kernel.process(
-                ctx.fs.read(file, r_lo, r_hi - r_lo, client=ctx.node.index),
-                name=f"sieve:r{ctx.rank}@{r_lo}",
-            )
-            data = yield from ctx.wait_recording(read)
-            raw = np.frombuffer(data, dtype=np.uint8)
-            useful = 0
-            for local, file_off, piece in placer.place_clipped(r_lo, r_hi - r_lo):
-                src = file_off - r_lo
-                buf[local:local + piece] = raw[src:src + piece]
-                useful += piece
-            yield from ctx.memcpy(useful)
-        pos = win_hi
+    spans = [runs.clip(lo, hi).extent()
+             for lo, hi in iteration_windows(ext, runs, buffer_size)]
+
+    def unpack(_t: int, read_lo: int, raw: np.ndarray) -> Generator:
+        useful = 0
+        for local, file_off, piece in placer.place_clipped(read_lo,
+                                                           raw.size):
+            src = file_off - read_lo
+            buf[local:local + piece] = raw[src:src + piece]
+            useful += piece
+        yield from ctx.memcpy(useful)
+
+    yield from read_windows(ctx, file, spans, False, unpack)
     return buf

@@ -288,21 +288,27 @@ class TwoPhasePlan:
         """Check the schedule invariants every consumer relies on.
 
         * windows are sorted, non-overlapping, non-empty per aggregator;
+        * every window lies inside its aggregator's file domain;
         * every requested byte falls inside exactly one window;
         * no window holds bytes nobody requested beyond its bounds.
 
-        Raises :class:`~repro.errors.IOLayerError` on violation.  Used
-        by tests and by the fault-tolerance plan surgery.
+        Raises :class:`~repro.errors.IOLayerError` on violation.  Run by
+        :func:`repro.check.plan.check_plan` and by tests.
         """
         global_runs = self.global_runs
         covered = 0
         all_windows: List[Tuple[int, int]] = []
         for i, windows in enumerate(self.windows):
+            d_lo, d_hi = self.domains[i]
             prev_hi = None
             for (lo, hi) in windows:
                 if hi <= lo:
                     raise IOLayerError(
                         f"aggregator {i}: empty window ({lo}, {hi})")
+                if lo < d_lo or hi > d_hi:
+                    raise IOLayerError(
+                        f"aggregator {i}: window ({lo}, {hi}) escapes its "
+                        f"file domain ({d_lo}, {d_hi})")
                 if prev_hi is not None and lo < prev_hi:
                     raise IOLayerError(
                         f"aggregator {i}: windows overlap or unsorted")

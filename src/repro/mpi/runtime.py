@@ -76,12 +76,10 @@ class RankContext:
     def compute(self, elements: int, ops_per_element: float = 1.0) -> Generator:
         """Occupy one core for the time to process ``elements`` values.
 
-        Recorded as *user* time.  Scaled by the node's ``slowdown`` so
-        straggler injection affects analysis work.
+        Recorded as *user* time.
         """
-        duration = self.cost.compute_time(elements, ops_per_element)
-        duration *= self.node.slowdown
-        yield from self._occupy_cores(duration, "user")
+        yield from self._occupy_cores(
+            self.cost.compute_time(elements, ops_per_element), "user")
 
     def compute_parallel(self, elements: int,
                          ops_per_element: float = 1.0) -> Generator:
@@ -100,7 +98,6 @@ class RankContext:
         """
         ways = max(1, min(self.node.n_cores, elements))
         total = self.cost.compute_time(elements, ops_per_element)
-        total *= self.node.slowdown
         yield from self._occupy_cores(total / ways, "user", ways)
 
     def memcpy(self, nbytes: int) -> Generator:

@@ -54,7 +54,7 @@ class LustreFS:
         self.network = None
         #: Set by :meth:`repro.faults.FaultInjector.attach`: when
         #: present, every read consults it for per-segment OST
-        #: slowdowns and injected transient EIOs.
+        #: stragglers and injected transient EIOs.
         self.faults = None
         #: Set by :meth:`repro.integrity.IntegrityManager.attach`: when
         #: present, new files get per-stripe-block CRC32C digests and
@@ -214,17 +214,14 @@ class LustreFS:
         ]
         yield self.kernel.all_of(procs)
         file.source.write(offset, data)
-        # Digested files stay verifiable across in-place writes.
-        file.refresh_digests(offset, nbytes)
+        # Digested files stay verifiable across in-place writes, also
+        # with no manager attached; an attached one counts the blocks.
+        digested = file.refresh_digests(offset, nbytes)
+        if self.integrity is not None:
+            self.integrity.count_digested(digested)
         return None
 
     # -- diagnostics -----------------------------------------------------------
     def total_bytes_served(self) -> int:
         """Bytes served across all OSTs since construction."""
         return sum(o.bytes_served for o in self.osts)
-
-    def set_ost_slowdown(self, index: int, slowdown: float) -> None:
-        """Degrade (or restore) one OST — failure-injection hook."""
-        if not 0 <= index < len(self.osts):
-            raise PFSError(f"OST {index} out of range")
-        self.osts[index].slowdown = float(slowdown)

@@ -1,10 +1,11 @@
 """Object Storage Target model.
 
 Each OST is a FIFO server: one outstanding request at a time, service
-time ``seek + bytes/bandwidth`` (from the cost model), optionally scaled
-by a per-OST ``slowdown`` so tests can inject a straggler disk.  Queueing
-at hot OSTs is what produces realistic contention when many aggregators
-read a striped file concurrently.
+time ``seek + bytes/bandwidth`` (from the cost model).  Queueing at hot
+OSTs is what produces realistic contention when many aggregators read a
+striped file concurrently.  A straggling disk is a fault: a
+:class:`~repro.faults.FaultPlan` decides per request how much slower
+it is served (``fault_mult``) and whether it fails.
 """
 
 from __future__ import annotations
@@ -28,23 +29,17 @@ class OST:
         Global OST index.
     cost:
         Platform cost model (provides seek/bandwidth).
-    slowdown:
-        Service-time multiplier (>1 = degraded device).
     """
 
-    def __init__(self, kernel: Kernel, index: int, cost: CostModel,
-                 slowdown: float = 1.0) -> None:
+    def __init__(self, kernel: Kernel, index: int, cost: CostModel) -> None:
         self.kernel = kernel
         self.index = index
         self.cost = cost
-        self.slowdown = float(slowdown)
         self._server = Resource(kernel, capacity=1, name=f"ost{index}")
         #: Total bytes served (reads + writes), for experiment reports.
         self.bytes_served = 0
         #: Number of requests served.
         self.requests_served = 0
-        #: Accumulated busy time (service only, not queueing).
-        self.busy_time = 0.0
 
     def service(self, nbytes: int, fault_mult: float = 1.0,
                 fault_fail: bool = False) -> Generator:
@@ -63,18 +58,17 @@ class OST:
             # the EIO surfaces, like a real timed-out disk op.
             duration = self.cost.ost_seek
         else:
-            duration = self.cost.ost_time(nbytes, self.slowdown) * fault_mult
+            duration = self.cost.ost_time(nbytes) * fault_mult
         yield from hold(self._server, duration)
         tracker = self.kernel._tracker
         if tracker is not None:
-            # The served-bytes/busy-time counters are shared across every
+            # The served-bytes/request counters are shared across every
             # job that touches this OST.  They are written in the step
             # that released ``_server``: the release published this
             # step's clock and every later grant joins it, so a clean
             # run records no conflict here — bypassing the resource
             # would surface as a shared-state race.
             tracker.access(f"ost:{self.index}", write=True)
-        self.busy_time += duration
         self.requests_served += 1
         m = metrics.current()
         if m is not None:

@@ -15,11 +15,11 @@ simulation — the substitution DESIGN.md §2 argues for.
 from .events import AllOf, AnyOf, Event, Timeout
 from .kernel import Kernel
 from .process import Interrupt, Process
-from .resources import Request, Resource, Store, hold
+from .resources import Request, Resource, hold
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Timeout",
     "Kernel",
     "Interrupt", "Process",
-    "Request", "Resource", "Store", "hold",
+    "Request", "Resource", "hold",
 ]

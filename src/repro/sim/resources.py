@@ -1,6 +1,6 @@
 """Shared-resource primitives built on the event kernel.
 
-Three primitives cover every contention point in the simulated cluster:
+Two primitives cover every contention point in the simulated cluster:
 
 * :class:`Resource` — a counted FIFO server (CPU cores, NIC channels,
   OST service slots).  Strict FIFO granting keeps runs deterministic.
@@ -9,8 +9,6 @@ Three primitives cover every contention point in the simulated cluster:
   are free when it starts costs one event (the :class:`Timeout` that
   ends it), and a k-unit hold models k worker threads without a
   process per thread.
-* :class:`Store` — an unbounded FIFO queue of items with blocking ``get``
-  (message mailboxes, work queues).
 """
 
 from __future__ import annotations
@@ -259,49 +257,3 @@ class _FanOut:
         for unit, req in enumerate(self.requests):
             if self.spans[unit] is None:
                 self.resource.release(req)
-
-
-class Store:
-    """Unbounded FIFO item queue with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an event that fires with the
-    oldest item; if items are available the event fires immediately.
-    Waiting getters are served FIFO.
-    """
-
-    def __init__(self, kernel: "Kernel", name: str = "store") -> None:
-        self.kernel = kernel
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest waiting getter if any."""
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            # Queue order is shared mutable state: concurrent putters
-            # make the item order schedule-dependent.
-            tracker.access(f"store:{self.name}", write=True)
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next available item."""
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            tracker.access(f"store:{self.name}", write=True)
-        ev = Event(self.kernel, name=f"get:{self.name}")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def peek_all(self) -> List[Any]:
-        """Snapshot of queued items (diagnostics only)."""
-        return list(self._items)

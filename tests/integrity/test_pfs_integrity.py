@@ -8,8 +8,10 @@ from repro.config import small_test_machine
 from repro.errors import IntegrityError
 from repro.faults import (FaultInjector, FaultPlan, RetryPolicy,
                           read_with_retry)
+from repro.flags import override
 from repro.integrity import IntegrityManager, crc32c
 from repro.mpi import mpi_run
+from repro.obs import metrics
 from repro.pfs import ArraySource
 from repro.sim import Kernel
 
@@ -92,6 +94,42 @@ def test_write_refreshes_covered_digests():
     # The refreshed digest verifies the newly written bytes.
     integ.verify_read(f, 512, f.source.read(512, 512))
     assert integ.detected() == 0
+
+
+def write_1000_bytes_at_100(m, f):
+    def body(ctx):
+        yield from m.fs.write(f, 100, bytes(range(250)) * 4)
+        return None
+
+    mpi_run(m, 1, body)
+
+
+def test_write_counts_refreshed_digests():
+    """The blocks an in-place write re-digests are counted like the
+    create-time digests, on the manager and in the metrics."""
+    m = Machine(Kernel(), small_test_machine(nodes=1, cores_per_node=4,
+                                             n_osts=2, stripe_size=512))
+    f = m.fs.create_file("w.bin", ArraySource(np.zeros(512)))
+    with override(obs=True):
+        integ = IntegrityManager.attach(m)
+        assert integ.blocks_digested == 8
+        write_1000_bytes_at_100(m, f)  # [100, 1100): blocks 0, 1 and 2
+        counters = metrics.current().snapshot()["counters"]
+    assert integ.blocks_digested == 8 + 3
+    assert counters["integrity.blocks_digested"] == 8 + 3
+
+
+def test_write_refreshes_digests_without_a_manager():
+    """Stored digests survive ``detach`` and stay current: a write with
+    no manager attached refreshes them, uncounted."""
+    m = machine()
+    f = m.fs.create_file("w.bin", ArraySource(np.zeros(512)))
+    integ = IntegrityManager.attach(m)
+    IntegrityManager.detach(m)
+    write_1000_bytes_at_100(m, f)
+    assert integ.blocks_digested == 8
+    for b in range(3):
+        assert f.block_digests[b] == crc32c(f.source.read(b * 512, 512))
 
 
 # -- end-to-end: inject, detect, repair -------------------------------------

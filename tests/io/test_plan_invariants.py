@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.core import degrade_plan
 from repro.dataspace import DatasetSpec, Subarray, block_partition, \
     flatten_subarray
 from repro.errors import IOLayerError
@@ -79,13 +78,6 @@ def test_plan_invariants_with_element_grid(data):
             assert (hi - DSPEC.file_offset) % DSPEC.itemsize == 0
 
 
-def test_degraded_plan_still_validates():
-    plan = plan_for(Subarray((0, 0, 0), (10, 12, 8)), 8, 1, 300)
-    assert len(plan.aggregators) == 2
-    deg = degrade_plan(plan, {plan.aggregators[0]})
-    deg.validate()
-
-
 def test_validate_rejects_broken_plans():
     runs = RunList.from_pairs([(0, 100)])
     bad_overlap = TwoPhasePlan([runs], [0], [(0, 100)],
@@ -99,5 +91,9 @@ def test_validate_rejects_broken_plans():
                              [[(0, 50), (50, 50)]])
     with pytest.raises(IOLayerError):
         bad_empty.validate()
+    bad_escape = TwoPhasePlan([runs], [0], [(0, 50)],
+                              [[(0, 50), (50, 100)]])
+    with pytest.raises(IOLayerError, match="escapes its file domain"):
+        bad_escape.validate()
     ok = TwoPhasePlan([runs], [0], [(0, 100)], [[(0, 50), (50, 100)]])
     ok.validate()

@@ -142,19 +142,6 @@ def test_wait_recording_records_wait():
     assert prof.totals()["wait"] == pytest.approx(2.0)
 
 
-def test_straggler_node_slows_compute():
-    m = machine(nodes=2, cores=4, core_element_rate=1000.0)
-    m.nodes[1].slowdown = 2.0
-
-    def main(ctx):
-        yield from ctx.compute(1000)
-        return ctx.kernel.now
-
-    res = mpi_run(m, 8, main)
-    assert res[0] == pytest.approx(1.0)
-    assert res[4] == pytest.approx(2.0)
-
-
 def test_mpi_run_returns_in_rank_order():
     m = machine()
 

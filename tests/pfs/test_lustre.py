@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import CostModel
 from repro.errors import PFSError
+from repro.faults import FaultInjector, FaultPlan
 from repro.pfs import ArraySource, LustreFS, ProceduralSource, linear_field
 from repro.sim import Kernel
 
@@ -151,10 +152,13 @@ def test_ost_accounting_and_slowdown():
     k.run()
     assert fs.total_bytes_served() == 100
     assert fs.osts[0].requests_served == 1
-    fs.set_ost_slowdown(0, 3.0)
+    # A straggling disk is an injected fault: every request at 3x.
+    injector = FaultInjector(
+        FaultPlan(ost_slow_rate=1.0, ost_slow_factor=3.0), k)
+    fs.faults = injector
     k2start = k.now
     k.process(body())
     k.run()
     assert k.now - k2start == pytest.approx(3.0)
-    with pytest.raises(PFSError):
-        fs.set_ost_slowdown(9, 1.0)
+    assert [r.kind for r in injector.injected()] == ["inject:ost-slow"]
+    assert fs.osts[0].requests_served == 2

@@ -4,7 +4,7 @@ Covers the clock algebra, the findings registry, and the kernel-level
 happens-before edges: fork/join ordering, resource-grant edges
 (including the uncontended re-acquire that flows through the published
 release clock rather than an event), and the shared-state conflict
-check on :class:`~repro.sim.resources.Store`.
+check on a tracked cell.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.check.races import (RaceFinding, assert_no_races,
                                vc_join, vc_leq)
 from repro.errors import RaceError
 from repro.flags import override
-from repro.sim import Kernel, Resource, Store, hold
+from repro.sim import Kernel, Resource, hold
 
 
 @pytest.fixture(autouse=True)
@@ -91,15 +91,16 @@ def test_kernel_attaches_tracker_only_when_enabled():
 
 
 def test_concurrent_store_putters_are_flagged():
+    """Two processes writing one tracked cell (a shared queue, say) at
+    the same instant with no edge between them."""
     k = _traced_kernel()
-    s = Store(k, name="q")
 
-    def putter(k, i):
+    def putter(k):
         yield k.timeout(1.0)
-        s.put(i)
+        k._tracker.access("store:q", write=True)
 
-    for i in range(2):
-        k.process(putter(k, i))
+    for _ in range(2):
+        k.process(putter(k))
     k.run()
     findings = drain_findings()
     assert findings, "two unordered putters must race"
@@ -109,19 +110,18 @@ def test_concurrent_store_putters_are_flagged():
 
 def test_resource_guarded_store_is_clean():
     """The grant edge release → succeed(next) orders the critical
-    sections, so guarded access to the same store carries no race."""
+    sections, so guarded writes to the same cell carry no race."""
     k = _traced_kernel()
-    s = Store(k, name="q")
     r = Resource(k, capacity=1, name="guard")
 
-    def putter(k, i):
+    def putter(k):
         req = r.request()
         yield req
-        s.put(i)
+        k._tracker.access("store:q", write=True)
         r.release(req)
 
-    for i in range(2):
-        k.process(putter(k, i))
+    for _ in range(2):
+        k.process(putter(k))
     k.run()
     assert drain_findings() == []
 

@@ -1,11 +1,11 @@
-"""Unit tests for Resource, Store and hold()."""
+"""Unit tests for Resource and hold()."""
 
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Kernel, Resource, Store, hold
+from repro.sim import Kernel, Resource, hold
 from repro.sim.process import Interrupt
 
 
@@ -80,51 +80,6 @@ def test_release_cancels_pending_request():
     assert r.queue_length == 0
     r.release(held)
     assert r.in_use == 0
-
-
-def test_store_put_then_get():
-    k = Kernel()
-    s = Store(k)
-    s.put("a")
-    s.put("b")
-    got = []
-
-    def body(k):
-        got.append((yield s.get()))
-        got.append((yield s.get()))
-
-    k.process(body(k))
-    k.run()
-    assert got == ["a", "b"]
-
-
-def test_store_get_blocks_until_put():
-    k = Kernel()
-    s = Store(k)
-    got = []
-
-    def getter(k):
-        got.append((yield s.get()))
-        got.append(k.now)
-
-    def putter(k):
-        yield k.timeout(2)
-        s.put("late")
-
-    k.process(getter(k))
-    k.process(putter(k))
-    k.run()
-    assert got == ["late", 2.0]
-
-
-def test_store_len_and_peek():
-    k = Kernel()
-    s = Store(k)
-    assert len(s) == 0
-    s.put(1)
-    s.put(2)
-    assert len(s) == 2
-    assert s.peek_all() == [1, 2]
 
 
 def test_interrupt_waiting_process():

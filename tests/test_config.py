@@ -18,7 +18,6 @@ def test_ost_time_seek_plus_bandwidth():
     c = CostModel(ost_seek=1e-3, ost_bandwidth=1e8)
     assert c.ost_time(0) == pytest.approx(1e-3)
     assert c.ost_time(10**8) == pytest.approx(1.001)
-    assert c.ost_time(10**8, slowdown=2.0) == pytest.approx(2.002)
 
 
 def test_compute_time_scaling():
