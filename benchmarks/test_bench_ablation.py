@@ -123,13 +123,11 @@ def test_ablation_fault_tolerance(benchmark):
     aggregator's windows."""
 
     def job(faults):
-        # ``finish``, not ``time``: cancelled receive timers keep the
-        # kernel clock running after the last rank returns.
         res = run_objectio_job(
             PLATFORM, WORKLOAD, OP, block=False,
             hints=CollectiveHints(cb_buffer_size=1 * MiB),
             stripe_size=256 * KiB, policy=RecoveryPolicy(), faults=faults)
-        return res.finish, res.results[0].global_result, res.injected
+        return res.time, res.results[0].global_result, res.injected
 
     def run():
         t_ok, g_ok, _ = job(None)

@@ -48,7 +48,7 @@ from .errors import (CollectiveComputingError, ConfigError, DataspaceError,
                      DeadlockError, IOLayerError, MPIError, PFSError,
                      ReproError, SimulationError)
 from .highlevel import NCFile, Variable, VariableDef, create_dataset
-from .io import (AccessRequest, CollectiveHints, MPIFile, collective_read,
+from .io import (AccessRequest, CollectiveHints, collective_read,
                  collective_write, icollective_read, independent_read,
                  sieving_read)
 from .mpi import RankContext, mpi_run
@@ -72,7 +72,7 @@ __all__ = [
     "grid_partition", "merge_runlists", "reconstruct_run",
     # MPI + IO
     "RankContext", "mpi_run",
-    "AccessRequest", "CollectiveHints", "MPIFile", "collective_read",
+    "AccessRequest", "CollectiveHints", "collective_read",
     "collective_write", "icollective_read", "independent_read",
     "sieving_read",
     # collective computing

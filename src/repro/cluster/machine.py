@@ -95,11 +95,11 @@ class Machine:
         lo = extra * (per + 1) + (node - extra) * per
         return list(range(lo, lo + per))
 
-    def validate_job(self, nprocs: int, allow_oversubscribe: bool = False) -> None:
+    def validate_job(self, nprocs: int) -> None:
         """Check that ``nprocs`` ranks fit the machine's cores."""
         if nprocs < 1:
             raise ConfigError(f"need >= 1 process, got {nprocs}")
-        if not allow_oversubscribe and nprocs > self.spec.total_cores:
+        if nprocs > self.spec.total_cores:
             raise ConfigError(
                 f"{nprocs} ranks exceed {self.spec.total_cores} cores "
                 f"({self.spec.nodes} nodes x {self.spec.cores_per_node})"

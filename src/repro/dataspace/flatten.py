@@ -11,7 +11,7 @@ to clip, merge and measure.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,37 +172,6 @@ class RunList:
         if int(self.offsets[0]) + delta < 0:
             raise DataspaceError("shift would produce negative offsets")
         return RunList(self.offsets + delta, self.lengths, _validated=True)
-
-    def split_by_size(self, max_bytes: int) -> List["RunList"]:
-        """Greedily cut into consecutive pieces of at most ``max_bytes``
-        each (runs themselves may be split).
-
-        Piece ``k`` covers request-space bytes ``[k*max_bytes,
-        (k+1)*max_bytes)``; the run indices backing each piece are found
-        with ``searchsorted`` over the cumulative run lengths rather
-        than walking runs one by one.
-        """
-        if max_bytes <= 0:
-            raise DataspaceError(f"max_bytes must be positive, got {max_bytes}")
-        total = self.total_bytes
-        if not total:
-            return []
-        mb = int(max_bytes)
-        cum = np.concatenate((np.zeros(1, dtype=np.int64),
-                              np.cumsum(self.lengths)))
-        pieces: List[RunList] = []
-        for lo in range(0, total, mb):
-            hi = min(total, lo + mb)
-            i0 = int(np.searchsorted(cum[1:], lo, side="right"))
-            i1 = int(np.searchsorted(cum[:-1], hi, side="left"))
-            offs = self.offsets[i0:i1].copy()
-            lens = self.lengths[i0:i1].copy()
-            head = lo - int(cum[i0])
-            offs[0] += head
-            lens[0] -= head
-            lens[-1] -= int(cum[i1]) - hi
-            pieces.append(RunList(offs, lens, _validated=True).coalesce())
-        return pieces
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         ext = self.extent()

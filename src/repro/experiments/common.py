@@ -85,10 +85,6 @@ class RunOutcome:
 
     #: Simulated time when the job's event queue drained (seconds).
     time: float
-    #: The latest per-rank finish (seconds).  A resilient job's
-    #: cancelled receive timers keep the queue running past it, so this
-    #: is that job's completion time.
-    finish: float
     #: Per-rank return values.
     results: List[Any]
     #: The CC statistics accumulator (shared across ranks).
@@ -157,7 +153,6 @@ def run_objectio_job(platform: PlatformSpec, workload: Workload,
     timeline = PhaseTimeline() if record_timeline else None
     profiler = CpuProfiler(nprocs) if record_cpu else None
     stats = CCStats()
-    finish = [0.0] * nprocs
 
     def main(ctx) -> Generator:
         oio = ObjectIO(workload.dspec, workload.parts[ctx.rank], op,
@@ -168,12 +163,11 @@ def run_objectio_job(platform: PlatformSpec, workload: Workload,
         else:
             result = yield from resilient_object_get(ctx, file, oio, policy,
                                                      timeline, stats)
-        finish[ctx.rank] = ctx.kernel.now
         return result
 
     results = mpi_run(machine, nprocs, main, profiler=profiler)
     return RunOutcome(
-        time=kernel.now, finish=max(finish), results=results, stats=stats,
+        time=kernel.now, results=results, stats=stats,
         timeline=timeline, profiler=profiler,
         inter_node_bytes=machine.network.inter_node_bytes,
         intra_node_bytes=machine.network.intra_node_bytes,

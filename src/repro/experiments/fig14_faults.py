@@ -9,14 +9,12 @@ their resilient variants (:mod:`repro.faults.resilient`) and must
 finish with the *same numbers* as the fault-free run — recovery is
 allowed to cost time and wire bytes, never correctness.
 
-Series, per injected fault rate: completion time (the latest per-rank
-finish, since cancelled receive timers keep the event queue warm past
-the job) and interconnect bytes, for collective computing vs the
-traditional two-phase baseline.  Expected shape: both degrade as the
-rate grows; CC keeps its wire-byte lead because recovery re-ships
-*partial results* where the baseline re-ships raw window data, while
-completion times converge at high rates where suspicion timeouts
-dominate both pipelines.
+Series, per injected fault rate: completion time and interconnect
+bytes, for collective computing vs the traditional two-phase baseline.
+Expected shape: both degrade as the rate grows; CC keeps its wire-byte
+lead because recovery re-ships *partial results* where the baseline
+re-ships raw window data, while completion times converge at high rates
+where suspicion timeouts dominate both pipelines.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ def run_point(nprocs: int, per_rank_kib: int, rate: float, seed: int,
         interleaved_workload(nprocs, per_rank_bytes=per_rank_kib * KiB),
         SUM_OP, block=block, field_func=default_field, policy=POLICY,
         faults=_fault_plan(rate, seed))
-    return (out.finish, out.mpi_bytes, out.injected, out.recovered,
+    return (out.time, out.mpi_bytes, out.injected, out.recovered,
             out.global_result)
 
 

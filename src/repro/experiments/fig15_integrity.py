@@ -74,7 +74,7 @@ def run_point(nprocs: int, per_rank_kib: int, rate: float, seed: int,
         interleaved_workload(nprocs, per_rank_bytes=per_rank_kib * KiB),
         SUM_OP, block=block, field_func=default_field, policy=POLICY,
         faults=_corruption_plan(rate, seed), integrity=checksums)
-    return (out.finish, out.mpi_bytes, out.detected, out.recovered,
+    return (out.time, out.mpi_bytes, out.detected, out.recovered,
             out.global_result)
 
 

@@ -8,10 +8,10 @@ exchange engine (:func:`_resilient_exchange`):
   its own plan windows through the shared window reader
   (:func:`repro.io.twophase.read_windows`, reading ahead under
   ``hints.pipeline`` like the fault-free paths).  Receivers use *timed*
-  receives (``any_of(recv, timeout)`` + ``MPI_Cancel``) instead of
-  blocking forever, so a crashed/straggling aggregator or a dropped
-  shuffle message surfaces as a locally *missed window* rather than a
-  deadlock.
+  receives (``any_of(recv, timeout)`` + ``MPI_Cancel``; a receive that
+  wins withdraws its timer) instead of blocking forever, so a
+  crashed/straggling aggregator or a dropped shuffle message surfaces
+  as a locally *missed window* rather than a deadlock.
 * After each round every rank allgathers its missed-window list (the
   SPMD agreement — compare ULFM's post-failure agreement).  All ranks
   fold the same entries into the same shared view: which windows are
@@ -198,9 +198,10 @@ def _collect_round(ctx: RankContext, expect: List[Tuple[int, WindowKey]],
             missed.append(key)
             continue
         req = ctx.comm.irecv(src, base_tag + slot)
-        yield ctx.kernel.any_of(
-            [req.event, ctx.kernel.timeout(policy.read_timeout)])
+        timer = ctx.kernel.timeout(policy.read_timeout)
+        yield ctx.kernel.any_of([req.event, timer])
         if req.complete and not req.cancelled:
+            timer.cancel()
             if _take_window(ctx, integ, req.event.value, key, got):
                 corrupt.append(key)
         else:

@@ -14,7 +14,6 @@ variants (:mod:`repro.faults`) recover it, all reusing this package's
 
 from .aggregation import (iteration_windows, partition_file_domains,
                           select_aggregators)
-from .file import MPIFile
 from .hints import CollectiveHints
 from .independent import independent_read, independent_write
 from .nonblocking import icollective_read, wait_and_unpack
@@ -25,7 +24,7 @@ from .twophase import (TwoPhasePlan, collective_read, collective_write,
 
 __all__ = [
     "iteration_windows", "partition_file_domains", "select_aggregators",
-    "MPIFile", "CollectiveHints",
+    "CollectiveHints",
     "independent_read", "independent_write",
     "icollective_read", "wait_and_unpack",
     "AccessRequest", "RunPlacer", "sieving_read",

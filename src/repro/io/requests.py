@@ -1,15 +1,16 @@
 """Access-request plumbing shared by the I/O strategies.
 
 :class:`AccessRequest` bundles what one rank wants from a file — a
-dataset + hyperslab view (when present) and the flattened byte runs —
-and :class:`RunPlacer` maps absolute file pieces back into the rank's
-local, densely-packed receive buffer.
+dataset + hyperslab view and its flattened byte runs, the only request
+description the I/O strategies consume — and :class:`RunPlacer` maps
+absolute file pieces back into the rank's local, densely-packed
+receive buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -19,25 +20,20 @@ from ..errors import IOLayerError
 
 @dataclass(frozen=True)
 class AccessRequest:
-    """One rank's request against one file.
+    """One rank's request against one file: a hyperslab of a dataset,
+    as PnetCDF's ``ncmpi_get_vara_*_all`` describes it.
 
-    Build with :meth:`from_subarray` (the PnetCDF-style path) or
-    :meth:`from_runs` (the raw MPI-IO file-view path).
+    Build with :meth:`from_subarray`.
     """
 
     runs: RunList
-    spec: Optional[DatasetSpec] = None
-    sub: Optional[Subarray] = None
+    spec: DatasetSpec
+    sub: Subarray
 
     @classmethod
     def from_subarray(cls, spec: DatasetSpec, sub: Subarray) -> "AccessRequest":
         """Request a hyperslab of a dataset."""
         return cls(runs=flatten_subarray(spec, sub), spec=spec, sub=sub)
-
-    @classmethod
-    def from_runs(cls, runs: RunList) -> "AccessRequest":
-        """Request raw byte runs (no logical interpretation attached)."""
-        return cls(runs=runs)
 
     @property
     def nbytes(self) -> int:
@@ -46,13 +42,8 @@ class AccessRequest:
 
     def as_array(self, data: np.ndarray) -> np.ndarray:
         """Reinterpret the densely packed byte buffer as the request's
-        element type, shaped to the hyperslab when one is attached."""
-        if self.spec is None:
-            return data
-        arr = data.view(self.spec.dtype)
-        if self.sub is not None:
-            return arr.reshape(self.sub.count)
-        return arr
+        element type, shaped to the hyperslab."""
+        return data.view(self.spec.dtype).reshape(self.sub.count)
 
 
 class RunPlacer:

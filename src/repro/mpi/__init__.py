@@ -1,9 +1,8 @@
-"""Simulated MPI: point-to-point, collectives, datatypes, ops, runtime.
+"""Simulated MPI: point-to-point, collectives, ops, runtime.
 
 **Role.** The message-passing substrate: ranks as coroutines
 (:func:`mpi_run`), point-to-point with real MPI matching semantics,
-binomial/Bruck/pairwise collectives built on it, derived datatypes and
-reduction ops.
+binomial/Bruck/pairwise collectives built on it, and reduction ops.
 
 **Paper mapping.** Stands in for the MPICH 3.1.2 of the §V testbed;
 the §III-C results reduce (all-to-one / all-to-all) and the two-phase
@@ -15,8 +14,6 @@ faults.
 from . import collectives
 from .comm import (ANY_SOURCE, ANY_TAG, MIN_RESERVED_TAG, CommHandle,
                    Communicator, Message, Request)
-from .datatypes import (BYTE, DOUBLE, FLOAT, INT, LONG, Basic, Contiguous,
-                        Datatype, SubarrayType, Vector)
 from .op import (BAND, BOR, LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM,
                  Op, lookup)
 from .runtime import RankContext, build_contexts, mpi_run
@@ -26,8 +23,6 @@ __all__ = [
     "collectives",
     "ANY_SOURCE", "ANY_TAG", "MIN_RESERVED_TAG",
     "CommHandle", "Communicator", "Message", "Request",
-    "BYTE", "DOUBLE", "FLOAT", "INT", "LONG",
-    "Basic", "Contiguous", "Datatype", "SubarrayType", "Vector",
     "BAND", "BOR", "LAND", "LOR", "MAX", "MAXLOC", "MIN", "MINLOC",
     "PROD", "SUM", "Op", "lookup",
     "RankContext", "build_contexts", "mpi_run",

@@ -190,8 +190,6 @@ class Communicator:
         # Held-back values are None for messages the fault injector
         # dropped after they occupied the wire (sequencing still moves).
         self._held_back: Dict[Tuple[int, int], Dict[int, Optional[Message]]] = {}
-        #: Total payload bytes sent.
-        self.bytes_sent = 0
         #: Collective-protocol verifier (:mod:`repro.check.protocol`),
         #: attached when ``REPRO_CHECK`` is on at construction.  With it
         #: off (the default) each collective call pays one is-None test.
@@ -395,7 +393,6 @@ class CommHandle:
         races = self.comm.races
         if races is not None:
             races.note_send(msg)
-        self.comm.bytes_sent += size
         m = metrics.current()
         if m is not None:
             m.count("mpi.messages")

@@ -131,10 +131,10 @@ class RankContext:
 
 
 def build_contexts(machine: Machine, nprocs: int,
-                   profiler: Optional[CpuProfiler] = None,
-                   allow_oversubscribe: bool = False) -> List[RankContext]:
+                   profiler: Optional[CpuProfiler] = None
+                   ) -> List[RankContext]:
     """Create the communicator and one context per rank."""
-    machine.validate_job(nprocs, allow_oversubscribe=allow_oversubscribe)
+    machine.validate_job(nprocs)
     comm = Communicator(machine.kernel, machine, nprocs)
     return [
         RankContext(comm.handle(r), machine,
@@ -146,24 +146,16 @@ def build_contexts(machine: Machine, nprocs: int,
 
 def mpi_run(machine: Machine, nprocs: int,
             main: Callable[..., Generator], *args: Any,
-            profiler: Optional[CpuProfiler] = None,
-            allow_oversubscribe: bool = False,
-            run_kernel: bool = True) -> List[Any]:
+            profiler: Optional[CpuProfiler] = None) -> List[Any]:
     """Run ``main(ctx, *args)`` as an ``nprocs``-rank MPI job.
 
-    Returns the list of per-rank return values (rank order).  With
-    ``run_kernel=False`` the processes are spawned but the caller drives
-    the kernel (to co-schedule several jobs); the returned list then
-    holds the :class:`~repro.sim.Process` objects instead.
+    Returns the list of per-rank return values (rank order).
     """
-    contexts = build_contexts(machine, nprocs, profiler=profiler,
-                              allow_oversubscribe=allow_oversubscribe)
+    contexts = build_contexts(machine, nprocs, profiler=profiler)
     procs = [
         machine.kernel.process(main(ctx, *args), name=f"rank{ctx.rank}")
         for ctx in contexts
     ]
-    if not run_kernel:
-        return procs
     machine.kernel.run()
     m = metrics.current()
     if m is not None:

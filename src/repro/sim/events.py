@@ -159,6 +159,12 @@ class Timeout(Event):
         self._value = value
         kernel.schedule(self, delay=self.delay)
 
+    def cancel(self) -> None:
+        """Withdraw the timer: the kernel drops it unprocessed, without
+        moving the clock, and its callbacks never run (a no-op once it
+        has been processed)."""
+        self.callbacks = None
+
 
 class Condition(Event):
     """Base for composite events built from several sub-events.

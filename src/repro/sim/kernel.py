@@ -42,7 +42,7 @@ import weakref
 from typing import Any, Generator, Iterable, List, Optional, Set, Tuple
 
 from .. import flags
-from ..errors import DeadlockError, SimulationError
+from ..errors import DeadlockError
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
@@ -169,77 +169,47 @@ class Kernel:
             heapq.heappush(self._queue, entry)
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event (advance the clock to it)."""
-        entry = self._next
-        if entry is not None:
-            self._next = None
-        elif self._queue:
-            entry = heapq.heappop(self._queue)
-        else:
-            raise SimulationError("step() on an empty event queue")
-        self._now, _seq, event = entry
-        if self._tracker is not None:
-            self._tracker.begin_event(event)
-        callbacks = event.callbacks
-        event.callbacks = None  # mark processed
-        assert callbacks is not None, "event processed twice"
-        if len(callbacks) == 1:
-            # Fast path: the overwhelmingly common case is one waiter
-            # (a single process blocked on the event).
-            callbacks[0](event)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event._defused:
-            # An unhandled failure: abort the whole simulation loudly.
-            raise event._value
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or the clock reaches ``until``.
+    def run(self) -> float:
+        """Run until the queue drains.
 
         Returns the final simulated time.  Raises :class:`DeadlockError`
         if the queue drains while processes are still alive (they are
-        waiting for events nobody will trigger).
+        waiting for events nobody will trigger).  A cancelled timer
+        (:meth:`~repro.sim.events.Timeout.cancel`) is dropped without
+        moving the clock.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
         queue = self._queue
         pop = heapq.heappop
         tracker = self._tracker
-        if until is None:
-            # Hot loop: step() inlined — one Python call per event is
-            # measurable at millions of events per run.  The front slot
-            # is read through the instance (``schedule`` rebinds it).
-            while True:
-                entry = self._next
-                if entry is not None:
-                    self._next = None
-                elif queue:
-                    entry = pop(queue)
-                else:
-                    break
-                self._now, _seq, event = entry
-                if tracker is not None:
-                    tracker.begin_event(event)
-                callbacks = event.callbacks
-                event.callbacks = None  # mark processed
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-        else:
-            while self._next is not None or queue:
-                head = self._next
-                if head is None:
-                    head = queue[0]
-                if head[0] > until:
-                    self._now = until
-                    return self._now
-                self.step()
+        # Hot loop: one Python call per event is measurable at millions
+        # of events per run.  The front slot is read through the
+        # instance (``schedule`` rebinds it).
+        while True:
+            entry = self._next
+            if entry is not None:
+                self._next = None
+            elif queue:
+                entry = pop(queue)
+            else:
+                break
+            now, _seq, event = entry
+            callbacks = event.callbacks
+            if callbacks is None:
+                continue  # cancelled timer
+            self._now = now
+            if tracker is not None:
+                tracker.begin_event(event)
+            event.callbacks = None  # mark processed
+            if len(callbacks) == 1:
+                # Fast path: the overwhelmingly common case is one
+                # waiter (a single process blocked on the event).
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            if event._ok is False and not event._defused:
+                # An unhandled failure: abort the whole simulation loudly.
+                raise event._value
         if self._active_processes > 0:
             raise DeadlockError(self._deadlock_message())
         return self._now
@@ -280,15 +250,6 @@ class Kernel:
             for line in watcher.describe_blocked():
                 lines.append(f"  {line}")
         return "\n".join(lines)
-
-    def run_process(self, generator: Generator, name: Optional[str] = None) -> Any:
-        """Convenience: start ``generator`` as a process, run to completion,
-        and return the process's return value."""
-        proc = self.process(generator, name=name)
-        self.run()
-        if not proc.triggered:  # pragma: no cover - defensive
-            raise SimulationError(f"{proc!r} never finished")
-        return proc.value
 
     @property
     def queue_size(self) -> int:

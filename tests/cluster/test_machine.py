@@ -70,8 +70,7 @@ def test_rank_out_of_range():
 def test_validate_job_limits():
     m = build(nodes=2, cores=2)
     m.validate_job(4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="exceed 4 cores"):
         m.validate_job(5)
-    m.validate_job(5, allow_oversubscribe=True)
     with pytest.raises(ConfigError):
         m.validate_job(0)

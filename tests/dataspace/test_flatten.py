@@ -108,16 +108,6 @@ def test_runlist_shift():
         rl.shift(-11)
 
 
-def test_runlist_split_by_size():
-    rl = RunList.from_pairs([(0, 10), (20, 10)])
-    pieces = rl.split_by_size(7)
-    assert [list(p) for p in pieces] == [
-        [(0, 7)], [(7, 3), (20, 4)], [(24, 6)]]
-    assert sum(p.total_bytes for p in pieces) == rl.total_bytes
-    with pytest.raises(DataspaceError):
-        rl.split_by_size(0)
-
-
 def test_runlist_equality_and_wire_size():
     a = RunList.from_pairs([(0, 4)])
     b = RunList.from_pairs([(0, 4)])

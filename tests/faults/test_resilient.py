@@ -292,6 +292,31 @@ def test_recovery_costs_time_not_correctness():
     assert t_faulted > t_healthy
 
 
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("faulted", [False, True])
+def test_clock_stops_at_the_last_rank_finish(block, faulted):
+    """A timed receive that wins withdraws its timer, so the kernel's
+    clock ends at the latest per-rank finish, not one ``read_timeout``
+    later."""
+    k, m, f = build()
+    if faulted:
+        FaultInjector.attach(m, FaultPlan(seed=crash_seed(),
+                                          agg_crash_rate=0.35))
+    finish = []
+
+    def main(ctx):
+        oio = ObjectIO(DSPEC, PARTS[ctx.rank], SUM_OP, hints=HINTS,
+                       block=block)
+        res = yield from resilient_object_get(ctx, f, oio)
+        finish.append(ctx.kernel.now)
+        return res
+
+    mpi_run(m, NPROCS, main)
+    # Ranks return in clock order: the last entry is the latest finish.
+    assert len(finish) == NPROCS
+    assert k.now == finish[-1]
+
+
 # -- determinism ------------------------------------------------------------
 
 def test_same_seed_same_schedule_same_results():

@@ -1,5 +1,6 @@
 """Edge cases of the nonblocking request machinery: cancellation
-semantics (MPI_Cancel) and repeated waits on one request."""
+semantics (MPI_Cancel), repeated waits on one request, and a
+nonblocking collective read overlapping computation."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,15 @@ from repro.sim import Kernel
 def machine(nodes=2, cores=4):
     return Machine(Kernel(), small_test_machine(nodes=nodes,
                                                 cores_per_node=cores))
+
+
+def build():
+    k = Kernel()
+    m = Machine(k, small_test_machine(nodes=2, cores_per_node=4,
+                                      n_osts=2, stripe_size=256))
+    f = m.fs.create_procedural_file("f.bin", 1000, dtype=np.float64,
+                                    func=linear_field(), stripe_size=256)
+    return k, m, f
 
 
 def test_cancel_pending_recv_completes_with_none():
@@ -131,3 +141,20 @@ def test_icollective_read_request_is_not_cancellable():
 
     res = mpi_run(m, 2, main)
     assert res == [0.0, 64.0]
+
+
+def test_icollective_read_overlaps_compute():
+    k, m, f = build()
+    spec = DatasetSpec((10, 10), np.float64)
+    sub = Subarray((0, 0), (10, 10))
+
+    def main(ctx):
+        req_desc = AccessRequest.from_subarray(spec, sub)
+        handle = icollective_read(ctx, f, req_desc)
+        # Overlap independent computation while the collective runs.
+        yield from ctx.compute(1000)
+        arr = yield from wait_and_unpack(ctx, handle, req_desc)
+        return float(arr.sum())
+
+    res = mpi_run(m, 2, main)
+    assert res[0] == pytest.approx(np.arange(100, dtype=float).sum())

@@ -46,23 +46,19 @@ def _hints(pipeline, two_level=False):
 
 def _run(body, parts):
     """Run ``body(ctx, part)`` on every rank; returns the per-rank
-    results, the latest rank finish (resilient receive timers keep the
-    event queue busy past the job) and the kernel clock at quiescence."""
+    results and the kernel clock at quiescence."""
     k = Kernel()
     m = Machine(k, small_test_machine(nodes=2, cores_per_node=4,
                                       n_osts=3, stripe_size=512))
     f = m.fs.create_procedural_file("T.nc", DSPEC.n_elements,
                                     dtype=np.float64, func=field,
                                     stripe_size=512)
-    finish = [0.0] * NPROCS
 
     def main(ctx):
-        out = yield from body(ctx, f, parts[ctx.rank])
-        finish[ctx.rank] = ctx.kernel.now
-        return out
+        return (yield from body(ctx, f, parts[ctx.rank]))
 
     results = mpi_run(m, NPROCS, main)
-    return results, max(finish), k.now
+    return results, k.now
 
 
 def raw_read(pipeline, two_level=False):
@@ -116,8 +112,8 @@ PATHS = {
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_pipeline_reads_ahead_without_changing_answers(path):
-    ahead, t_ahead, _ = PATHS[path](True)
-    blocking, t_blocking, _ = PATHS[path](False)
+    ahead, t_ahead = PATHS[path](True)
+    blocking, t_blocking = PATHS[path](False)
     assert repr(ahead) == repr(blocking)
     assert t_ahead < t_blocking
 
@@ -138,7 +134,7 @@ BLOCKING_PINS = {
 @pytest.mark.parametrize("path, two_level", sorted(BLOCKING_PINS))
 def test_blocking_schedule_times_are_pinned(path, two_level):
     if path == "raw":
-        _res, _finish, now = raw_read(False, two_level)
+        _res, now = raw_read(False, two_level)
     else:
-        _res, _finish, now = cc(False, two_level, reduce_mode=path)
+        _res, now = cc(False, two_level, reduce_mode=path)
     assert now == BLOCKING_PINS[(path, two_level)]

@@ -25,12 +25,6 @@ def test_as_array_reshapes():
     assert arr.dtype == np.float32
 
 
-def test_from_runs_no_interpretation():
-    req = AccessRequest.from_runs(RunList.from_pairs([(0, 8)]))
-    buf = np.zeros(8, np.uint8)
-    assert req.as_array(buf) is buf
-
-
 def test_placer_total_and_single_run():
     placer = RunPlacer(RunList.from_pairs([(100, 10), (200, 20)]))
     assert placer.total_bytes == 30

@@ -8,9 +8,11 @@ from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.dataspace import RunList
 from repro.errors import MPIError
+from repro.flags import override
 from repro.mpi import (MAX, MAXLOC, MIN, MINLOC, Op, PROD, SUM, collectives,
                        mpi_run, wire_size)
 from repro.mpi.wire import CONTAINER_OVERHEAD
+from repro.obs import metrics
 from repro.sim import Kernel
 
 
@@ -179,15 +181,17 @@ def test_allgather_accounting_measures_each_value_once(nprocs, monkeypatch):
     def main(ctx):
         mine = _mixed_value(ctx.rank)
         out = yield from collectives.allgather(ctx.comm, mine)
-        return out, mine, ctx.comm.comm
+        return out, mine
 
-    res = run(nprocs, main)
-    values = [mine for _out, mine, _comm in res]
-    for out, _mine, _comm in res:
+    with override(obs=True):
+        res = run(nprocs, main)
+        wire_bytes = metrics.current().counters.get("mpi.wire_bytes", 0)
+    values = [mine for _out, mine in res]
+    for out, _mine in res:
         # Rank-ordered, and every entry is the contributing rank's object.
         assert len(out) == nprocs
         assert all(got is want for got, want in zip(out, values))
-    assert res[0][2].bytes_sent == _bruck_bytes(values)
+    assert wire_bytes == _bruck_bytes(values)
     assert len(calls) == nprocs
 
 

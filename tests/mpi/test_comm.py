@@ -99,7 +99,7 @@ def test_isend_overlaps_with_work():
             yield ctx.kernel.timeout(0.5)
             yield req.event
             return ctx.kernel.now
-        data = yield from ctx.comm.recv(0)
+        yield from ctx.comm.recv(0)
         return None
 
     m, res = run(2, main)
@@ -132,7 +132,7 @@ def test_bad_ranks_and_tags_rejected():
 
     m = machine()
     comm = Communicator(m.kernel, m, 2)
-    h = comm.handle(0)
+    comm.handle(0)
     with pytest.raises(MPIError):
         comm.handle(2)
     # run the generator-less main via mpi_run for rank checks

@@ -22,8 +22,6 @@ def run(nprocs, main, nodes=2, cores=4):
 
 
 def test_node_groups_and_leader_match_placement():
-    m = machine(nodes=3, cores=4)
-
     def main(ctx):
         yield ctx.kernel.timeout(0)
         return ctx.comm.comm.node_groups()
@@ -32,8 +30,7 @@ def test_node_groups_and_leader_match_placement():
     groups = res[0]
     # Balanced placement of 8 ranks on 3 nodes: 3/3/2, consecutive.
     assert groups == {0: [0, 1, 2], 1: [3, 4, 5], 2: [6, 7]}
-    comm = res[0]  # same dict every rank
-    for r in range(1, 8):
+    for r in range(1, 8):  # same dict every rank
         assert res[r] == groups
 
     def leaders(ctx):

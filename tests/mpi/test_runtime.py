@@ -29,7 +29,6 @@ def test_oversubscription_checked():
     m = machine(nodes=2, cores=2)
     with pytest.raises(ConfigError):
         build_contexts(m, 5)
-    build_contexts(m, 5, allow_oversubscribe=True)
 
 
 def test_compute_occupies_core_time():
@@ -44,7 +43,7 @@ def test_compute_occupies_core_time():
 
 
 def test_compute_cores_contend():
-    # 1 node with 2 cores, 4 ranks computing: two waves.
+    # 1 node with 2 cores, one computing rank per core: one wave.
     m = Machine(Kernel(), small_test_machine(
         nodes=1, cores_per_node=2, cost=CostModel(core_element_rate=1000.0)))
 
@@ -53,11 +52,6 @@ def test_compute_cores_contend():
         return ctx.kernel.now
 
     res = mpi_run(m, 2, main)
-    assert res == [pytest.approx(1.0)] * 2
-
-    m2 = Machine(Kernel(), small_test_machine(
-        nodes=1, cores_per_node=2, cost=CostModel(core_element_rate=1000.0)))
-    res = mpi_run(m2, 2, lambda ctx: main(ctx), allow_oversubscribe=True)
     assert res == [pytest.approx(1.0)] * 2
 
 
@@ -150,16 +144,3 @@ def test_mpi_run_returns_in_rank_order():
         return ctx.rank
 
     assert mpi_run(m, 6, main) == list(range(6))
-
-
-def test_run_kernel_false_returns_processes():
-    m = machine()
-
-    def main(ctx):
-        yield ctx.kernel.timeout(1)
-        return ctx.rank
-
-    procs = mpi_run(m, 2, main, run_kernel=False)
-    assert all(p.is_alive for p in procs)
-    m.kernel.run()
-    assert [p.value for p in procs] == [0, 1]

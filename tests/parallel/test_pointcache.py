@@ -36,8 +36,7 @@ def test_hit_skips_execution(tmp_path):
     assert pointfuncs.CALLS == [5]  # second sweep never called the fn
 
 
-def test_key_differs_by_kwargs_not_container_type(tmp_path):
-    cache = _cache(tmp_path)
+def test_key_differs_by_kwargs_not_container_type():
     a = SweepPoint.make(f"{FNS}:square", x=(1, 2))
     b = SweepPoint.make(f"{FNS}:square", x=[1, 2])
     c = SweepPoint.make(f"{FNS}:square", x=(1, 3))

@@ -150,30 +150,19 @@ def test_shaken_kernel_permutes_ties_deterministically():
     assert _tie_order(2) == shaken[1]  # same seed, same schedule
 
 
-def test_run_until_stops_clock():
+def test_cancelled_timer_does_not_move_the_clock():
     k = Kernel()
+    fired = []
 
     def body(k):
-        yield k.timeout(10)
+        timer = k.timeout(5.0)
+        timer.callbacks.append(fired.append)
+        yield k.timeout(1.0)
+        timer.cancel()
 
     k.process(body(k))
-    t = k.run(until=4.0)
-    assert t == 4.0
-    assert k.now == 4.0
-    k.run()  # finish
-    assert k.now == 10.0
-
-
-def test_run_until_in_past_rejected():
-    k = Kernel()
-
-    def body(k):
-        yield k.timeout(10)
-
-    k.process(body(k))
-    k.run()
-    with pytest.raises(SimulationError):
-        k.run(until=5.0)
+    assert k.run() == 1.0
+    assert fired == []
 
 
 def test_deadlock_detection():
@@ -185,21 +174,6 @@ def test_deadlock_detection():
     k.process(stuck(k))
     with pytest.raises(DeadlockError):
         k.run()
-
-
-def test_step_on_empty_queue_rejected():
-    with pytest.raises(SimulationError):
-        Kernel().step()
-
-
-def test_run_process_convenience():
-    k = Kernel()
-
-    def body(k):
-        yield k.timeout(1)
-        return "x"
-
-    assert k.run_process(body(k)) == "x"
 
 
 def test_unhandled_process_exception_propagates():

@@ -99,7 +99,7 @@ def test_interrupt_waiting_process():
         p.interrupt("because")
 
     k.process(interrupter(k))
-    k.run(until=5)
+    k.run()
     assert out == [("interrupted", "because", 1.0)]
 
 

@@ -51,8 +51,8 @@ def test_public_api_raises_repro_errors():
 def test_simulation_error_via_kernel_misuse():
     from repro.sim import Kernel
 
-    with pytest.raises(SimulationError, match="empty event queue"):
-        Kernel().step()
+    with pytest.raises(SimulationError, match="timeout delay"):
+        Kernel().timeout(-1.0)
 
 
 def test_deadlock_error_via_stuck_process():
