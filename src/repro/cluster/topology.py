@@ -62,14 +62,6 @@ class MeshTopology:
         manhattan = self._axis_distance(ax, bx, nx) + self._axis_distance(ay, by, ny)
         return max(1, manhattan)
 
-    def diameter(self) -> int:
-        """Maximum hop count between any pair of occupied nodes."""
-        best = 0
-        for a in range(self.nodes):
-            for b in range(a + 1, self.nodes):
-                best = max(best, self.hops(a, b))
-        return best
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "torus" if self.torus else "mesh"
         return f"<MeshTopology {self.shape[0]}x{self.shape[1]} {kind} nodes={self.nodes}>"

@@ -109,10 +109,6 @@ class DatasetSpec:
         return tuple(coords)
 
     # -- file mapping ------------------------------------------------------
-    def byte_offset_of(self, linear: int) -> int:
-        """Absolute file byte offset of element ``linear``."""
-        return self.file_offset + linear * self.itemsize
-
     def element_of_byte(self, abs_offset: int) -> int:
         """Linear element index containing the file byte ``abs_offset``."""
         rel = abs_offset - self.file_offset

@@ -188,10 +188,6 @@ class FaultInjector:
         """Declare ``[tag_lo, tag_hi)`` a droppable data-plane range."""
         self._droppable.append((tag_lo, tag_hi))
 
-    def disallow_drops(self, tag_lo: int, tag_hi: int) -> None:
-        """Retract a droppable range registered with :meth:`allow_drops`."""
-        self._droppable.remove((tag_lo, tag_hi))
-
     def _droppable_tag(self, tag: int) -> bool:
         return any(lo <= tag < hi for lo, hi in self._droppable)
 

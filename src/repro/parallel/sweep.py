@@ -152,10 +152,6 @@ class SweepPoint:
         hashing and cache keys)."""
         return cls(fn=fn, kwargs=tuple(sorted(kwargs.items())), label=label)
 
-    def kwargs_dict(self) -> Dict[str, Any]:
-        """The kwargs as a plain dict (what the function is called with)."""
-        return dict(self.kwargs)
-
     def replay_expression(self) -> str:
         """A copy-pasteable serial replay of this point.
 

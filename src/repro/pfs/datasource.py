@@ -335,10 +335,6 @@ class CompositeSource(DataSource):
     def writable(self) -> bool:
         return all(p.writable for p in self.parts)
 
-    def part_offset(self, index: int) -> int:
-        """Byte offset of part ``index`` within the composite."""
-        return self._starts[index]
-
     def _segments(self, offset: int, nbytes: int):
         out = []
         pos = offset

@@ -48,11 +48,6 @@ class PFSFile:
         return self.source.writable
 
     # -- integrity ---------------------------------------------------------
-    def n_digest_blocks(self) -> int:
-        """Digest blocks covering the file (the last may be short)."""
-        block = self.digest_block or self.layout.stripe_size
-        return -(-self.size // block) if self.size else 0
-
     def compute_digests(self) -> int:
         """(Re)digest the whole file; returns the block count.
 

@@ -91,10 +91,6 @@ class PhaseTimeline:
         phase's contribution to the critical path."""
         return sum(d for _, d in self.per_iteration(phase, reduce="max"))
 
-    def iteration_count(self) -> int:
-        """Number of distinct iterations seen."""
-        return len({s.iteration for s in self.samples})
-
     def clear(self) -> None:
         """Drop all samples (reuse between experiment phases)."""
         self.samples.clear()

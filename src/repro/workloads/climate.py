@@ -67,13 +67,44 @@ class Workload:
         return self.total_bytes // max(self.nprocs, 1)
 
 
+#: Periods, in elements, of the climate field's seasonal and weather
+#: cycles: powers of two, so a phase reduces exactly in integers.
+SEASON_PERIOD = 1 << 19
+WEATHER_PERIOD = 1 << 11
+#: Odd multiplier (2^64 over the golden ratio) of the noise hash.
+NOISE_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
 def climate_field(idx: np.ndarray) -> np.ndarray:
-    """A temperature-like field: smooth seasonal/spatial structure plus
-    deterministic weather noise, in kelvin-ish units."""
-    x = idx.astype(np.float64)
-    h = (idx * np.int64(2654435761)) & np.int64(0x7FFFFFFF)
-    noise = h.astype(np.float64) / float(0x80000000) - 0.5
-    return 288.0 + 15.0 * np.sin(x * 1e-5) + 8.0 * np.sin(x * 3.7e-3) + 2.0 * noise
+    """A temperature-like float32 field in [264, 312) kelvin.
+
+    ``287 + 15 season + 8 weather + 2 u``: two sinusoids of periods
+    :data:`SEASON_PERIOD` and :data:`WEATHER_PERIOD` elements, and
+    noise ``u`` in [0, 1) from the top 24 bits of a 64-bit
+    multiplicative hash of the whole index.  Every element depends on
+    its own index only, so any chunking or striding of ``idx`` gives
+    the same values.  Simulated times and bytes never read values, so
+    the field is built in float32 and in place: besides the result, one
+    int64 and one float32 buffer of ``idx``'s length.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.full(idx.shape, 287.0, dtype=np.float32)
+    ints = np.empty(idx.shape, dtype=np.int64)
+    term = np.empty(idx.shape, dtype=np.float32)
+    for period, amplitude in ((SEASON_PERIOD, 15.0), (WEATHER_PERIOD, 8.0)):
+        np.bitwise_and(idx, period - 1, out=ints)
+        term[...] = ints
+        term *= np.float32(2.0 * math.pi / period)
+        np.sin(term, out=term)
+        term *= np.float32(amplitude)
+        out += term
+    bits = ints.view(np.uint64)
+    np.multiply(idx.view(np.uint64), NOISE_MULTIPLIER, out=bits)
+    bits >>= np.uint64(40)
+    term[...] = bits  # below 2^24, so exact in float32
+    term *= np.float32(2.0 ** -23)
+    out += term
+    return out
 
 
 def interleaved_workload(nprocs: int, *, per_rank_bytes: int,

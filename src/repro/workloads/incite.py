@@ -30,11 +30,6 @@ class INCITEProject:
         """On-line data volume in bytes."""
         return int(self.online_tb * TiB)
 
-    @property
-    def offline_bytes(self) -> int:
-        """Off-line data volume in bytes."""
-        return int(self.offline_tb * TiB)
-
 
 #: The paper's Table I, verbatim.
 PROJECTS: Tuple[INCITEProject, ...] = (

@@ -33,12 +33,6 @@ def test_torus_wraparound_shortens():
     assert ring.hops(0, 3) == 1
 
 
-def test_diameter():
-    t = MeshTopology(4, (4, 1), torus=False)
-    assert t.diameter() == 3
-    assert MeshTopology(4, (4, 1), torus=True).diameter() == 2
-
-
 def test_validation():
     with pytest.raises(ConfigError):
         MeshTopology(5, (2, 2))

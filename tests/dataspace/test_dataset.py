@@ -27,8 +27,6 @@ def test_linear_and_coords_roundtrip_examples():
 
 def test_byte_mapping():
     s = DatasetSpec((2, 3), np.float64, file_offset=16)
-    assert s.byte_offset_of(0) == 16
-    assert s.byte_offset_of(5) == 16 + 40
     assert s.element_of_byte(16) == 0
     assert s.element_of_byte(16 + 47) == 5
 

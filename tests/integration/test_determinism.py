@@ -7,6 +7,7 @@ These tests pin that contract.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
@@ -17,8 +18,10 @@ from repro.flags import override
 from repro.io import AccessRequest, CollectiveHints, twophase
 from repro.mpi import mpi_run
 from repro.obs import metrics
-from repro.pfs.datasource import BlockCache, ProceduralSource
+from repro.pfs.datasource import (BlockCache, ProceduralSource,
+                                  default_field)
 from repro.sim import Kernel
+from repro.workloads import climate_field
 
 NPROCS = 4
 
@@ -122,17 +125,24 @@ def field(idx):
     return np.sin(idx.astype(np.float64) * 0.013) * 7.5
 
 
-def test_block_cache_reads_byte_identical():
+FIELDS = pytest.mark.parametrize("func", [field, climate_field,
+                                          default_field])
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+@FIELDS
+@DTYPES
+def test_block_cache_reads_byte_identical(dtype, func):
     n = 10_000
-    cached = ProceduralSource(n, np.float64, field, block_elements=256,
+    item = np.dtype(dtype).itemsize
+    cached = ProceduralSource(n, dtype, func, block_elements=256,
                               cache=BlockCache())
-    raw = ProceduralSource(n, np.float64, field, block_elements=256,
-                           cache=False)
+    raw = ProceduralSource(n, dtype, func, block_elements=256, cache=False)
     # Offsets crossing block boundaries, misaligned starts/ends, full
     # and empty reads.
-    probes = [(0, 1), (0, 8), (3, 13), (255 * 8, 32), (256 * 8 - 1, 2),
-              (511 * 8 + 5, 4096), (n * 8 - 7, 7), (1234, 0),
-              (0, n * 8)]
+    probes = [(0, 1), (0, item), (3, 13), (255 * item, 4 * item),
+              (256 * item - 1, 2), (511 * item + 5, 4096),
+              (n * item - 7, 7), (1234, 0), (0, n * item)]
     for offset, nbytes in probes:
         assert bytes(cached.read(offset, nbytes)) == \
                bytes(raw.read(offset, nbytes)), (offset, nbytes)
@@ -142,10 +152,12 @@ def test_block_cache_reads_byte_identical():
                bytes(raw.read(offset, nbytes)), (offset, nbytes)
 
 
-def test_block_cache_values_byte_identical():
-    cached = ProceduralSource(5_000, np.float64, field, block_elements=128,
+@FIELDS
+@DTYPES
+def test_block_cache_values_byte_identical(dtype, func):
+    cached = ProceduralSource(5_000, dtype, func, block_elements=128,
                               cache=BlockCache())
-    raw = ProceduralSource(5_000, np.float64, field, block_elements=128,
+    raw = ProceduralSource(5_000, dtype, func, block_elements=128,
                            cache=False)
     for first, count in [(0, 1), (0, 128), (100, 300), (127, 2),
                          (4_999, 1), (0, 5_000)]:

@@ -36,7 +36,7 @@ def test_attach_digests_existing_files():
     assert f.block_digests is None  # integrity off: no digests
     integ = IntegrityManager.attach(m)
     assert f.digest_block == 512
-    assert len(f.block_digests) == f.n_digest_blocks() == 16
+    assert len(f.block_digests) == 16
     assert integ.blocks_digested == 16
     # Each digest covers exactly one stripe-size block of the source.
     assert f.block_digests[3] == crc32c(f.source.read(3 * 512, 512))

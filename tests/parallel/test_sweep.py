@@ -33,7 +33,6 @@ def test_jobs_zero_resolves_to_default():
 def test_sweep_point_kwargs_sorted_and_roundtrip():
     p = SweepPoint.make("m:f", b=2, a=1)
     assert p.kwargs == (("a", 1), ("b", 2))
-    assert p.kwargs_dict() == {"a": 1, "b": 2}
 
 
 def test_replay_expression_names_function_and_kwargs():

@@ -77,7 +77,6 @@ def test_composite_source_layout_and_reads():
     b = ArraySource(np.arange(10, 16, dtype=np.uint8))
     comp = CompositeSource([a, b])
     assert comp.size == 10
-    assert comp.part_offset(1) == 4
     assert comp.read(0, 10) == bytes([0, 1, 2, 3, 10, 11, 12, 13, 14, 15])
     # Spanning read across the boundary.
     assert comp.read(2, 4) == bytes([2, 3, 10, 11])

@@ -12,7 +12,6 @@ def test_record_and_phases():
     tl.record(0, 0, "shuffle", 1.0, 1.5)
     tl.record(1, 0, "read", 0.0, 2.0)
     assert tl.phases() == ["read", "shuffle"]
-    assert tl.iteration_count() == 1
     with pytest.raises(ReproError):
         tl.record(0, 0, "read", 1.0, 0.5)
 

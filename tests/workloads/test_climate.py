@@ -49,6 +49,36 @@ def test_climate_field_deterministic_and_physical():
     assert 250.0 < a.mean() < 320.0
 
 
+# Values are never pinned: vectorised float32 sin may differ in the last
+# bit between CPUs.
+
+def test_climate_field_is_float32_in_range():
+    # Two whole seasonal periods, here and in a far seed's region.
+    for first in (0, 7 << 30):
+        a = climate_field(np.arange(first, first + (1 << 20), dtype=np.int64))
+        assert a.dtype == np.float32
+        assert a.min() >= 264.0 and a.max() < 312.0
+
+
+def test_climate_field_chunk_and_stride_invariant():
+    idx = np.arange(5 << 30, (5 << 30) + 100_000, dtype=np.int64)
+    whole = climate_field(idx)
+    chunked = np.concatenate([climate_field(idx[lo:lo + 12_345])
+                              for lo in range(0, idx.size, 12_345)])
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(climate_field(idx[::3]), whole[::3])
+
+
+def test_climate_field_seed_regions_differ():
+    # perfbench reads seed k's data at k * 2^30 elements; the periods
+    # divide 2^30, so only the noise, which hashes the whole index,
+    # tells the regions apart.
+    idx = np.arange(100_000, dtype=np.int64)
+    sums = {float(climate_field(idx + (k << 30)).sum(dtype=np.float64))
+            for k in range(8)}
+    assert len(sums) == 8
+
+
 def test_ratio_ops_per_element():
     # ratio 2 at io=10s, 4 ranks, 100 elements, rate 1e3:
     # per-rank compute (100/4)*ops/1e3 must equal 20s -> ops = 800.
