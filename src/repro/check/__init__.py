@@ -24,11 +24,11 @@ as good as its invariants, so this layer checks them mechanically:
    the degraded tail), never dropped or double-counted.
 5. **Race detector + schedule shaker** (:mod:`repro.check.races`,
    :mod:`repro.check.shake`) — a vector-clock happens-before tracker
-   threaded through the sim kernel and MPI layer (wildcard-recv
-   message races, unordered shared-state access, race-dependent
-   non-commutative reductions), paired with seeded tie-break
-   perturbation of the event queue that re-runs a scenario battery
-   under ``K`` different schedules and asserts bit-identical data.
+   threaded through the sim kernel (unordered shared-state access;
+   message matching needs no detector, since every receive names an
+   exact source and tag), paired with seeded tie-break perturbation of
+   the event queue that re-runs a scenario battery under ``K``
+   different schedules and asserts bit-identical data.
 
 The runtime sanitizers hang off the ``check`` field of the
 :class:`~repro.flags.Flags` record (``REPRO_CHECK``); the test suite

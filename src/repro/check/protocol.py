@@ -31,9 +31,7 @@ from ..errors import MPIError
 #: remaining ops legitimately carry per-rank payloads of differing
 #: sizes (allgather/alltoall of run lists, bcast's ignored non-root
 #: argument), so only their op name and ordering are enforced.
-STRICT_PAYLOAD_OPS = frozenset({
-    "reduce", "allreduce", "scan", "exscan", "reduce_scatter_block",
-})
+STRICT_PAYLOAD_OPS = frozenset({"reduce", "allreduce"})
 
 
 def payload_signature(value: Any) -> Tuple:
@@ -137,8 +135,6 @@ class CollectiveLedger:
 # -- deadlock wait-for analysis ---------------------------------------------
 
 def _describe_tag(tag: int, min_reserved: int) -> str:
-    if tag == -1:
-        return "ANY"
     if tag >= min_reserved:
         return f"{tag} (collective tag #{tag - min_reserved})"
     return str(tag)
@@ -146,11 +142,11 @@ def _describe_tag(tag: int, min_reserved: int) -> str:
 
 def blocked_receives(comm) -> List[Tuple[int, int, int]]:
     """``(rank, source, tag)`` for every posted, unmatched receive of a
-    communicator (``source``/``tag`` may be the -1 wildcards)."""
+    communicator, one entry per receive."""
     out: List[Tuple[int, int, int]] = []
     for rank, posted in enumerate(comm._posted):
-        for pr in posted:
-            out.append((rank, pr.source, pr.tag))
+        for (source, tag), waiting in posted.items():
+            out.extend((rank, source, tag) for _ in waiting)
     return out
 
 
@@ -192,9 +188,8 @@ def describe_blocked(comm, min_reserved_tag: int,
     blocked = blocked_receives(comm)
     ledger = getattr(comm, "sanitizer", None)
     for rank, source, tag in blocked[:max_lines]:
-        src = "ANY" if source == -1 else str(source)
         line = (f"comm {comm.id} rank {rank}: blocked in "
-                f"recv(source={src}, tag={_describe_tag(tag, min_reserved_tag)})")
+                f"recv(source={source}, tag={_describe_tag(tag, min_reserved_tag)})")
         if ledger is not None:
             last = ledger.last_collective(rank)
             if last is not None:
@@ -203,14 +198,14 @@ def describe_blocked(comm, min_reserved_tag: int,
     if len(blocked) > max_lines:
         lines.append(f"comm {comm.id}: ... and {len(blocked) - max_lines} "
                      f"more blocked receive(s)")
-    # Wait-for cycle over ranks with exactly one pending, non-wildcard
-    # source: rank r waits on rank s.
+    # Wait-for cycle over ranks with exactly one pending source: rank r
+    # waits on rank s.
     edges: Dict[int, int] = {}
     per_rank: Dict[int, List[Tuple[int, int]]] = {}
     for rank, source, tag in blocked:
         per_rank.setdefault(rank, []).append((source, tag))
     for rank, waits in per_rank.items():
-        sources = {s for s, _t in waits if s != -1}
+        sources = {s for s, _t in waits}
         if len(sources) == 1:
             edges[rank] = next(iter(sources))
     cycle = find_rank_cycle(edges)
@@ -222,9 +217,10 @@ def describe_blocked(comm, min_reserved_tag: int,
         lines.append(
             f"comm {comm.id} wait-for cycle: "
             + " ".join(hops) + f" rank {cycle[0]}")
-    for rank, queue in enumerate(comm._unexpected):
-        if queue:
+    for rank, unexpected in enumerate(comm._unexpected):
+        if unexpected:
+            count = sum(len(queue) for queue in unexpected.values())
             lines.append(
-                f"comm {comm.id} rank {rank}: {len(queue)} delivered "
+                f"comm {comm.id} rank {rank}: {count} delivered "
                 f"message(s) never received")
     return lines

@@ -1,20 +1,15 @@
-"""Happens-before race detection for the collective runtime.
+"""Happens-before race detection for the simulation kernel.
 
 The simulator's determinism contract says a run is a pure function of
 the program — but that only holds if no *result* depends on how the
-kernel breaks same-timestamp ties or on which of two racing messages
-lands first.  This module makes that assumption checkable, in the
-spirit of MUST-style MPI correctness tools: a vector-clock
-happens-before tracker threaded through the event kernel and the MPI
-layer that flags
+kernel breaks same-timestamp ties.  Message matching cannot: every
+receive names an exact ``(source, tag)`` and MPI's non-overtaking rule
+orders the messages of one pair (:mod:`repro.mpi.comm`), so the arrival
+order of two sends never decides which receive gets which message.
+What is left is state that simulated processes share, and this module
+makes its ordering checkable with a vector-clock happens-before tracker
+threaded through the event kernel.  It flags one kind of finding:
 
-``wildcard-recv``
-    A receive posted with ``ANY_SOURCE`` matched one send while another
-    send from a *different* source was concurrently enabled and also
-    matched the ``(dest, tag)`` window — the arrival order is not fixed
-    by happens-before, so a different schedule could deliver the other
-    message first.  (Same-source pairs are excluded: MPI's
-    non-overtaking rule fixes their order.)
 ``shared-state``
     Two happens-before-concurrent accesses to a labelled piece of
     shared simulated state (a cell named in
@@ -25,10 +20,6 @@ layer that flags
     succeed(next)`` flows through the event graph, and a grant made on
     the spot joins the clock the last release published — so correctly
     guarded code stays clean.
-``reduce-order``
-    A non-commutative reduction step executed on a rank whose inputs
-    were tainted by a wildcard-recv race: the operand order the result
-    depends on is itself race-dependent.
 
 Design
 ------
@@ -47,9 +38,6 @@ kernel spine:
 * ``Condition._observe`` accumulates sub-event clocks so ``AllOf``
   joins *all* of its inputs.
 
-The MPI layer then needs only race *detection* bookkeeping — which
-sends are enabled, which recv matched — not edge recording.
-
 Scale note: vector clocks are dicts over dynamically created task ids
 (every simulated process, including per-message transfer processes,
 gets one), so tracking cost grows with both event count and task
@@ -67,7 +55,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import RaceError
 
@@ -119,7 +107,7 @@ def vc_format(vc: Dict[int, int]) -> str:
 class RaceFinding:
     """One detected race."""
 
-    #: ``wildcard-recv`` | ``shared-state`` | ``reduce-order``.
+    #: Finding kind; ``shared-state`` is the only one.
     kind: str
     #: Simulated time the race was observed at.
     time: float
@@ -385,127 +373,3 @@ class KernelRaceTracker:
         self.findings.append(finding)
         report_finding(finding)
 
-
-# -- the MPI-side tracker -----------------------------------------------
-
-class _SendRec:
-    """One enabled (sent, not yet matched) message."""
-
-    __slots__ = ("sid", "msg", "vc", "collective")
-
-    def __init__(self, sid: int, msg: Any, vc: Dict[int, int],
-                 collective: Optional[str]) -> None:
-        self.sid = sid
-        self.msg = msg
-        self.vc = vc
-        self.collective = collective
-
-
-class CommRaceTracker:
-    """Message-race bookkeeping for one communicator.
-
-    Attached by :class:`~repro.mpi.comm.Communicator` at construction
-    whenever its kernel carries a :class:`KernelRaceTracker`.  Tracks
-    the set of *enabled* sends (sent and not yet matched to a receive)
-    with the sender's clock; when a wildcard receive matches, every
-    other enabled send from a different source that also fits the
-    ``(dest, tag)`` window and is happens-before-concurrent with the
-    matched one is a message race.
-    """
-
-    def __init__(self, tracker: KernelRaceTracker, comm_id: int,
-                 nprocs: int, any_source: int, any_tag: int) -> None:
-        self.tracker = tracker
-        self.comm_id = comm_id
-        self.nprocs = nprocs
-        self._any_source = any_source
-        self._any_tag = any_tag
-        self._next_sid = 0
-        #: Enabled sends keyed by message identity (the record holds a
-        #: strong reference, so ids cannot be recycled underneath us).
-        self._enabled: Dict[int, _SendRec] = {}
-        #: Current collective per rank (attribution only; the HB edges
-        #: of a collective are those of its constituent messages).
-        self._in_collective: Dict[int, str] = {}
-        #: Ranks whose received data is downstream of a wildcard race.
-        self.tainted_ranks: Set[int] = set()
-        #: (op name, rank) pairs already reported, to dedupe the
-        #: per-step reduce-order findings.
-        self._reduce_reported: Set[Tuple[str, int]] = set()
-
-    # -- collective scope ------------------------------------------------
-    def note_collective(self, rank: int, op: str) -> None:
-        """A rank entered collective ``op`` (attribution for reports)."""
-        self._in_collective[rank] = op
-
-    def note_collective_exit(self, rank: int, op: str) -> None:
-        """A rank returned from collective ``op``."""
-        if self._in_collective.get(rank) == op:
-            del self._in_collective[rank]
-
-    def _scope(self, rank: int) -> str:
-        op = self._in_collective.get(rank)
-        return f" during collective '{op}'" if op else ""
-
-    # -- send lifecycle --------------------------------------------------
-    def note_send(self, msg: Any) -> None:
-        """A message entered the system: record it as enabled, stamped
-        with the sender's clock."""
-        sid = self._next_sid
-        self._next_sid += 1
-        self._enabled[id(msg)] = _SendRec(
-            sid, msg, self.tracker.current_vc(),
-            self._in_collective.get(msg.source))
-
-    def note_drop(self, msg: Any) -> None:
-        """The fault injector dropped the message: no longer enabled."""
-        self._enabled.pop(id(msg), None)
-
-    def note_match(self, msg: Any, recv_source: int, recv_tag: int) -> None:
-        """A receive matched ``msg``.  For wildcard-source receives,
-        scan the still-enabled sends for racing candidates."""
-        rec = self._enabled.pop(id(msg), None)
-        if recv_source != self._any_source or rec is None:
-            return
-        dest = msg.dest
-        for other in self._enabled.values():
-            if (other.msg.dest == dest
-                    and other.msg.source != msg.source
-                    and (recv_tag == self._any_tag
-                         or other.msg.tag == recv_tag)
-                    and vc_concurrent(rec.vc, other.vc)):
-                tag_repr = "ANY_TAG" if recv_tag == self._any_tag \
-                    else recv_tag
-                self.tainted_ranks.add(dest)
-                self.tracker._record(
-                    "wildcard-recv",
-                    f"message race on comm {self.comm_id} at rank {dest}"
-                    f"{self._scope(dest)}: recv(source=ANY_SOURCE, "
-                    f"tag={tag_repr}) matched send #{rec.sid} "
-                    f"({msg.source}->{dest} tag={msg.tag}, "
-                    f"vc={vc_format(rec.vc)}) while send #{other.sid} "
-                    f"({other.msg.source}->{other.msg.dest} "
-                    f"tag={other.msg.tag}, vc={vc_format(other.vc)}) "
-                    f"was concurrently enabled; arrival order is not "
-                    f"fixed by happens-before")
-
-    # -- reduction order -------------------------------------------------
-    def note_reduce_step(self, op: Any, rank: int, src: int) -> None:
-        """Rank ``rank`` combined its partial value with one received
-        from ``src``.  For non-commutative operators on a tainted rank,
-        the operand order is race-dependent."""
-        if op.commutative:
-            return
-        tainted = self.tainted_ranks
-        if rank not in tainted and src not in tainted:
-            return
-        key = (op.name, rank)
-        if key in self._reduce_reported:
-            return
-        self._reduce_reported.add(key)
-        self.tracker._record(
-            "reduce-order",
-            f"non-commutative reduction '{op.name}' on comm "
-            f"{self.comm_id} at rank {rank}{self._scope(rank)} combines "
-            f"operands whose order depends on a wildcard-recv race "
-            f"(tainted ranks: {sorted(tainted)})")

@@ -48,13 +48,10 @@ class MapReduceOp:
     ops_per_element:
         Relative CPU cost of mapping one element (1.0 = one unit of the
         cost model's ``core_element_rate``).
-    commutative:
-        Whether combine order may be changed by tree reductions.
     """
 
     name: str = "op"
     ops_per_element: float = 1.0
-    commutative: bool = True
 
     #: Whether :meth:`map_chunk` consults ``indices``.  Not a dataclass
     #: field — a plain class attribute overridden by location-aware

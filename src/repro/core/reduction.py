@@ -84,7 +84,7 @@ def make_reduce_op(op: MapReduceOp) -> Op:
         if b is None:
             return a
         return op.combine(a, b)
-    return Op.create(fn, commutative=op.commutative, name=f"cc:{op.name}")
+    return Op.create(fn, name=f"cc:{op.name}")
 
 
 def global_reduce(ctx: RankContext, op: MapReduceOp, local_payload: Any,

@@ -114,9 +114,8 @@ class SweepInterrupted(ReproError):
 class RaceError(ReproError):
     """Raised by the happens-before race detector
     (:mod:`repro.check.races`) when a run left race findings behind:
-    wildcard-receive message races, unordered accesses to shared
-    simulated state, or non-commutative reduction steps whose operand
-    order depended on a message race."""
+    happens-before-concurrent accesses to shared simulated state, at
+    least one a write."""
 
 
 class ConfigError(ReproError):

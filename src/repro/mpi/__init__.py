@@ -1,8 +1,10 @@
 """Simulated MPI: point-to-point, collectives, ops, runtime.
 
 **Role.** The message-passing substrate: ranks as coroutines
-(:func:`mpi_run`), point-to-point with real MPI matching semantics,
-binomial/Bruck/pairwise collectives built on it, and reduction ops.
+(:func:`mpi_run`), point-to-point with MPI's exact-match ``(source,
+tag)`` semantics (no wildcards: every receive schedule comes from the
+exchanged plan), the binomial/Bruck/pairwise collectives the protocols
+call, and reduction ops.
 
 **Paper mapping.** Stands in for the MPICH 3.1.2 of the §V testbed;
 the §III-C results reduce (all-to-one / all-to-all) and the two-phase
@@ -12,19 +14,17 @@ faults.
 """
 
 from . import collectives
-from .comm import (ANY_SOURCE, ANY_TAG, MIN_RESERVED_TAG, CommHandle,
-                   Communicator, Message, Request)
-from .op import (BAND, BOR, LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM,
-                 Op, lookup)
+from .comm import (MIN_RESERVED_TAG, CommHandle, Communicator, Message,
+                   Request)
+from .op import SUM, Op
 from .runtime import RankContext, build_contexts, mpi_run
 from .wire import wire_size
 
 __all__ = [
     "collectives",
-    "ANY_SOURCE", "ANY_TAG", "MIN_RESERVED_TAG",
+    "MIN_RESERVED_TAG",
     "CommHandle", "Communicator", "Message", "Request",
-    "BAND", "BOR", "LAND", "LOR", "MAX", "MAXLOC", "MIN", "MINLOC",
-    "PROD", "SUM", "Op", "lookup",
+    "SUM", "Op",
     "RankContext", "build_contexts", "mpi_run",
     "wire_size",
 ]

@@ -6,10 +6,12 @@ latency scale the same way they do on the paper's testbed:
 * ``barrier`` — dissemination (⌈log2 P⌉ rounds).
 * ``bcast`` / ``reduce`` — binomial trees.
 * ``allreduce`` — reduce to 0 + bcast.
-* ``gather`` / ``scatter`` — linear with the root.
-* ``allgather`` — ring (P-1 steps).
+* ``gather`` — linear with the root.
+* ``allgather`` — Bruck (⌈log2 P⌉ rounds).
 * ``alltoall`` — P-1 pairwise exchange rounds; per-destination payloads
   of arbitrary (differing) sizes make this double as ``alltoallv``.
+
+These are the collectives the CC and two-phase protocols call.
 
 Every function is a generator to be driven with ``yield from`` inside a
 rank process, and must be invoked by **all** ranks of the communicator
@@ -20,7 +22,7 @@ Tags are reserved per collective call via
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Generator, List, Sequence
 
 from ..errors import MPIError
 from .comm import CommHandle
@@ -49,7 +51,6 @@ def barrier(comm: CommHandle) -> Generator:
         yield from comm.recv(src, base_tag + k)
         yield req.event
         mask <<= 1
-    comm.trace_collective_exit("barrier")
     return None
 
 
@@ -60,7 +61,6 @@ def bcast(comm: CommHandle, data: Any, root: int = 0) -> Generator:
     comm.comm.check_rank(root)
     tag = comm.next_collective_tags(1)
     if size == 1:
-        comm.trace_collective_exit("bcast")
         return data
     relative = (rank - root) % size
     mask = 1
@@ -79,7 +79,6 @@ def bcast(comm: CommHandle, data: Any, root: int = 0) -> Generator:
         mask >>= 1
     for req in pending:
         yield req.event
-    comm.trace_collective_exit("bcast")
     return data
 
 
@@ -87,16 +86,16 @@ def reduce(comm: CommHandle, value: Any, op: Op, root: int = 0) -> Generator:
     """Binomial-tree reduction; the combined value lands on ``root``
     (other ranks get ``None``).
 
-    Non-commutative operators are combined in rank order within each
-    tree merge (lower rank's value on the left), matching MPI's
-    canonical-order guarantee for binomial trees.
+    Operands are combined in order of rank relative to ``root`` within
+    each tree merge (the lower relative rank's value on the left), MPI's
+    canonical order for binomial trees, so a non-commutative operator
+    gets a deterministic result: with ``root=0``, the rank-order fold.
     """
     comm.trace_collective("reduce", value)
     size, rank = comm.size, comm.rank
     comm.comm.check_rank(root)
     tag = comm.next_collective_tags(1)
     if size == 1:
-        comm.trace_collective_exit("reduce")
         return value
     relative = (rank - root) % size
     mask = 1
@@ -108,14 +107,12 @@ def reduce(comm: CommHandle, value: Any, op: Op, root: int = 0) -> Generator:
                 other = yield from comm.recv(src, tag)
                 # The partner has a higher relative rank: it goes right.
                 value = op(value, other)
-                comm.note_reduce_step(op, src)
         else:
             dest = ((relative & ~mask) + root) % size
             yield from comm.send(value, dest, tag)
             value = None
             break
         mask <<= 1
-    comm.trace_collective_exit("reduce")
     return value if rank == root else None
 
 
@@ -124,7 +121,6 @@ def allreduce(comm: CommHandle, value: Any, op: Op) -> Generator:
     comm.trace_collective("allreduce", value)
     reduced = yield from reduce(comm, value, op, root=0)
     result = yield from bcast(comm, reduced, root=0)
-    comm.trace_collective_exit("allreduce")
     return result
 
 
@@ -142,37 +138,9 @@ def gather(comm: CommHandle, value: Any, root: int = 0) -> Generator:
             if src == root:
                 continue
             out[src] = yield from comm.recv(src, tag)
-        comm.trace_collective_exit("gather")
         return out
     yield from comm.send(value, root, tag)
-    comm.trace_collective_exit("gather")
     return None
-
-
-def scatter(comm: CommHandle, values: Optional[Sequence[Any]],
-            root: int = 0) -> Generator:
-    """Linear scatter; every rank returns its element of the root's list."""
-    comm.trace_collective("scatter")
-    size, rank = comm.size, comm.rank
-    comm.comm.check_rank(root)
-    tag = comm.next_collective_tags(1)
-    if rank == root:
-        if values is None or len(values) != size:
-            raise MPIError(
-                f"scatter root needs a list of exactly {size} values"
-            )
-        pending = []
-        for dest in range(size):
-            if dest == root:
-                continue
-            pending.append(comm.isend(values[dest], dest, tag))
-        for req in pending:
-            yield req.event
-        comm.trace_collective_exit("scatter")
-        return values[root]
-    data = yield from comm.recv(root, tag)
-    comm.trace_collective_exit("scatter")
-    return data
 
 
 def allgather(comm: CommHandle, value: Any) -> Generator:
@@ -211,120 +179,7 @@ def allgather(comm: CommHandle, value: Any) -> Generator:
         payload_bytes += msg.nbytes - CONTAINER_OVERHEAD
         step <<= 1
         k += 1
-    comm.trace_collective_exit("allgather")
     return [collected[i] for i in range(size)]
-
-
-def allgather_ring(comm: CommHandle, value: Any) -> Generator:
-    """Ring allgather (P-1 rounds) — MPICH's large-message algorithm,
-    bandwidth-optimal without payload duplication.  Kept for workloads
-    where per-rank payloads are large; semantics identical to
-    :func:`allgather`."""
-    comm.trace_collective("allgather_ring", value)
-    size, rank = comm.size, comm.rank
-    tag = comm.next_collective_tags(1)
-    out: List[Any] = [None] * size
-    out[rank] = value
-    if size == 1:
-        comm.trace_collective_exit("allgather_ring")
-        return out
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    carry = value
-    carry_owner = rank
-    for _step in range(size - 1):
-        req = comm.isend((carry_owner, carry), right, tag)
-        src_owner, received = yield from comm.recv(left, tag)
-        yield req.event
-        out[src_owner] = received
-        carry, carry_owner = received, src_owner
-    comm.trace_collective_exit("allgather_ring")
-    return out
-
-
-def scan(comm: CommHandle, value: Any, op: Op) -> Generator:
-    """Inclusive prefix reduction (``MPI_Scan``): rank ``r`` returns
-    ``value_0 op value_1 op ... op value_r``.
-
-    Recursive-doubling: round ``k`` exchanges partial prefixes with the
-    rank ``2^k`` away; ⌈log2 P⌉ rounds.
-    """
-    comm.trace_collective("scan", value)
-    size, rank = comm.size, comm.rank
-    rounds = _ceil_log2(size)
-    base_tag = comm.next_collective_tags(max(rounds, 1))
-    result = value       # prefix including my own value
-    carry = value        # combined value of my 2^k-neighbourhood
-    step = 1
-    k = 0
-    while step < size:
-        reqs = []
-        if rank + step < size:
-            reqs.append(comm.isend(carry, rank + step, base_tag + k))
-        if rank - step >= 0:
-            incoming = yield from comm.recv(rank - step, base_tag + k)
-            # Everything arriving comes from strictly lower ranks.
-            result = op(incoming, result)
-            carry = op(incoming, carry)
-            comm.note_reduce_step(op, rank - step)
-        for req in reqs:
-            yield req.event
-        step <<= 1
-        k += 1
-    comm.trace_collective_exit("scan")
-    return result
-
-
-def exscan(comm: CommHandle, value: Any, op: Op) -> Generator:
-    """Exclusive prefix reduction (``MPI_Exscan``): rank ``r`` returns
-    the combination of ranks ``0..r-1`` (``None`` on rank 0)."""
-    comm.trace_collective("exscan", value)
-    size, rank = comm.size, comm.rank
-    rounds = _ceil_log2(size)
-    base_tag = comm.next_collective_tags(max(rounds, 1))
-    below: Any = None    # combination of strictly lower ranks
-    carry = value
-    step = 1
-    k = 0
-    while step < size:
-        reqs = []
-        if rank + step < size:
-            reqs.append(comm.isend(carry, rank + step, base_tag + k))
-        if rank - step >= 0:
-            incoming = yield from comm.recv(rank - step, base_tag + k)
-            below = incoming if below is None else op(incoming, below)
-            carry = op(incoming, carry)
-            comm.note_reduce_step(op, rank - step)
-        for req in reqs:
-            yield req.event
-        step <<= 1
-        k += 1
-    comm.trace_collective_exit("exscan")
-    return below
-
-
-def reduce_scatter_block(comm: CommHandle, values: Sequence[Any],
-                         op: Op) -> Generator:
-    """``MPI_Reduce_scatter_block``: element ``r`` of every rank's list
-    is reduced and delivered to rank ``r``.
-
-    Implemented as reduce-to-root + scatter (MPICH's small-message
-    fallback); returns this rank's reduced element.
-    """
-    comm.trace_collective("reduce_scatter_block", values)
-    size = comm.size
-    if len(values) != size:
-        raise MPIError(f"reduce_scatter needs exactly {size} values")
-    combined = yield from reduce(
-        comm,
-        list(values),
-        Op.create(lambda a, b: [op(x, y) for x, y in zip(a, b)],
-                  commutative=op.commutative, name=f"ew:{op.name}"),
-        root=0,
-    )
-    mine = yield from scatter(comm, combined, root=0)
-    comm.trace_collective_exit("reduce_scatter_block")
-    return mine
 
 
 def alltoall(comm: CommHandle, values: Sequence[Any]) -> Generator:
@@ -346,5 +201,4 @@ def alltoall(comm: CommHandle, values: Sequence[Any]) -> Generator:
         req = comm.isend(values[dest], dest, tag)
         out[src] = yield from comm.recv(src, tag)
         yield req.event
-    comm.trace_collective_exit("alltoall")
     return out

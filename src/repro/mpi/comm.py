@@ -10,8 +10,11 @@ Semantics (eager protocol with unlimited buffering):
 * ``send`` charges the network transfer (holding the endpoint NICs) and
   completes when the message is delivered to the destination's matching
   engine; it never waits for a matching receive.
-* ``recv`` matches by ``(source, tag)`` with MPI's FIFO per-pair
-  ordering; ``ANY_SOURCE``/``ANY_TAG`` wildcards are supported.
+* ``recv`` names an exact ``(source, tag)`` and matches with MPI's FIFO
+  per-pair ordering.  There are no wildcards: every protocol derives
+  its receive schedule from the exchanged plan, so each rank keeps its
+  posted receives and unexpected messages in dicts from ``(source,
+  tag)`` to FIFO queues, and a match is one lookup.
 * Nonblocking variants return a :class:`Request` the caller yields on.
 
 Tags below :data:`MIN_RESERVED_TAG` are for users; collectives use the
@@ -36,10 +39,6 @@ from .wire import wire_size
 #: power-of-16 decades from tiny control messages to multi-MiB windows.
 MSG_BYTES_EDGES = (64, 1024, 16384, 262144, 4194304)
 
-#: Wildcard source for receives.
-ANY_SOURCE = -1
-#: Wildcard tag for receives.
-ANY_TAG = -1
 #: First tag value reserved for internal (collective) traffic.
 MIN_RESERVED_TAG = 1 << 20
 
@@ -57,13 +56,29 @@ class Message:
     nbytes: int
 
 
-@dataclass
-class _PostedRecv:
-    __slots__ = ("source", "tag", "event")
+#: A rank's matching table: ``(source, tag)`` -> FIFO of posted receive
+#: events or of unexpected messages.  A key is deleted once its queue
+#: empties, because every collective reserves fresh tags.
+_Table = Dict[Tuple[int, int], Deque[Any]]
 
-    source: int
-    tag: int
-    event: Event
+
+def _push(table: _Table, key: Tuple[int, int], item: Any) -> None:
+    queue = table.get(key)
+    if queue is None:
+        table[key] = deque((item,))
+    else:
+        queue.append(item)
+
+
+def _pop(table: _Table, key: Tuple[int, int]) -> Any:
+    """The oldest item under ``key`` (None when there is none)."""
+    queue = table.get(key)
+    if queue is None:
+        return None
+    item = queue.popleft()
+    if not queue:
+        del table[key]
+    return item
 
 
 class Request:
@@ -75,15 +90,15 @@ class Request:
     after completion returns the same payload immediately.
     """
 
-    __slots__ = ("event", "_posted_in", "_posted")
+    __slots__ = ("event", "_table", "_key")
 
-    def __init__(self, event: Event, posted_in: Optional[List["_PostedRecv"]] = None,
-                 posted: Optional["_PostedRecv"] = None) -> None:
+    def __init__(self, event: Event, table: Optional[_Table] = None,
+                 key: Optional[Tuple[int, int]] = None) -> None:
         self.event = event
-        # Set only for still-unmatched receives: the posting list and
-        # the entry itself, so cancel() can withdraw it.
-        self._posted_in = posted_in
-        self._posted = posted
+        # Set only for still-unmatched receives: the posting table and
+        # the receive's key, so cancel() can withdraw it.
+        self._table = table
+        self._key = key
 
     @property
     def complete(self) -> bool:
@@ -109,16 +124,18 @@ class Request:
         """
         if self.event.triggered:
             return False
-        if self._posted is None:
+        table, key = self._table, self._key
+        if table is None:
             raise MPIError(
                 "only a pending receive can be cancelled; send and "
                 "collective requests are already visible to other ranks")
-        try:
-            self._posted_in.remove(self._posted)
-        except ValueError:  # pragma: no cover - matched this instant
-            return False
-        self._posted = None
-        self._posted_in = None
+        # An untriggered receive is still queued: a match succeeds the
+        # event the moment it dequeues it.
+        queue = table[key]
+        queue.remove(self.event)
+        if not queue:
+            del table[key]
+        self._table = self._key = None
         self.event.succeed(_CANCELLED)
         return True
 
@@ -180,8 +197,8 @@ class Communicator:
         self._subcomms: Dict[Tuple[int, ...], "Communicator"] = {}
         # Lazily built node -> member world ranks table (ascending).
         self._node_groups: Optional[Dict[int, List[int]]] = None
-        self._unexpected: List[Deque[Message]] = [deque() for _ in range(nprocs)]
-        self._posted: List[List[_PostedRecv]] = [[] for _ in range(nprocs)]
+        self._unexpected: List[_Table] = [{} for _ in range(nprocs)]
+        self._posted: List[_Table] = [{} for _ in range(nprocs)]
         # Per-(source, dest) sequencing enforcing MPI's non-overtaking
         # guarantee: messages between a pair are delivered in send order
         # even if the underlying transfers complete out of order.
@@ -197,16 +214,6 @@ class Communicator:
         if flags.current().check:
             from ..check.protocol import CollectiveLedger
             self.sanitizer = CollectiveLedger(self.id, nprocs)
-        #: Message-race tracker (:mod:`repro.check.races`), attached
-        #: whenever the kernel carries the happens-before tracker —
-        #: one source of truth, so a communicator is race-tracked iff
-        #: its kernel is.  Detached (the default), each send/match
-        #: site pays one is-None test.
-        self.races = None
-        if kernel._tracker is not None:
-            from ..check.races import CommRaceTracker
-            self.races = CommRaceTracker(kernel._tracker, self.id,
-                                         nprocs, ANY_SOURCE, ANY_TAG)
         # Deadlock reports always include this communicator's pending
         # receives (zero cost until a deadlock is being diagnosed).
         kernel.watch_deadlocks(self)
@@ -253,32 +260,13 @@ class Communicator:
         return CommHandle(self, rank)
 
     # -- matching engine -----------------------------------------------------
-    @staticmethod
-    def _matches(posted_source: int, posted_tag: int, msg: Message) -> bool:
-        return ((posted_source == ANY_SOURCE or posted_source == msg.source)
-                and (posted_tag == ANY_TAG or posted_tag == msg.tag))
-
     def _deliver(self, msg: Message) -> None:
-        posted = self._posted[msg.dest]
-        for i, pr in enumerate(posted):
-            if self._matches(pr.source, pr.tag, msg):
-                del posted[i]
-                if self.races is not None:
-                    self.races.note_match(msg, pr.source, pr.tag)
-                pr.event.succeed(msg)
-                return
-        self._unexpected[msg.dest].append(msg)
-
-    def _match_unexpected(self, dest: int, source: int, tag: int
-                          ) -> Optional[Message]:
-        queue = self._unexpected[dest]
-        for i, msg in enumerate(queue):
-            if self._matches(source, tag, msg):
-                del queue[i]
-                if self.races is not None:
-                    self.races.note_match(msg, source, tag)
-                return msg
-        return None
+        key = (msg.source, msg.tag)
+        event = _pop(self._posted[msg.dest], key)
+        if event is None:
+            _push(self._unexpected[msg.dest], key, msg)
+        else:
+            event.succeed(msg)
 
     # -- transfer process ------------------------------------------------------
     def _send_proc(self, msg: Message, seq: int) -> Generator:
@@ -289,8 +277,6 @@ class Communicator:
         faults = self.machine.faults
         if faults is not None:
             dropped, delay = faults.message_decision(msg)
-            if dropped and self.races is not None:
-                self.races.note_drop(msg)
             if delay > 0:
                 yield self.kernel.timeout(delay)
             if not dropped and faults.plan.corrupt_msg_rate:
@@ -390,9 +376,6 @@ class CommHandle:
             raise MPIError(f"negative tag {tag}")
         size = wire_size(data) if nbytes is None else int(nbytes)
         msg = Message(self.rank, dest, tag, data, size)
-        races = self.comm.races
-        if races is not None:
-            races.note_send(msg)
         m = metrics.current()
         if m is not None:
             m.count("mpi.messages")
@@ -413,27 +396,30 @@ class CommHandle:
         return None
 
     # -- receives ----------------------------------------------------------
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Post a nonblocking receive; the request's value is the payload."""
-        if source != ANY_SOURCE:
-            self.comm.check_rank(source)
+    def irecv(self, source: int, tag: int) -> Request:
+        """Post a nonblocking receive from ``source`` with ``tag``; the
+        request's value is the payload."""
+        comm = self.comm
+        comm.check_rank(source)
+        if tag < 0:
+            raise MPIError(f"negative tag {tag}")
         ev = self.kernel.event(name="recv")
-        msg = self.comm._match_unexpected(self.rank, source, tag)
+        key = (source, tag)
+        msg = _pop(comm._unexpected[self.rank], key)
         if msg is not None:
             ev.succeed(msg)
             return Request(ev)
-        posted = _PostedRecv(source, tag, ev)
-        posted_in = self.comm._posted[self.rank]
-        posted_in.append(posted)
-        return Request(ev, posted_in, posted)
+        posted = comm._posted[self.rank]
+        _push(posted, key, ev)
+        return Request(ev, posted, key)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
+    def recv(self, source: int, tag: int) -> Generator:
         """Blocking receive; returns the payload."""
         req = self.irecv(source, tag)
         msg = yield req.event
         return msg.data
 
-    def recv_msg(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
+    def recv_msg(self, source: int, tag: int) -> Generator:
         """Blocking receive returning the full :class:`Message` envelope
         (source/tag/nbytes included) — the MPI_Status-bearing variant."""
         req = self.irecv(source, tag)
@@ -511,32 +497,9 @@ class CommHandle:
         sanitizer = self.comm.sanitizer
         if sanitizer is not None:
             sanitizer.record(self.rank, op, payload)
-        races = self.comm.races
-        if races is not None:
-            races.note_collective(self.rank, op)
         m = metrics.current()
         if m is not None:
             m.count(f"mpi.coll.{op}")
-
-    def trace_collective_exit(self, op: str) -> None:
-        """Report that this rank returned from collective ``op``.
-
-        The race tracker uses entry/exit to attribute findings to the
-        collective they occurred in; the happens-before edges of a
-        collective are those of its constituent point-to-point
-        messages, recorded through the event graph.
-        """
-        races = self.comm.races
-        if races is not None:
-            races.note_collective_exit(self.rank, op)
-
-    def note_reduce_step(self, op: Any, src: int) -> None:
-        """Report one reduction combine step (this rank folded in a
-        value received from ``src``) to the race tracker, which flags
-        non-commutative operand orders downstream of a message race."""
-        races = self.comm.races
-        if races is not None:
-            races.note_reduce_step(op, self.rank, src)
 
     def next_collective_tags(self, n_tags: int = 1) -> int:
         """Reserve ``n_tags`` consecutive internal tags for one collective

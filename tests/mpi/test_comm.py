@@ -6,7 +6,8 @@ import pytest
 from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.errors import MPIError
-from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator, mpi_run, wire_size
+from repro.mpi import Communicator, collectives, mpi_run, wire_size
+from repro.mpi.op import SUM
 from repro.sim import Kernel
 
 
@@ -30,21 +31,6 @@ def test_send_recv_roundtrip():
 
     _, res = run(2, main)
     assert res[1] == {"a": 1}
-
-
-def test_recv_any_source_any_tag():
-    def main(ctx):
-        if ctx.rank != 0:
-            yield from ctx.comm.send(ctx.rank, dest=0, tag=ctx.rank)
-            return None
-        got = set()
-        for _ in range(3):
-            msg = yield from ctx.comm.recv_msg(ANY_SOURCE, ANY_TAG)
-            got.add((msg.source, msg.tag, msg.data))
-        return got
-
-    _, res = run(4, main)
-    assert res[0] == {(1, 1, 1), (2, 2, 2), (3, 3, 3)}
 
 
 def test_tag_selective_matching():
@@ -85,7 +71,7 @@ def test_unexpected_message_buffered():
             yield from ctx.comm.send("early", dest=1)
             return None
         yield ctx.kernel.timeout(1.0)  # recv posted long after arrival
-        data = yield from ctx.comm.recv(0)
+        data = yield from ctx.comm.recv(0, tag=0)
         return data
 
     _, res = run(2, main)
@@ -99,7 +85,7 @@ def test_isend_overlaps_with_work():
             yield ctx.kernel.timeout(0.5)
             yield req.event
             return ctx.kernel.now
-        yield from ctx.comm.recv(0)
+        yield from ctx.comm.recv(0, tag=0)
         return None
 
     m, res = run(2, main)
@@ -111,7 +97,7 @@ def test_request_wait_unwraps_message():
         if ctx.rank == 0:
             yield from ctx.comm.send([1, 2, 3], dest=1)
             return None
-        req = ctx.comm.irecv(0)
+        req = ctx.comm.irecv(0, tag=0)
         data = yield from req.wait()
         return data
 
@@ -121,27 +107,85 @@ def test_request_wait_unwraps_message():
 
 def test_bad_ranks_and_tags_rejected():
     def main(ctx):
+        yield ctx.kernel.timeout(0)
         with pytest.raises(MPIError):
             ctx.comm.isend("x", dest=5)
         with pytest.raises(MPIError):
             ctx.comm.isend("x", dest=0, tag=-2)
         with pytest.raises(MPIError):
-            ctx.comm.irecv(source=9)
-        return None
-        yield  # pragma: no cover
+            ctx.comm.irecv(source=9, tag=0)
+        with pytest.raises(MPIError):
+            ctx.comm.irecv(0, -2)
+        return "checked"
 
     m = machine()
     comm = Communicator(m.kernel, m, 2)
     comm.handle(0)
     with pytest.raises(MPIError):
         comm.handle(2)
-    # run the generator-less main via mpi_run for rank checks
-    def gen_main(ctx):
+    assert mpi_run(machine(), 2, main) == ["checked", "checked"]
+
+
+def test_keyed_tables_match_exactly_and_drain():
+    """Receives match by exact (source, tag) key, FIFO within a key, and
+    a key leaves its table once its queue empties."""
+    def crossed(ctx):
+        # Messages arrive in the opposite order to the posted receives.
+        if ctx.rank == 0:
+            yield from ctx.comm.send("for-tag-2", dest=1, tag=2)
+            yield from ctx.comm.send("for-tag-1", dest=1, tag=1)
+            return None
+        first = ctx.comm.irecv(0, tag=1)
+        second = ctx.comm.irecv(0, tag=2)
+        a = yield from first.wait()
+        b = yield from second.wait()
+        return (a, b)
+
+    _, res = run(2, crossed)
+    assert res[1] == ("for-tag-1", "for-tag-2")
+
+    def one_key(ctx):
+        if ctx.rank == 0:
+            yield from ctx.comm.send("one", dest=1, tag=4)
+            yield from ctx.comm.send("two", dest=1, tag=4)
+            return None
+        first = ctx.comm.irecv(0, tag=4)
+        second = ctx.comm.irecv(0, tag=4)
+        b = yield from second.wait()
+        a = yield from first.wait()
+        return (a, b)
+
+    _, res = run(2, one_key)
+    assert res[1] == ("one", "two")
+
+    def cancelled(ctx):
+        if ctx.rank == 1:
+            req = ctx.comm.irecv(0, tag=6)
+            assert (0, 6) in ctx.comm.comm._posted[1]
+            assert req.cancel()
+            assert (0, 6) not in ctx.comm.comm._posted[1]
         yield ctx.kernel.timeout(0)
-        with pytest.raises(MPIError):
-            ctx.comm.isend("x", dest=5)
         return None
-    mpi_run(machine(), 2, gen_main)
+
+    run(2, cancelled)
+
+    comms = []
+
+    def collectives_job(ctx):
+        comms.append(ctx.comm.comm)
+        total = yield from collectives.allreduce(ctx.comm, ctx.rank, SUM)
+        everyone = yield from collectives.allgather(ctx.comm, ctx.rank)
+        swapped = yield from collectives.alltoall(
+            ctx.comm, [ctx.rank] * ctx.size)
+        yield from collectives.barrier(ctx.comm)
+        return total, everyone, swapped
+
+    _, res = run(5, collectives_job)
+    assert res[3] == (10, [0, 1, 2, 3, 4], [0, 1, 2, 3, 4])
+    comm = comms[0]
+    assert all(c is comm for c in comms)
+    assert comm._posted == [{}] * 5
+    assert comm._unexpected == [{}] * 5
 
 
 def test_message_accounting():
@@ -149,7 +193,7 @@ def test_message_accounting():
         if ctx.rank == 0:
             yield from ctx.comm.send(np.zeros(100, np.uint8), 1)
         else:
-            yield from ctx.comm.recv(0)
+            yield from ctx.comm.recv(0, tag=0)
         return None
 
     m, _ = run(2, main)

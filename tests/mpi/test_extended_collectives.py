@@ -1,13 +1,8 @@
-"""Tests for scan/exscan/reduce_scatter, Bruck vs ring allgather, and
-communicator splitting."""
-
-import pytest
-from hypothesis import given, settings, strategies as st
+"""Tests for communicator splitting."""
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.errors import MPIError
-from repro.mpi import SUM, Op, collectives, mpi_run
+from repro.mpi import SUM, collectives, mpi_run
 from repro.sim import Kernel
 
 
@@ -16,76 +11,6 @@ def run(nprocs, main, nodes=2, cores=8):
                                              cores_per_node=cores))
     return mpi_run(m, nprocs, main)
 
-
-@pytest.mark.parametrize("nprocs", [1, 2, 3, 5, 8])
-def test_scan_inclusive(nprocs):
-    def main(ctx):
-        return (yield from collectives.scan(ctx.comm, ctx.rank + 1, SUM))
-
-    res = run(nprocs, main)
-    assert res == [sum(range(1, r + 2)) for r in range(nprocs)]
-
-
-@pytest.mark.parametrize("nprocs", [1, 2, 4, 7])
-def test_exscan_exclusive(nprocs):
-    def main(ctx):
-        return (yield from collectives.exscan(ctx.comm, ctx.rank + 1, SUM))
-
-    res = run(nprocs, main)
-    assert res[0] is None
-    for r in range(1, nprocs):
-        assert res[r] == sum(range(1, r + 1))
-
-
-def test_scan_non_commutative_order():
-    concat = Op.create(lambda a, b: a + b, commutative=False, name="concat")
-
-    def main(ctx):
-        return (yield from collectives.scan(ctx.comm,
-                                            chr(ord("a") + ctx.rank), concat))
-
-    res = run(6, main)
-    assert res == ["a", "ab", "abc", "abcd", "abcde", "abcdef"]
-
-
-@pytest.mark.parametrize("nprocs", [1, 3, 6])
-def test_reduce_scatter_block(nprocs):
-    def main(ctx):
-        values = [10 * d + ctx.rank for d in range(ctx.size)]
-        mine = yield from collectives.reduce_scatter_block(ctx.comm, values,
-                                                           SUM)
-        return mine
-
-    res = run(nprocs, main)
-    base = sum(range(nprocs))
-    assert res == [10 * r * nprocs + base for r in range(nprocs)]
-
-
-def test_reduce_scatter_wrong_length():
-    def main(ctx):
-        with pytest.raises(MPIError):
-            yield from collectives.reduce_scatter_block(ctx.comm, [1, 2], SUM)
-        yield ctx.kernel.timeout(0)
-        return None
-
-    run(1, main)
-
-
-@settings(max_examples=15, deadline=None)
-@given(nprocs=st.integers(1, 9))
-def test_bruck_and_ring_allgather_agree(nprocs):
-    def main(ctx):
-        a = yield from collectives.allgather(ctx.comm, ctx.rank ** 2 + 1)
-        b = yield from collectives.allgather_ring(ctx.comm, ctx.rank ** 2 + 1)
-        return (a, b)
-
-    res = run(nprocs, main)
-    expect = [r ** 2 + 1 for r in range(nprocs)]
-    for a, b in res:
-        assert a == expect and b == expect
-
-
-# -- communicator splitting ------------------------------------------------
 
 def test_split_even_odd():
     def main(ctx):

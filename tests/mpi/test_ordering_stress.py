@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.mpi import ANY_SOURCE, mpi_run
+from repro.mpi import mpi_run
 from repro.sim import Kernel
 
 
@@ -58,11 +58,14 @@ def test_many_pairs_no_cross_talk():
                                     dtype=np.uint8))
                 reqs.append(ctx.comm.isend(payload, dst, tag=3))
         seen = {}
-        for _ in range(4 * (P - 1)):
-            src, dst, k, _buf = yield from ctx.comm.recv(ANY_SOURCE, tag=3)
-            assert dst == ctx.rank
-            assert seen.get(src, -1) == k - 1  # in-order per source
-            seen[src] = k
+        for peer in range(P):
+            if peer == ctx.rank:
+                continue
+            for _ in range(4):
+                src, dst, k, _buf = yield from ctx.comm.recv(peer, tag=3)
+                assert (src, dst) == (peer, ctx.rank)
+                assert seen.get(src, -1) == k - 1  # in-order per source
+                seen[src] = k
         for r in reqs:
             yield r.event
         return seen
@@ -73,9 +76,9 @@ def test_many_pairs_no_cross_talk():
         assert all(v == 3 for v in seen.values())
 
 
-def test_wildcard_recv_under_concurrent_tag_streams():
-    """ANY_TAG receives drain everything; tag-specific receives posted
-    concurrently in another sub-process still match only their tag."""
+def test_concurrent_tag_streams_match_only_their_tag():
+    """Receives for two tags of one source, posted concurrently from two
+    sub-processes, each match only their own tag's messages."""
     def main(ctx):
         if ctx.rank == 0:
             for i in range(6):

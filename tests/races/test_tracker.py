@@ -62,7 +62,7 @@ def test_finding_format():
 
 
 def test_registry_report_snapshot_drain():
-    f = RaceFinding("wildcard-recv", 1.0, "x")
+    f = RaceFinding("shared-state", 1.0, "x")
     report_finding(f)
     assert current_findings() == [f]
     assert current_findings() == [f]  # snapshot does not drain
