@@ -186,14 +186,20 @@ def count_events(module) -> int:
 def ratchet_events(key: str, events: int, previous, args):
     """Gate ``events`` against the count recorded under ``key``; returns
     ``(new record, grew)``.  Exact: any growth fails.  The record
-    ratchets downward; ``--update`` or a missing record rebases it."""
+    ratchets downward; ``--update`` or a missing record rebases it.
+    The measured count is printed on every run, with the verdict only
+    when it is gated."""
     record = (previous or {}).get(key, {}).get("sim_events")
+    if record is None:
+        print(f"  sim.events: {events} (no record: rebasing)")
+        return events, False
     grew = False
-    if record is not None and not args.no_check:
+    line = f"  sim.events: {events} (record {record})"
+    if not args.no_check:
         grew = events > record
-        verdict = "REGRESSION" if grew else "OK"
-        print(f"  sim.events: {events} (record {record}) -> {verdict}")
-    if args.update or record is None or events < record:
+        line += f" -> {'REGRESSION' if grew else 'OK'}"
+    print(line)
+    if args.update or events < record:
         record = events
     return record, grew
 

@@ -22,19 +22,15 @@ as good as its invariants, so this layer checks them mechanically:
    the fault-recovery accounting of :mod:`repro.faults.resilient`:
    every expected window is served exactly once (by an aggregator or
    the degraded tail), never dropped or double-counted.
-5. **Race detector + schedule shaker** (:mod:`repro.check.races`,
-   :mod:`repro.check.shake`) — a vector-clock happens-before tracker
-   threaded through the sim kernel (unordered shared-state access;
-   message matching needs no detector, since every receive names an
-   exact source and tag), paired with seeded tie-break perturbation of
-   the event queue that re-runs a scenario battery under ``K``
-   different schedules and asserts bit-identical data.
+5. **Schedule shaker** (:mod:`repro.check.shake`) — seeded tie-break
+   perturbation of the event queue that re-runs a scenario battery
+   under ``K`` different schedules and asserts bit-identical data: no
+   result may depend on how same-time events are ordered.
 
 The runtime sanitizers hang off the ``check`` field of the
 :class:`~repro.flags.Flags` record (``REPRO_CHECK``); the test suite
-turns it on globally.  The race tracker has its own ``races`` field
-(``REPRO_RACES``: vector clocks cost real memory on large runs) and the
-shaker its ``shake`` seed (``REPRO_SHAKE``).
+turns it on globally.  The shaker has its own ``shake`` seed
+(``REPRO_SHAKE``).
 
 ``protocol`` and ``plan`` are exported lazily: they import the layers
 they verify — eager re-export here would make that a cycle.
@@ -45,14 +41,10 @@ from __future__ import annotations
 from .faults import check_recovery_coverage
 from .lint import (ALL_RULES, DEFAULT_CONFIG, Finding, LintConfig,
                    lint_file, lint_paths, lint_source)
-from .races import (RaceFinding, assert_no_races, current_findings,
-                    drain_findings)
 
 __all__ = [
     "ALL_RULES", "DEFAULT_CONFIG", "Finding", "LintConfig",
     "lint_file", "lint_paths", "lint_source",
-    "RaceFinding", "assert_no_races", "current_findings",
-    "drain_findings",
     "check_recovery_coverage",
     "CollectiveLedger", "payload_signature",
     "check_plan", "check_translation",

@@ -25,12 +25,11 @@ Three opt-in stages each replace both:
   inject/detect matching, and a consistent fault ledger.  Failures
   name the offending ``seed=... scenario=...`` so any job replays
   exactly.
-* ``--races`` runs the static lint and then the race/schedule battery
+* ``--shake [K]`` runs the static lint and then the schedule battery
   of :mod:`repro.check.shake`: the same scenario list plus the chaos
-  scenarios, each under the vector-clock race tracker
-  (``REPRO_RACES``) and re-run under ``--shake K`` perturbed event
-  schedules, asserting zero race findings and bit-identical data
-  results across schedules.
+  scenarios, each under the FIFO schedule and ``K`` (default 4)
+  perturbed event schedules (``REPRO_SHAKE``), asserting bit-identical
+  data results across schedules.
 * ``--crash [N]`` runs the preemption campaign of
   :mod:`repro.check.crash` — ``N`` seeded drills that SIGKILL workers
   mid-point, hang points past their deadline, and murder whole sweep
@@ -39,7 +38,9 @@ Three opt-in stages each replace both:
 
 An interrupted or killed ``--chaos`` campaign leaves a run journal
 behind; rerun it with ``--resume`` to replay the completed jobs and
-finish with byte-identical output.
+finish with byte-identical output.  An option that only one mode reads
+(``--chaos-seed``, ``--jobs``, ``--resume``, ``--crash-seed``,
+``--shake-seed``) is a usage error without that mode.
 
 Exit status: 0 clean, 1 findings/sanitizer/campaign failure, 2 usage
 error (130 when a campaign is interrupted by SIGINT/SIGTERM).
@@ -53,7 +54,7 @@ Usage::
     python -m repro.check --chaos 8 --chaos-seed 100
     python -m repro.check --chaos 25 --resume       # resume a killed campaign
     python -m repro.check --crash 8                 # preemption drills
-    python -m repro.check --races --shake 4         # race + shake battery
+    python -m repro.check --shake 4                 # schedule battery
     python -m repro.check --list-rules
 """
 
@@ -230,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default=None, metavar="N",
                         help="run only the data-integrity chaos campaign "
                              "(N seeded corruption jobs; default 12)")
-    parser.add_argument("--chaos-seed", type=int, default=0,
+    parser.add_argument("--chaos-seed", type=int, default=None,
                         metavar="SEED",
                         help="base seed for the chaos campaign "
                              "(job i uses SEED + i; default 0)")
@@ -245,23 +246,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(N seeded kill-and-recover drills over the "
                              "sweep supervisor and run journal; "
                              "default 8)")
-    parser.add_argument("--crash-seed", type=int, default=0,
+    parser.add_argument("--crash-seed", type=int, default=None,
                         metavar="SEED",
                         help="base seed for the crash campaign "
                              "(drill i uses SEED + i; default 0)")
-    parser.add_argument("--races", action="store_true",
-                        help="run the static lint plus the race/schedule "
-                             "battery: every scenario under the "
-                             "vector-clock race tracker, re-run under "
-                             "--shake K perturbed schedules")
-    parser.add_argument("--shake", type=int, default=4, metavar="K",
-                        help="number of perturbed event schedules per "
-                             "scenario for --races (default 4)")
-    parser.add_argument("--shake-seed", type=int, default=0,
+    parser.add_argument("--shake", type=int, nargs="?", const=4,
+                        default=None, metavar="K",
+                        help="run the static lint plus the schedule "
+                             "battery: every scenario under the FIFO "
+                             "schedule and K perturbed ones (default 4)")
+    parser.add_argument("--shake-seed", type=int, default=None,
                         metavar="SEED",
                         help="base seed for the schedule perturbations "
                              "(default 0)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="fan the chaos campaign out over N worker "
                              "processes (0 = one per core); output is "
                              "identical to --jobs 1")
@@ -286,17 +284,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("--static-only and --smoke-only are mutually exclusive",
               file=sys.stderr)
         return 2
-    exclusive = [flag for flag, on in (("--chaos", args.chaos is not None),
-                                       ("--races", args.races),
-                                       ("--crash", args.crash is not None))
-                 if on]
+    modes = {"--chaos": args.chaos, "--shake": args.shake,
+             "--crash": args.crash}
+    exclusive = [flag for flag, count in modes.items() if count is not None]
     if len(exclusive) > 1:
         print(f"{' and '.join(exclusive)} are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.resume and args.chaos is None:
-        print("--resume only applies to --chaos", file=sys.stderr)
-        return 2
+    for option, given, mode in (
+            ("--resume", args.resume, "--chaos"),
+            ("--chaos-seed", args.chaos_seed is not None, "--chaos"),
+            ("--jobs", args.jobs is not None, "--chaos"),
+            ("--crash-seed", args.crash_seed is not None, "--crash"),
+            ("--shake-seed", args.shake_seed is not None, "--shake")):
+        if given and modes[mode] is None:
+            print(f"{option} only applies to {mode}", file=sys.stderr)
+            return 2
+    chaos_seed = args.chaos_seed or 0
+    crash_seed = args.crash_seed or 0
     if args.crash is not None:
         if args.static_only or args.smoke_only:
             print("--crash cannot be combined with --static-only or "
@@ -310,11 +315,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .crash import run_campaign as run_crash_campaign
         metrics.reset()
         status, recovery = run_crash_campaign(
-            args.crash, base_seed=args.crash_seed, quiet=args.quiet)
+            args.crash, base_seed=crash_seed, quiet=args.quiet)
         if metrics.current() is not None:
             from ..obs.manifest import write_manifest
             path = write_manifest("crash", config={
-                "n": args.crash, "base_seed": args.crash_seed},
+                "n": args.crash, "base_seed": crash_seed},
                 recovery=recovery)
             if not args.quiet:
                 print(f"run manifest: {path}")
@@ -334,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .chaos import run_campaign
         metrics.reset()
         journal = PointCache(journal_root(
-            f"chaos-n{args.chaos}-seed{args.chaos_seed}"), max_entries=None)
+            f"chaos-n{args.chaos}-seed{chaos_seed}"), max_entries=None)
         if not args.resume:
             journal.clear()
         elif journal.entry_count() and not args.quiet:
@@ -344,10 +349,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"({journal.entry_count()} journaled job(s))",
                   file=sys.stderr)
         resume_cmd = (f"python -m repro.check --chaos {args.chaos} "
-                      f"--chaos-seed {args.chaos_seed} --resume")
+                      f"--chaos-seed {chaos_seed} --resume")
         try:
-            status = run_campaign(args.chaos, base_seed=args.chaos_seed,
-                                  quiet=args.quiet, jobs=args.jobs,
+            status = run_campaign(args.chaos, base_seed=chaos_seed,
+                                  quiet=args.quiet,
+                                  jobs=1 if args.jobs is None else args.jobs,
                                   journal=journal, resume_hint=resume_cmd)
         except SweepInterrupted as exc:
             print(f"repro.check chaos: {exc}", file=sys.stderr)
@@ -355,14 +361,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if metrics.current() is not None:
             from ..obs.manifest import write_manifest
             path = write_manifest("chaos", config={
-                "n": args.chaos, "base_seed": args.chaos_seed})
+                "n": args.chaos, "base_seed": chaos_seed})
             if not args.quiet:
                 print(f"run manifest: {path}")
         journal.clear()
         return status
-    if args.races:
+    if args.shake is not None:
         if args.static_only or args.smoke_only:
-            print("--races cannot be combined with --static-only or "
+            print("--shake cannot be combined with --static-only or "
                   "--smoke-only", file=sys.stderr)
             return 2
         if args.shake < 0:
@@ -373,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = _run_static(paths, args.quiet, args.require_docstrings)
         from .shake import run_battery
         return max(status, run_battery(args.shake, quiet=args.quiet,
-                                       base_seed=args.shake_seed))
+                                       base_seed=args.shake_seed or 0))
 
     status = 0
     if not args.smoke_only:

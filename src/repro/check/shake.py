@@ -1,29 +1,30 @@
 """The schedule shaker: an executable schedule-invariance proof.
 
-The race detector (:mod:`repro.check.races`) says "no races"; this
-module turns that verdict into evidence by *running different
-schedules*.  A kernel constructed under
-``repro.flags.override(shake=seed)`` permutes same-time event-queue
-ties with a seeded bijection (see ``Kernel.schedule``), so each seed
-exercises a different — but fully deterministic and replayable —
-interleaving of simultaneously-enabled events.
+No data result may depend on how the kernel orders same-time events;
+this module checks that by *running different schedules*.  A kernel
+constructed under ``repro.flags.override(shake=seed)`` permutes
+same-time event-queue ties with a seeded bijection (see
+``Kernel.schedule``), so each seed exercises a different — but fully
+deterministic and replayable — interleaving of simultaneously-enabled
+events.  Shared simulated state that two same-time events update
+without an ordering between them shows up once a seed reorders them:
+that run's data diverges from the FIFO baseline.
 
 The scenario list
 -----------------
 :func:`scenarios` is the one list of small simulated jobs both
 ``repro.check`` batteries run: the smoke battery (``python -m
 repro.check``) runs each once under ``override(check=True)`` and adds
-its own equality checks; :func:`run_battery` (``--races``) runs each,
-plus the chaos scenarios, under ``override(check=True, races=True,
-shake=seed)`` for the FIFO baseline and every shaken seed.
+its own equality checks; :func:`run_battery` (``--shake``) runs each,
+plus the chaos scenarios, under ``override(check=True, shake=seed)``
+for the FIFO baseline and every shaken seed.
 
 What must be invariant
 ----------------------
 *Data results*: reduced values, per-rank payloads, verdict tuples,
 bytes served/sent, message counts.  The battery asserts these are
 bit-identical across the baseline FIFO schedule and ``K`` shaken
-schedules, with the race tracker on for every run (so the "no races"
-verdict holds under every schedule tried, not just the default one).
+schedules.
 
 What is *not* asserted invariant: simulated **timings** under
 contention.  The FIFO tie-break is part of the documented model
@@ -32,7 +33,7 @@ are served in scheduling order, and permuting that order legitimately
 changes queueing delays and therefore makespans.  Figures whose rows
 contain times are therefore compared at the *data-signature* level
 here; the figures that are fully schedule-invariant are asserted
-row-identical in ``tests/races/``.
+row-identical in ``tests/check/test_shake.py``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from ..mpi.op import SUM
 from ..pfs import ArraySource
 from ..sim import Kernel
 from . import chaos
-from .races import drain_findings
 
 #: Ranks per scenario job.
 NPROCS = 4
@@ -143,7 +143,7 @@ def scenarios() -> List[Tuple[str, Callable[[], Any]]]:
 
 
 def _chaos_scenarios() -> List[Tuple[str, Callable[[], Any]]]:
-    """The chaos campaign's scenarios, slot 0 of each (race battery
+    """The chaos campaign's scenarios, slot 0 of each (shake battery
     only: each already runs a faulted job against its reference)."""
     _spec, chaos_scenarios = chaos._scenarios()
     return [(f"chaos {name}", lambda i=i: chaos.run_point(i, 0))
@@ -159,37 +159,23 @@ def shake_seeds(k: int, base_seed: int = 0) -> List[int]:
 
 def run_battery(k: int, quiet: bool = False, base_seed: int = 0) -> int:
     """Run every scenario under the FIFO baseline plus ``k`` shaken
-    schedules, race tracker on throughout.
+    schedules, runtime sanitizers on throughout.
 
-    Returns 0 when every run was race-free and every shaken run's data
-    was bit-identical to the baseline; 1 otherwise (each failure is
-    printed with the scenario and ``seed=`` so it replays exactly via
-    ``REPRO_SHAKE=<seed>``).
+    Returns 0 when every shaken run's data was bit-identical to the
+    baseline; 1 otherwise (each failure is printed with the scenario
+    and ``seed=`` so it replays exactly via ``REPRO_SHAKE=<seed>``).
     """
     failures: List[str] = []
     seeds = shake_seeds(k, base_seed)
-    drain_findings()  # a stale registry must not fail this battery
     for label, fn in scenarios() + _chaos_scenarios():
         before = len(failures)
         try:
-            with override(check=True, races=True, shake=None):
+            with override(check=True, shake=None):
                 base = fn()
-                races = drain_findings()
-            if races:
-                failures.append(
-                    f"{label} (baseline): {len(races)} race finding(s): "
-                    + "; ".join(f.format() for f in races))
-                continue
             for seed in seeds:
-                with override(check=True, races=True, shake=seed):
+                with override(check=True, shake=seed):
                     out = fn()
-                    races = drain_findings()
-                if races:
-                    failures.append(
-                        f"{label} (seed={seed}): {len(races)} race "
-                        f"finding(s): "
-                        + "; ".join(f.format() for f in races))
-                elif out != base:
+                if out != base:
                     failures.append(
                         f"{label}: data diverged under shaken schedule "
                         f"seed={seed}:\n    baseline: {base!r:.240}\n"
@@ -205,5 +191,5 @@ def run_battery(k: int, quiet: bool = False, base_seed: int = 0) -> int:
         return 1
     if not quiet:
         print(f"repro.check shake: all scenarios bit-identical across "
-              f"{len(seeds) + 1} schedules, no races")
+              f"{len(seeds) + 1} schedules")
     return 0

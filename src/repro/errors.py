@@ -111,12 +111,5 @@ class SweepInterrupted(ReproError):
                                  self.resume_hint, self.journaled))
 
 
-class RaceError(ReproError):
-    """Raised by the happens-before race detector
-    (:mod:`repro.check.races`) when a run left race findings behind:
-    happens-before-concurrent accesses to shared simulated state, at
-    least one a write."""
-
-
 class ConfigError(ReproError):
     """Raised for invalid platform / cost-model configuration values."""

@@ -35,10 +35,6 @@ def main(argv=None) -> int:
                         help="run under the repro.check runtime sanitizers "
                              "(collective protocol + plan invariants); "
                              "slower, results identical")
-    parser.add_argument("--races", action="store_true",
-                        help="run under the vector-clock race tracker "
-                             "(repro.check.races); fails if any race "
-                             "finding is recorded")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="fan independent sweep points out over N "
                              "worker processes (0 = one per core); "
@@ -63,14 +59,12 @@ def main(argv=None) -> int:
                              "re-simulated; output stays byte-identical")
     args = parser.parse_args(argv)
     from .. import flags
-    from ..check.races import assert_no_races
     from ..errors import SweepInterrupted
     from ..obs import metrics
     from ..parallel import PointCache, journal_root
     # One override around each run and its manifest; a CLI flag only
     # adds to what the environment asks for.
     switches = {name: True for name, on in (("check", args.check),
-                                            ("races", args.races),
                                             ("obs", args.obs)) if on}
     cache = None if args.no_cache else PointCache()
     if args.clear_cache:
@@ -96,8 +90,7 @@ def main(argv=None) -> int:
     def resume_command(name: str) -> str:
         parts = ["python -m repro.experiments", name]
         for flag, on in (("--quick", args.quick), ("--check", args.check),
-                         ("--races", args.races), ("--obs", args.obs),
-                         ("--no-cache", args.no_cache)):
+                         ("--obs", args.obs), ("--no-cache", args.no_cache)):
             if on:
                 parts.append(flag)
         if args.jobs != 1:
@@ -131,8 +124,6 @@ def main(argv=None) -> int:
                 print(f"  resume with: {resume_command(name)}",
                       file=sys.stderr)
                 return 130
-            if record.races:
-                assert_no_races()  # cached/journaled findings included
             if args.csv:
                 print(result.to_csv())
             else:
@@ -145,7 +136,7 @@ def main(argv=None) -> int:
                 from ..obs.manifest import write_manifest
                 mpath = write_manifest(name, config={
                     "experiment": name, "quick": bool(args.quick),
-                    "check": bool(args.check), "races": bool(args.races)})
+                    "check": bool(args.check)})
                 print(f"run manifest: {mpath}")
         journal.clear()
         # The note renders in every mode — serial, pooled, or with the

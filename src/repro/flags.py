@@ -1,24 +1,22 @@
-"""The four ``REPRO_*`` switches as one frozen record.
+"""The three ``REPRO_*`` switches as one frozen record.
 
 * ``check`` (``REPRO_CHECK``) — the runtime sanitizers: protocol
   verifier, plan sanitizers, recovery-coverage check.
-* ``races`` (``REPRO_RACES``) — the happens-before race tracker; kept
-  apart from ``check`` because vector clocks cost real memory.
 * ``shake`` (``REPRO_SHAKE``) — the schedule shaker's tie-break seed
   (``None``: the kernel's documented FIFO tie-break).
 * ``obs`` (``REPRO_OBS``) — the metrics registry, which exists exactly
   when this field is on, so the hot-path test stays
   ``metrics.current() is None``.
 
-:func:`parse` is the only code that reads the four variables (once, at
+:func:`parse` is the only code that reads the three variables (once, at
 import); :func:`current` reads the record and the scoped
 :func:`override` is the only way to change it.  The sweep engine ships
 the record whole to pool workers and hashes it whole into point-cache
 and journal keys, and run manifests write it as their ``flags``
-section.  Objects that bind a checker at construction (a kernel's race
-tracker and shake seed, a communicator's protocol ledger) keep it for
-life; per-call checks read :func:`current` live.  Imports nothing from
-the library but :mod:`repro.errors` (and, inside :func:`override`, the
+section.  Objects that bind a switch at construction (a kernel's
+shake seed, a communicator's protocol ledger) keep it for life;
+per-call checks read :func:`current` live.  Imports nothing from the
+library but :mod:`repro.errors` (and, inside :func:`override`, the
 metrics registry), so any layer may read it without an import cycle.
 """
 
@@ -32,8 +30,8 @@ from typing import Iterator, Mapping, Optional
 from .errors import ConfigError
 
 #: The environment variable behind each field of :class:`Flags`.
-ENV_VARS = {"check": "REPRO_CHECK", "races": "REPRO_RACES",
-            "shake": "REPRO_SHAKE", "obs": "REPRO_OBS"}
+ENV_VARS = {"check": "REPRO_CHECK", "shake": "REPRO_SHAKE",
+            "obs": "REPRO_OBS"}
 
 #: Accepted spellings of a boolean switch (case-insensitive, stripped);
 #: anything else is a :class:`~repro.errors.ConfigError`.
@@ -46,7 +44,6 @@ class Flags:
     """The switches in force: see the module docstring for each field."""
 
     check: bool = False
-    races: bool = False
     shake: Optional[int] = None
     obs: bool = False
 

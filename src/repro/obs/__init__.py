@@ -13,7 +13,7 @@ the report renderer behind ``python -m repro.report``
 
 Everything is opt-in via the ``obs`` field of the
 :class:`~repro.flags.Flags` record (``REPRO_OBS``, or
-``repro.flags.override(obs=True)``), next to the ``check``/``races``/
+``repro.flags.override(obs=True)``), next to the ``check`` and
 ``shake`` switches: with it off, instrumented call sites pay one
 is-None test and the library's outputs are bit-identical to an
 uninstrumented build.  See docs/OBSERVABILITY.md for the metrics

@@ -22,8 +22,8 @@ Schema (``"schema": 1``)::
       "schema": 1,
       "run": "<run id, e.g. fig10 or chaos>",
       "config": {...},            # run parameters (never jobs/cache)
-      "flags": {"check": bool, "races": bool, "obs": bool,
-                 "shake": int|null},   # the Flags record in force
+      "flags": {"check": bool, "obs": bool, "shake": int|null},
+                                  # the Flags record in force
       "code_digest": "<sha256 of every repro/**/*.py>",
       "metrics": {"counters": {...}, "gauges": {...},
                    "histograms": {...}},

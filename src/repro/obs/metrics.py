@@ -27,8 +27,7 @@ sweep worker captures a fresh registry around every point
 (:func:`capture_point`), ships the deterministic snapshot back inside
 the worker outcome tuple, and the parent merges the snapshots **in
 point order** — so a fanned-out run's merged metrics are identical to
-a serial run's (the same pattern :mod:`repro.check.races` uses for
-race findings).
+a serial run's.
 
 **The switch.**  The registry is derived from the ``obs`` field of the
 :class:`~repro.flags.Flags` record: it exists exactly when that field
@@ -167,7 +166,7 @@ class MetricsRegistry:
 # The process-wide registry.  ``None`` when observability is off, which
 # is what makes every instrumented hot path a single is-None test.
 # Per-process by design — workers ship snapshots back as data (see the
-# module docstring), exactly like repro.check.races._FINDINGS.
+# module docstring).
 _REGISTRY: Optional[MetricsRegistry] = (  # repro: allow[pool-global] — per-process by design; workers ship snapshots back as data
     MetricsRegistry() if flags.current().obs else None)
 

@@ -12,15 +12,13 @@ where ``code_digest`` hashes every ``*.py`` file of the installed
 (coarse on purpose: cross-module effects like a cost-model tweak must
 never serve stale rows) — and the flags record is the whole
 :class:`~repro.flags.Flags` in force.  So a ``--check`` run never
-"verifies" by reading back an unchecked result, a ``--races`` or
-``REPRO_SHAKE=7`` run re-executes every point under the tracker or
-the shaken schedule, and a ``REPRO_OBS=1`` run never serves an entry
-without a metric snapshot.
+"verifies" by reading back an unchecked result, a ``REPRO_SHAKE=7``
+run re-executes every point under the shaken schedule, and a
+``REPRO_OBS=1`` run never serves an entry without a metric snapshot.
 
 Entries live under ``<root>/<k[:2]>/<k>.pkl`` as pickles of the
-point's whole entry (see :mod:`repro.parallel.worker`) — its value,
-the race findings it filed and its metric snapshot — replayed on every
-hit, so a warm or resumed run re-files the cold run's findings and
+point's whole entry (see :mod:`repro.parallel.worker`) — its value and
+its metric snapshot — replayed on every hit, so a warm or resumed run
 merges byte-identical metrics.  Each write goes to a temp file of its
 own and is renamed into place.  A missing, torn or unreadable entry is
 a miss, so a corrupted store costs time but never correctness, and
@@ -145,10 +143,10 @@ def write_entry(path: Path, point: "SweepPoint", entry: "Entry") -> None:
     call's own in the same directory, then rename it into place, so a
     crash mid-write leaves the old state or the whole new entry and a
     concurrent writer of the same key never shares the temp file."""
-    value, findings, obs = entry
+    value, obs = entry
     path.parent.mkdir(parents=True, exist_ok=True)
     stored = {"fn": point.fn, "kwargs": point.kwargs, "value": value,
-              "findings": tuple(findings), "obs": obs}
+              "obs": obs}
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
                                suffix=".tmp")
     try:
@@ -199,14 +197,14 @@ class PointCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, point: "SweepPoint") -> Optional["Entry"]:
-        """The point's stored entry ``(value, race findings, obs
-        snapshot)``, or ``None`` on a miss: a missing, torn or
-        unreadable entry is a miss, never an error or a wrong value."""
+        """The point's stored entry ``(value, obs snapshot)``, or
+        ``None`` on a miss: a missing, torn or unreadable entry is a
+        miss, never an error or a wrong value."""
         path = self._path(point_key(point))
         try:
             with path.open("rb") as fh:
                 stored = pickle.load(fh)
-            entry = stored["value"], tuple(stored["findings"]), stored["obs"]
+            entry = stored["value"], stored["obs"]
         except (OSError, pickle.UnpicklingError, EOFError, KeyError,
                 AttributeError, ImportError, IndexError, TypeError,
                 ValueError):

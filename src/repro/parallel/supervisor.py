@@ -110,8 +110,8 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                    deadline: Optional[float] = None) -> None:
     """Fan ``pending`` over supervised workers; see the module docstring.
 
-    Calls ``land(index, entry)`` with each point's entry ``(value, race
-    findings, obs snapshot)`` as it arrives.
+    Calls ``land(index, entry)`` with each point's entry ``(value, obs
+    snapshot)`` as it arrives.
     Raises :class:`~repro.parallel.sweep.PointError` on a point that
     raised, or that exhausted its crash/hang retries.  On
     ``KeyboardInterrupt`` (the sweep engine converts SIGINT/SIGTERM to

@@ -17,7 +17,7 @@ contract:
   *module-level* function named by its dotted path and its kwargs must
   be plain picklable values.
 * **Flag propagation** — the parent's :class:`~repro.flags.Flags`
-  record at call time (``check``, ``races``, ``shake``, ``obs``) is
+  record at call time (``check``, ``shake``, ``obs``) is
   shipped whole to every worker, which serves its points inside it (a
   scoped ``repro.flags.override`` in the parent would otherwise be
   invisible to spawned children).  The same record is hashed whole
@@ -39,13 +39,12 @@ contract:
   moment it lands; a later call with the same journal replays those
   entries and only runs what is missing, which is what backs
   ``--resume`` on both CLIs.
-* **Whole-entry replay** — a point yields one entry (value, race
-  findings, metric snapshot; see :mod:`repro.parallel.worker`),
-  whether it executed here, in a worker, or was served by the journal
-  or the cache.  After the sweep the entries are replayed **in point
-  order**: findings are re-filed into the race registry and snapshots
-  merged into the metrics registry, so a warm or resumed run reports
-  the same races as the cold run that found them.
+* **Whole-entry replay** — a point yields one entry (value, metric
+  snapshot; see :mod:`repro.parallel.worker`), whether it executed
+  here, in a worker, or was served by the journal or the cache.  After
+  the sweep the snapshots are merged into the metrics registry **in
+  point order**, so a warm or resumed run reports the same metrics as
+  the cold run that computed them.
 * **Clean interruption** — SIGINT (and SIGTERM, when running on the
   main thread) during a sweep tears the workers down and surfaces as
   :class:`~repro.errors.SweepInterrupted` reporting how many of the
@@ -70,7 +69,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..check.races import report_finding
 from ..errors import ReproError, SweepInterrupted
 from ..obs import metrics
 from .worker import Entry, run_point
@@ -344,12 +342,10 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
                 cache.put(points[i], entries[i])
 
     # Point order, not completion order: gauges are last-write-wins, so
-    # merge order is part of the bit-identity contract — and findings
-    # re-file in the order a serial cold run would report them.
+    # merge order is part of the bit-identity contract.
     reg = metrics.current()
-    for _value, findings, snap in entries:
-        for finding in findings:
-            report_finding(finding)
-        if reg is not None and snap:
-            reg.merge(snap)
+    if reg is not None:
+        for _value, snap in entries:
+            if snap:
+                reg.merge(snap)
     return [entry[0] for entry in entries]

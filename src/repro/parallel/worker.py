@@ -6,11 +6,11 @@ name, enters the parent's :class:`~repro.flags.Flags` record
 (:func:`worker_main`), then resolves each point's function by its
 dotted path and calls it (:func:`execute_point`).
 
-A point produces one **entry**: ``(value, race findings, obs
-snapshot)``, built by :func:`run_point` whichever process runs it.  The
-sweep engine merges entries in point order, and the point cache and
-the run journal store them whole, so a replayed point re-files the
-same findings and merges the same metrics as the run that computed it.
+A point produces one **entry**: ``(value, obs snapshot)``, built by
+:func:`run_point` whichever process runs it.  The sweep engine merges
+entries in point order, and the point cache and the run journal store
+them whole, so a replayed point merges the same metrics as the run
+that computed it.
 
 Exceptions never cross the pool boundary as objects — an exception
 whose arguments do not pickle would otherwise wedge the pool with an
@@ -27,13 +27,12 @@ from dataclasses import asdict
 from importlib import import_module
 from typing import Any, Optional, Tuple
 
-from ..check.races import RaceFinding, captured_findings
 from ..flags import Flags, override
 from ..obs import metrics
 
-#: One point's entry: its value, the race findings it filed, and its
-#: deterministic metric snapshot (``None`` with observability off).
-Entry = Tuple[Any, Tuple[RaceFinding, ...], Optional[dict]]
+#: One point's entry: its value and its deterministic metric snapshot
+#: (``None`` with observability off).
+Entry = Tuple[Any, Optional[dict]]
 
 
 def resolve(fn_path: str) -> Any:
@@ -53,13 +52,13 @@ def run_point(fn_path: str, kwargs_items: Tuple[Tuple[str, Any], ...]
               ) -> Entry:
     """Run one point in isolation and return its entry.
 
-    The point executes inside its own metric capture and race-finding
-    capture, so neither leaks into (or picks up) the ambient state of
-    the process running it.
+    The point executes inside its own metric capture, so its metrics
+    neither leak into (nor pick up) the ambient registry of the process
+    running it.
     """
-    with metrics.capture_point() as cap, captured_findings() as findings:
+    with metrics.capture_point() as cap:
         value = resolve(fn_path)(**dict(kwargs_items))
-    return value, tuple(findings), cap.snapshot()
+    return value, cap.snapshot()
 
 
 def worker_main(conn: Any, flags: Flags) -> None:
@@ -108,10 +107,10 @@ def execute_point(payload: Tuple[str, Tuple[Tuple[str, Any], ...]]
                   ) -> Tuple[Any, ...]:
     """Run one point; always return a picklable outcome tuple.
 
-    ``("ok", value, race_findings, obs_snapshot)`` — ``"ok"`` plus the
-    point's entry — on success, else ``("error", exc_type_name,
-    message, traceback_text)``.  Findings are plain frozen dataclasses
-    and snapshots plain dicts, so both cross the pool as data.
+    ``("ok", value, obs_snapshot)`` — ``"ok"`` plus the point's entry
+    — on success, else ``("error", exc_type_name, message,
+    traceback_text)``.  Snapshots are plain dicts, so they cross the
+    pool as data.
     """
     fn_path, kwargs_items = payload
     try:

@@ -60,15 +60,6 @@ class OST:
         else:
             duration = self.cost.ost_time(nbytes) * fault_mult
         yield from hold(self._server, duration)
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            # The served-bytes/request counters are shared across every
-            # job that touches this OST.  They are written in the step
-            # that released ``_server``: the release published this
-            # step's clock and every later grant joins it, so a clean
-            # run records no conflict here — bypassing the resource
-            # would surface as a shared-state race.
-            tracker.access(f"ost:{self.index}", write=True)
         self.requests_served += 1
         m = metrics.current()
         if m is not None:

@@ -47,8 +47,7 @@ class Event:
         Optional label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("kernel", "callbacks", "name", "_value", "_ok", "_defused",
-                 "_vc")
+    __slots__ = ("kernel", "callbacks", "name", "_value", "_ok", "_defused")
 
     def __init__(self, kernel: "Kernel", name: Optional[str] = None) -> None:
         self.kernel = kernel
@@ -59,10 +58,6 @@ class Event:
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
         self._defused = False
-        #: Vector clock stamped by the kernel's race tracker at schedule
-        #: time (None without the tracker, and before scheduling —
-        #: conditions accumulate observed sub-event clocks here early).
-        self._vc = None
 
     # -- state inspection ------------------------------------------------
     @property
@@ -195,13 +190,6 @@ class Condition(Event):
     def _observe(self, event: Event) -> None:
         if self.triggered:
             return
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            # Accumulate the sub-event's clock so the condition's own
-            # trigger joins *all* of its inputs (an AllOf result is
-            # causally after every contributing event, not only the
-            # last one processed).
-            tracker.note_observe(self, event)
         if not event.ok:
             event.defuse()
             self.fail(event.value)

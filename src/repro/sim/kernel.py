@@ -25,14 +25,6 @@ event scheduled while processing another still runs after it, because
 time never goes backwards and the front slot only holds the global
 minimum).  The permutation is a bijection over 63 bits, so tie-break
 keys stay unique and comparisons never reach the event objects.
-
-Race tracking
--------------
-When the ``races`` flag (:mod:`repro.flags`) is on at construction,
-the kernel carries a :class:`~repro.check.races.KernelRaceTracker` and
-reports every schedule and every processed event to it — the vector-
-clock happens-before spine the race detector builds on.  Detached (the
-default), each hook site costs one is-None test.
 """
 
 from __future__ import annotations
@@ -72,22 +64,15 @@ class Kernel:
     #: dict lookup (``__weakref__`` kept so watchers may weakly hold a
     #: kernel just like the kernel weakly holds them).
     __slots__ = ("_now", "_queue", "_seq", "_next", "_active_processes",
-                 "_live_processes", "_deadlock_watchers", "_tracker",
-                 "_tiebreak", "__weakref__")
+                 "_live_processes", "_deadlock_watchers", "_tiebreak",
+                 "__weakref__")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        #: Happens-before tracker (see module docstring); bound for the
-        #: kernel's life when ``REPRO_RACES`` is on at construction.
-        self._tracker = None
-        record = flags.current()
-        if record.races:
-            from ..check.races import KernelRaceTracker
-            self._tracker = KernelRaceTracker(self)
         #: Schedule-shaker seed; ``None`` keeps the FIFO tie-break.
-        self._tiebreak = record.shake
+        self._tiebreak = flags.current().shake
         #: Front-slot buffer: when non-empty it holds the *global
         #: minimum* pending entry (strictly less than the heap head).
         #: The dominant scheduling pattern — an event processed now
@@ -152,8 +137,6 @@ class Kernel:
             x = (seq * 0x9E3779B97F4A7C15) & _SHAKE_MASK
             x ^= (tiebreak * 0xBF58476D1CE4E5B9) & _SHAKE_MASK
             seq = (x * 0x94D049BB133111EB + 1) & _SHAKE_MASK
-        if self._tracker is not None:
-            self._tracker.on_schedule(event)
         entry = (self._now + delay, seq, event)
         head = self._next
         if head is None:
@@ -180,7 +163,6 @@ class Kernel:
         """
         queue = self._queue
         pop = heapq.heappop
-        tracker = self._tracker
         # Hot loop: one Python call per event is measurable at millions
         # of events per run.  The front slot is read through the
         # instance (``schedule`` rebinds it).
@@ -197,8 +179,6 @@ class Kernel:
             if callbacks is None:
                 continue  # cancelled timer
             self._now = now
-            if tracker is not None:
-                tracker.begin_event(event)
             event.callbacks = None  # mark processed
             if len(callbacks) == 1:
                 # Fast path: the overwhelmingly common case is one

@@ -66,10 +66,6 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         kernel._active_processes += 1
         kernel._live_processes.add(self)
-        if kernel._tracker is not None:
-            # Fork edge: the bootstrap event below is stamped with the
-            # creator's clock, so the child joins it at first resume.
-            kernel._tracker.register_process(self)
         # Bootstrap: resume the generator for the first time "immediately"
         # (at the current timestamp, after already-queued events).
         start = Event(kernel, name=self.name)
@@ -119,9 +115,6 @@ class Process(Event):
         if self.triggered:  # finished in the meantime; drop the interrupt
             return
         self._detach()
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            tracker.begin_throw(self)
         try:
             next_event = self._generator.throw(exc)
         except StopIteration as stop:
@@ -130,17 +123,9 @@ class Process(Event):
             self._crash(error)
         else:
             self._wait_on(next_event)
-        finally:
-            if tracker is not None:
-                tracker.end_resume()
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            # Join edge: the delivering event's clock (message arrival,
-            # resource grant, child finish...) flows into this process.
-            tracker.begin_resume(self, event)
         try:
             if event._ok:  # processed events always carry _ok
                 next_event = self._generator.send(event._value)
@@ -153,9 +138,6 @@ class Process(Event):
             self._crash(error)
         else:
             self._wait_on(next_event)
-        finally:
-            if tracker is not None:
-                tracker.end_resume()
 
     def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
@@ -173,12 +155,6 @@ class Process(Event):
             if not target.ok:
                 target.defuse()
             carrier.callbacks.append(self._resume)  # type: ignore[union-attr]
-            tracker = self.kernel._tracker
-            if tracker is not None:
-                # The carrier must carry the original event's clock, not
-                # just the waiter's — waiting on an already-processed
-                # event is still a join with whatever triggered it.
-                tracker.inherit(carrier, target)
             self.kernel.schedule(carrier)
             self._waiting_on = carrier
             return

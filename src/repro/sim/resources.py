@@ -66,10 +66,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiting: Deque[Request] = deque()
-        #: Race-tracker lock clock: the (joined) clock of past releases,
-        #: so even an uncontended grant synchronizes with the previous
-        #: critical section.  None without the tracker.
-        self._release_vc = None
 
     @property
     def in_use(self) -> int:
@@ -88,11 +84,6 @@ class Resource:
         if self._waiting or self._in_use + units > self.capacity:
             return False
         self._in_use += units
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            # No grant event flows from the previous holder, so the
-            # running context joins the published release clock itself.
-            tracker.lock_take(self)
         return True
 
     def _release(self, units: int) -> None:
@@ -100,15 +91,10 @@ class Resource:
         if self._in_use < units:  # pragma: no cover - defensive
             raise SimulationError(f"release() on idle resource {self.name}")
         self._in_use -= units
-        tracker = self.kernel._tracker
-        if tracker is not None:
-            tracker.lock_release(self)
         waiting = self._waiting
         while waiting and self._in_use < self.capacity:
             nxt = waiting.popleft()
             self._in_use += 1
-            if tracker is not None:
-                tracker.lock_acquire(self, nxt)
             nxt.succeed(self)
 
     # -- the event interface --------------------------------------------------
@@ -215,21 +201,15 @@ class _FanOut:
 
     def __init__(self, resource: Resource, duration: float,
                  units: int) -> None:
-        kernel = resource.kernel
         self.resource = resource
         self.duration = duration
         self.spans: List[Optional[Span]] = [None] * units
         #: Units not yet released; -1 once abandoned.
         self.left = units
-        self.done = Event(kernel, name=resource.name)
-        tracker = kernel._tracker
+        self.done = Event(resource.kernel, name=resource.name)
         self.requests: List[Request] = []
         for unit in range(units):
             req = resource.request()
-            if tracker is not None and not req.triggered:
-                # Fork edge: a queued unit is the caller's worker, so
-                # what its grant starts is ordered after the caller.
-                req._vc = tracker.current_vc()
             req.callbacks.append(partial(self._start, unit))
             self.requests.append(req)
 

@@ -62,20 +62,40 @@ def test_list_rules_shows_waiver_syntax(capsys):
         assert WAIVER_SYNTAX.format(rule=rule) in out
 
 
-def test_races_flag_exclusions(capsys):
-    assert main(["--races", "--static-only"]) == 2
-    assert main(["--races", "--smoke-only"]) == 2
-    assert main(["--races", "--chaos", "2"]) == 2
-    assert main(["--races", "--shake", "-1"]) == 2
+def test_shake_flag_exclusions(capsys):
+    assert main(["--shake", "--static-only"]) == 2
+    assert main(["--shake", "2", "--smoke-only"]) == 2
+    assert main(["--shake", "2", "--chaos", "2"]) == 2
+    assert main(["--shake", "2", "--crash", "2"]) == 2
+    assert main(["--shake", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv, option, mode", [
+    (["--static-only", "--shake-seed", "9"], "--shake-seed", "--shake"),
+    (["--static-only", "--chaos-seed", "5"], "--chaos-seed", "--chaos"),
+    (["--static-only", "--jobs", "1"], "--jobs", "--chaos"),
+    (["--shake", "2", "--jobs", "2"], "--jobs", "--chaos"),
+    (["--static-only", "--crash-seed", "3"], "--crash-seed", "--crash"),
+    (["--chaos", "2", "--crash-seed", "3"], "--crash-seed", "--crash"),
+    (["--resume"], "--resume", "--chaos"),
+], ids=["shake-seed", "chaos-seed", "jobs", "jobs-with-shake",
+        "crash-seed", "crash-seed-with-chaos", "resume"])
+def test_an_option_outside_its_mode_is_a_usage_error(argv, option, mode,
+                                                     capsys):
+    """An option only one mode reads is refused, never silently dropped,
+    and the message names the option and the mode it needs."""
+    assert main([str(PKG)] + argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and mode in err
 
 
 @pytest.mark.slow
-def test_races_battery_is_clean(capsys):
-    """The race-detector CI gate: lint plus the shaken scenario battery
-    find no races and no schedule-dependent data."""
-    assert main([str(PKG), "--races", "--shake", "2"]) == 0
+def test_shake_battery_is_clean(capsys):
+    """The schedule CI gate: lint plus the shaken scenario battery find
+    no schedule-dependent data."""
+    assert main([str(PKG), "--shake", "2", "--shake-seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert "no races" in out
+    assert "bit-identical across 3 schedules" in out
 
 
 @pytest.mark.slow

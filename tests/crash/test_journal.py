@@ -22,15 +22,15 @@ def test_record_and_get_roundtrip(tmp_path):
     journal = _journal(tmp_path / "j")
     point = _point(3, base_seed=7)
     assert journal.get(point) is None
-    journal.put(point, ([3, 28], (), {"counters": {"x": 1}}))
-    assert journal.get(point) == ([3, 28], (), {"counters": {"x": 1}})
+    journal.put(point, ([3, 28], {"counters": {"x": 1}}))
+    assert journal.get(point) == ([3, 28], {"counters": {"x": 1}})
     assert (journal.hits, journal.misses, journal.puts) == (1, 1, 1)
     assert journal.entry_count() == 1
 
 
 def test_get_is_keyed_on_point_content(tmp_path):
     journal = _journal(tmp_path / "j")
-    journal.put(_point(0), ([0, 0], (), None))
+    journal.put(_point(0), ([0, 0], None))
     assert journal.get(_point(1)) is None, \
         "a different point must never hit another's entry"
 
@@ -38,7 +38,7 @@ def test_get_is_keyed_on_point_content(tmp_path):
 def test_torn_entry_is_a_miss(tmp_path):
     journal = _journal(tmp_path / "j")
     point = _point(5)
-    journal.put(point, ("payload", (), None))
+    journal.put(point, ("payload", None))
     [entry] = sorted((tmp_path / "j").rglob("*.pkl"))
     # Truncate mid-pickle: the crash-consistency contract says a torn
     # entry reads as a miss, never as an error or a wrong value.
@@ -50,7 +50,7 @@ def test_torn_entry_is_a_miss(tmp_path):
 def test_entry_without_value_key_is_a_miss(tmp_path):
     journal = _journal(tmp_path / "j")
     point = _point(6)
-    journal.put(point, ("payload", (), None))
+    journal.put(point, ("payload", None))
     [entry] = sorted((tmp_path / "j").rglob("*.pkl"))
     entry.write_bytes(pickle.dumps({"not-value": 1}))
     assert journal.get(point) is None
@@ -62,12 +62,12 @@ def test_reset_and_discard_remove_everything(tmp_path):
     root = tmp_path / "j"
     journal = _journal(root)
     for i in range(4):
-        journal.put(_point(i), (i, (), None))
+        journal.put(_point(i), (i, None))
     assert journal.entry_count() == 4
     assert journal.clear() == 4
     assert journal.entry_count() == 0
-    journal.put(_point(0), (0, (), None))
-    assert journal.get(_point(0)) == (0, (), None)
+    journal.put(_point(0), (0, None))
+    assert journal.get(_point(0)) == (0, None)
     assert journal.clear() == 1
     assert not root.exists()
     # Clearing an already-absent journal is a harmless no-op.
@@ -94,7 +94,7 @@ def test_die_after_env_parsing(tmp_path, monkeypatch):
 def test_record_overwrite_is_idempotent(tmp_path):
     journal = _journal(tmp_path / "j")
     point = _point(9)
-    journal.put(point, ("same", (), None))
-    journal.put(point, ("same", (), None))
+    journal.put(point, ("same", None))
+    journal.put(point, ("same", None))
     assert journal.entry_count() == 1
-    assert journal.get(point) == ("same", (), None)
+    assert journal.get(point) == ("same", None)

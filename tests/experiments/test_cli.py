@@ -58,6 +58,5 @@ def test_cli_manifest_records_the_flags_in_force(tmp_path, monkeypatch):
                    env=env, check=True, capture_output=True)
     manifest = json.loads(
         (tmp_path / "results" / "table1" / "manifest.json").read_text())
-    assert manifest["flags"] == {"check": True, "races": False,
-                                 "shake": None, "obs": True}
+    assert manifest["flags"] == {"check": True, "shake": None, "obs": True}
     assert manifest["config"]["check"] is True

@@ -1,5 +1,6 @@
-"""The wall-reference gate of ``benchmarks/track.py``: only ``--update``
-(or a missing record) moves the recorded reference."""
+"""The gates of ``benchmarks/track.py``: only ``--update`` (or a
+missing record) moves the recorded wall reference, and the measured
+``sim.events`` is printed on every run."""
 
 import importlib.util
 from pathlib import Path
@@ -17,8 +18,8 @@ def load_track():
     return module
 
 
-def args(update=False):
-    return SimpleNamespace(no_check=False, threshold=0.25, update=update)
+def args(update=False, no_check=False):
+    return SimpleNamespace(no_check=no_check, threshold=0.25, update=update)
 
 
 def test_only_update_moves_the_wall_reference():
@@ -35,3 +36,25 @@ def test_only_update_moves_the_wall_reference():
     # So does a missing record.
     assert track.ratchet("fig11_quick", 0.5, 0.25, PREVIOUS, args()) == \
         (0.5, 0.25, False)
+
+
+def test_measure_only_run_prints_the_event_count(capsys):
+    track = load_track()
+    previous = {"fig10_quick": {"sim_events": 61614}}
+    # Ungated: both counts are printed and no verdict; a drop still
+    # ratchets the record down.
+    assert track.ratchet_events("fig10_quick", 61000, previous,
+                                args(no_check=True)) == (61000, False)
+    out = capsys.readouterr().out
+    assert "sim.events: 61000 (record 61614)" in out
+    assert "OK" not in out and "REGRESSION" not in out
+    # Gated: the same line carries the verdict.
+    assert track.ratchet_events("fig10_quick", 61615, previous,
+                                args()) == (61614, True)
+    assert "sim.events: 61615 (record 61614) -> REGRESSION" in \
+        capsys.readouterr().out
+    # No record: the count is printed with a rebase note.
+    assert track.ratchet_events("fig11_quick", 116717, previous,
+                                args(no_check=True)) == (116717, False)
+    assert "sim.events: 116717 (no record: rebasing)" in \
+        capsys.readouterr().out

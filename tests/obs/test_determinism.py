@@ -62,4 +62,4 @@ def test_worker_outcome_carries_no_snapshot_when_off():
     with override(check=True, obs=False):
         outcome = execute_point((POINTS[0].fn, POINTS[0].kwargs))
     assert outcome[0] == "ok"
-    assert outcome[3] is None
+    assert outcome[2] is None

@@ -29,7 +29,7 @@ def test_build_manifest_shape():
     assert manifest["schema"] == SCHEMA_VERSION
     assert manifest["run"] == "t"
     assert manifest["config"] == {"n": 3}
-    assert set(manifest["flags"]) == {"check", "races", "obs", "shake"}
+    assert set(manifest["flags"]) == {"check", "obs", "shake"}
     assert len(manifest["code_digest"]) == 64
     assert manifest["ledger"] == {
         "injected": 2, "detected": 2, "recovered": 2}

@@ -46,14 +46,6 @@ def probe_checks():
     return current().check
 
 
-def probe_races():
-    """Reports whether the race tracker is on in the executing
-    process."""
-    from repro.flags import current
-
-    return current().races
-
-
 def echo(**kwargs):
     """Returns its kwargs — exercises replay-expression round-trips."""
     return kwargs
@@ -65,15 +57,6 @@ class Tools:
     @staticmethod
     def double(x):
         return 2 * x
-
-
-def emit_finding(tag):
-    """Records one race finding — exercises findings crossing the
-    worker-pool boundary as data."""
-    from repro.check.races import RaceFinding, report_finding
-
-    report_finding(RaceFinding("shared-state", 0.0, tag))
-    return tag
 
 
 def probe_shake():

@@ -97,7 +97,7 @@ def test_cap_evicts_oldest_first(tmp_path):
     cache = PointCache(root=tmp_path / "pointcache", max_entries=3)
     points = [SweepPoint.make(f"{FNS}:square", x=x) for x in range(5)]
     for i, point in enumerate(points):
-        cache.put(point, (i * i, (), None))
+        cache.put(point, (i * i, None))
         # Distinct mtimes so "oldest" is unambiguous on coarse clocks.
         path = cache._path(point_key(point))
         os.utime(path, (1000 + i, 1000 + i))
@@ -112,7 +112,7 @@ def test_unbounded_cache_never_evicts(tmp_path):
     cache = PointCache(root=tmp_path / "pointcache", max_entries=None)
     points = [SweepPoint.make(f"{FNS}:square", x=x) for x in range(6)]
     for point in points:
-        cache.put(point, (1, (), None))
+        cache.put(point, (1, None))
     assert cache.entry_count() == 6
     assert cache.evictions == 0
 
@@ -121,9 +121,9 @@ def test_rewriting_an_entry_does_not_evict(tmp_path):
     cache = PointCache(root=tmp_path / "pointcache", max_entries=2)
     a = SweepPoint.make(f"{FNS}:square", x=1)
     b = SweepPoint.make(f"{FNS}:square", x=2)
-    cache.put(a, (1, (), None))
-    cache.put(b, (4, (), None))
-    cache.put(a, (1, (), None))  # overwrite in place: cap not exceeded
+    cache.put(a, (1, None))
+    cache.put(b, (4, None))
+    cache.put(a, (1, None))  # overwrite in place: cap not exceeded
     assert cache.entry_count() == 2
     assert cache.evictions == 0
 
@@ -141,14 +141,14 @@ def test_capped_puts_walk_the_store_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "rglob", rglob)
     for x, point in enumerate(points):
-        cache.put(point, (x * x, (), None))
+        cache.put(point, (x * x, None))
     assert cache.evictions == 40
     # The ten newest entries survive.
     hits = [cache.get(p) is not None for p in points]
     assert hits == [False] * 40 + [True] * 10
     # A rewrite moves its entry to the newest end.
-    cache.put(points[40], (1600, (), None))
-    cache.put(SweepPoint.make(f"{FNS}:square", x=60), (3600, (), None))
+    cache.put(points[40], (1600, None))
+    cache.put(SweepPoint.make(f"{FNS}:square", x=60), (3600, None))
     assert cache.get(points[40]) is not None
     assert cache.get(points[41]) is None
     assert len(walks) <= 1
@@ -156,7 +156,7 @@ def test_capped_puts_walk_the_store_once(tmp_path, monkeypatch):
     # A fresh object orders what its one walk finds by modification time.
     os.utime(cache._path(point_key(points[-1])), (1000, 1000))
     fresh = PointCache(root=cache.root, max_entries=10)
-    fresh.put(SweepPoint.make(f"{FNS}:square", x=50), (2500, (), None))
+    fresh.put(SweepPoint.make(f"{FNS}:square", x=50), (2500, None))
     assert fresh.get(points[-1]) is None
     assert fresh.get(points[-2]) is not None
     assert fresh.entry_count() == 10
@@ -173,12 +173,12 @@ def test_two_writers_of_one_key_both_land(tmp_path, monkeypatch):
     def dump(obj, fh, **kwargs):
         if not calls:
             calls.append(fh)
-            PointCache(root=cache.root).put(point, (16, (), None))
+            PointCache(root=cache.root).put(point, (16, None))
         real_dump(obj, fh, **kwargs)
 
     monkeypatch.setattr(pointcache.pickle, "dump", dump)
-    cache.put(point, (16, (), None))
-    assert cache.get(point) == (16, (), None)
+    cache.put(point, (16, None))
+    assert cache.get(point) == (16, None)
     assert cache.entry_count() == 1
     assert list(cache.root.rglob("*.tmp")) == []
 
@@ -188,11 +188,11 @@ def test_stats_line(tmp_path):
     point = SweepPoint.make(f"{FNS}:square", x=1)
     assert cache.stats() == "0 hit / 0 miss"
     cache.get(point)
-    cache.put(point, (1, (), None))
+    cache.put(point, (1, None))
     cache.get(point)
     assert cache.stats() == "1 hit / 1 miss"
     # Evicts x=1.
-    cache.put(SweepPoint.make(f"{FNS}:square", x=2), (4, (), None))
+    cache.put(SweepPoint.make(f"{FNS}:square", x=2), (4, None))
     assert cache.stats() == "1 hit / 1 miss / 1 evicted"
 
 

@@ -126,27 +126,3 @@ def test_check_flag_propagates_into_workers():
         assert run_sweep(point, jobs=2) == [False, False]
 
 
-@pytest.mark.slow
-def test_races_flag_propagates_into_workers():
-    point = [SweepPoint.make(f"{FNS}:probe_races"),
-             SweepPoint.make(f"{FNS}:probe_races")]
-    with override(races=True):
-        assert run_sweep(point, jobs=2) == [True, True]
-    with override(races=False):
-        assert run_sweep(point, jobs=2) == [False, False]
-
-
-@pytest.mark.slow
-def test_race_findings_cross_the_pool():
-    """Findings recorded inside a worker land in the parent registry,
-    so a pooled run reports exactly what a serial one would."""
-    from repro.check.races import drain_findings
-
-    drain_findings()
-    points = [SweepPoint.make(f"{FNS}:emit_finding", tag=f"w{i}")
-              for i in range(2)]
-    with override(races=True):
-        assert run_sweep(points, jobs=2) == ["w0", "w1"]
-    findings = drain_findings()
-    assert sorted(f.message for f in findings) == ["w0", "w1"]
-    assert all(f.kind == "shared-state" for f in findings)

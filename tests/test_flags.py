@@ -14,22 +14,20 @@ from repro.obs import metrics
 
 
 def test_unset_environment_means_every_switch_off():
-    assert flags.parse({}) == Flags(check=False, races=False, shake=None,
-                                    obs=False)
+    assert flags.parse({}) == Flags(check=False, shake=None, obs=False)
 
 
 def test_documented_spellings_parse():
-    record = flags.parse({"REPRO_CHECK": " Yes ", "REPRO_RACES": "on",
-                          "REPRO_SHAKE": " 7 ", "REPRO_OBS": "TRUE"})
-    assert record == Flags(check=True, races=True, shake=7, obs=True)
-    record = flags.parse({"REPRO_CHECK": "0", "REPRO_RACES": "off",
-                          "REPRO_SHAKE": "", "REPRO_OBS": "no"})
+    record = flags.parse({"REPRO_CHECK": " Yes ", "REPRO_SHAKE": " 7 ",
+                          "REPRO_OBS": "TRUE"})
+    assert record == Flags(check=True, shake=7, obs=True)
+    record = flags.parse({"REPRO_CHECK": "0", "REPRO_SHAKE": "",
+                          "REPRO_OBS": "no"})
     assert record == Flags()
 
 
 @pytest.mark.parametrize("var, value", [
     ("REPRO_CHECK", "2"),
-    ("REPRO_RACES", "enabled"),
     ("REPRO_SHAKE", "abc"),
     ("REPRO_OBS", "2"),
 ])
@@ -55,13 +53,13 @@ def test_malformed_environment_fails_at_import():
 
 def test_override_is_scoped_and_nests():
     before = flags.current()
-    with override(races=True, shake=7) as outer:
+    flipped = not before.check
+    with override(check=flipped, shake=7) as outer:
         assert flags.current() is outer
-        assert (outer.races, outer.shake, outer.check) == \
-            (True, 7, before.check)
+        assert (outer.check, outer.shake, outer.obs) == \
+            (flipped, 7, before.obs)
         with override(shake=None):
-            assert flags.current() == Flags(before.check, True, None,
-                                            before.obs)
+            assert flags.current() == Flags(flipped, None, before.obs)
         assert flags.current() is outer
     assert flags.current() is before
 
@@ -69,7 +67,7 @@ def test_override_is_scoped_and_nests():
 def test_override_restores_after_an_exception():
     before = flags.current()
     with pytest.raises(RuntimeError):
-        with override(races=True):
+        with override(check=True, shake=3):
             raise RuntimeError("boom")
     assert flags.current() is before
 
