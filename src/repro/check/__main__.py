@@ -40,7 +40,9 @@ An interrupted or killed ``--chaos`` campaign leaves a run journal
 behind; rerun it with ``--resume`` to replay the completed jobs and
 finish with byte-identical output.  An option that only one mode reads
 (``--chaos-seed``, ``--jobs``, ``--resume``, ``--crash-seed``,
-``--shake-seed``) is a usage error without that mode.
+``--shake-seed``) is a usage error without that mode, and so are the
+lint's inputs (paths, ``--require-docstrings``) under ``--chaos``,
+``--crash`` and ``--smoke-only``, which do not lint.
 
 Exit status: 0 clean, 1 findings/sanitizer/campaign failure, 2 usage
 error (130 when a campaign is interrupted by SIGINT/SIGTERM).
@@ -300,6 +302,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if given and modes[mode] is None:
             print(f"{option} only applies to {mode}", file=sys.stderr)
             return 2
+    lintless = ("--chaos" if args.chaos is not None
+                else "--crash" if args.crash is not None
+                else "--smoke-only" if args.smoke_only else None)
+    unread = [option for option, given in (
+        ("a path to lint", bool(args.paths)),
+        ("--require-docstrings", args.require_docstrings)) if given]
+    if lintless is not None and unread:
+        for option in unread:
+            print(f"{option} only applies to the lint (the default run, "
+                  f"--static-only or --shake), not to {lintless}",
+                  file=sys.stderr)
+        return 2
     chaos_seed = args.chaos_seed or 0
     crash_seed = args.crash_seed or 0
     if args.crash is not None:

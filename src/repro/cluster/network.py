@@ -4,7 +4,10 @@ A transfer between two nodes charges the alpha/beta cost from the
 :class:`~repro.config.CostModel` *while holding* the sender's outbound
 NIC and the receiver's inbound NIC, so concurrent messages through the
 same endpoint serialize (store-and-forward at the endpoints).  Intra-node
-transfers bypass the NICs and use the shared-memory cost instead.
+transfers bypass the NICs and use the shared-memory cost instead.  A
+message is a background occupancy (:func:`repro.sim.occupy`), not a
+process; file traffic (:meth:`Network.inject`/:meth:`Network.eject`)
+is held inline by the reading or writing process.
 
 The deadlock-freedom argument for holding two resources: a transfer
 acquires ``src.nic_out`` before ``dst.nic_in``; since the ``nic_out`` and
@@ -14,10 +17,10 @@ transfers (an out-holder waits only on in-slots, never on out-slots).
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Callable, Dict, Generator, List, Tuple
 
 from ..config import CostModel
-from ..sim import Kernel, hold
+from ..sim import Kernel, Resource, hold, occupy
 from .node import Node
 from .topology import MeshTopology
 
@@ -47,27 +50,37 @@ class Network:
         self.inter_node_bytes = 0
         #: Total bytes moved within nodes (shared memory).
         self.intra_node_bytes = 0
+        #: ``(src, dst)`` node pair -> (the NICs its messages hold, hop
+        #: count), filled on a pair's first message.
+        self._routes: Dict[Tuple[int, int],
+                           Tuple[Tuple[Resource, Resource], int]] = {}
 
-    def transfer(self, src: int, dst: int, nbytes: int) -> Generator:
-        """Sub-process performing one message transfer.
+    def start_transfer(self, src: int, dst: int, nbytes: int,
+                       then: Callable[[], None]) -> None:
+        """Move one message of ``nbytes`` from node ``src`` to node
+        ``dst`` in the background, then call ``then()``.
 
-        Yields until the message has been fully delivered.  Use as::
-
-            yield ctx.kernel.process(network.transfer(a, b, n))
-
-        or inline with ``yield from``.
+        An inter-node message holds ``src.nic_out`` and then
+        ``dst.nic_in`` for its alpha/beta time (keeping the first while
+        it queues for the second); an intra-node one pays the
+        shared-memory cost without a NIC.  See
+        :func:`repro.sim.occupy` for the events it schedules.
         """
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         if src == dst:
             self.intra_node_bytes += nbytes
-            yield self.kernel.timeout(self.cost.intra_node_msg_time(nbytes))
+            occupy(self.kernel, (), self.cost.intra_node_msg_time(nbytes),
+                   then)
             return
         self.inter_node_bytes += nbytes
-        hops = self.topology.hops(src, dst)
-        # Keeps ``src.nic_out`` while it queues for ``dst.nic_in``.
-        yield from hold((self.nodes[src].nic_out, self.nodes[dst].nic_in),
-                        self.cost.msg_time(nbytes, hops))
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = (
+                (self.nodes[src].nic_out, self.nodes[dst].nic_in),
+                self.topology.hops(src, dst))
+        nics, hops = route
+        occupy(self.kernel, nics, self.cost.msg_time(nbytes, hops), then)
 
     def inject(self, dst: int, nbytes: int) -> Generator:
         """Sub-process: storage-to-compute traffic arriving at ``dst``.

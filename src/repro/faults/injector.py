@@ -8,9 +8,9 @@ was injected or recovered (:class:`FaultRecord`).  Attach it with
 
 * ``machine.fs.faults`` — consulted by :meth:`repro.pfs.LustreFS.read`
   for per-segment slow OST requests and transient EIOs;
-* ``machine.faults`` — consulted by
-  :meth:`repro.mpi.comm.Communicator._send_proc` for message drops and
-  delays;
+* ``machine.faults`` — consulted by every message sent with
+  :meth:`repro.mpi.CommHandle.isend`, once it is off the wire, for
+  drops and delays;
 * the kernel's deadlock watcher list — so a hang that follows an
   injected fault names that fault in the
   :class:`~repro.errors.DeadlockError` report, distinguishing
@@ -183,7 +183,7 @@ class FaultInjector:
                         f"delayed {delay:g}s")
         return delay
 
-    # -- message hook (consulted by Communicator._send_proc) ---------------
+    # -- message hook (consulted by each isend once off the wire) ----------
     def allow_drops(self, tag_lo: int, tag_hi: int) -> None:
         """Declare ``[tag_lo, tag_hi)`` a droppable data-plane range."""
         self._droppable.append((tag_lo, tag_hi))
@@ -252,8 +252,9 @@ class FaultInjector:
     def corrupt_message(self, msg):
         """Maybe flip one bit in a delivered data-plane payload.
 
-        Called by :meth:`repro.mpi.comm.Communicator._send_proc` for
-        messages that were *not* dropped.  Like drops, corruption only
+        Called for every message sent with
+        :meth:`repro.mpi.CommHandle.isend` that was *not* dropped, once
+        it is off the wire (after an injected delay).  Like drops, corruption only
         applies inside registered droppable tag ranges: the control
         plane (collectives, agreement rounds) stays trustworthy, so
         checksum verdicts themselves cannot be forged.  Returns the

@@ -32,7 +32,7 @@ from .. import flags
 from ..cluster import Machine
 from ..errors import MPIError
 from ..obs import metrics
-from ..sim import Event, Kernel
+from ..sim import Event, Kernel, Timeout
 from .wire import wire_size
 
 #: Fixed bucket edges (bytes) of the ``mpi.msg_bytes`` histogram —
@@ -268,22 +268,9 @@ class Communicator:
         else:
             event.succeed(msg)
 
-    # -- transfer process ------------------------------------------------------
-    def _send_proc(self, msg: Message, seq: int) -> Generator:
-        src_node = self.node_of(msg.source)
-        dst_node = self.node_of(msg.dest)
-        yield from self.machine.network.transfer(src_node, dst_node, msg.nbytes)
-        dropped = False
-        faults = self.machine.faults
-        if faults is not None:
-            dropped, delay = faults.message_decision(msg)
-            if delay > 0:
-                yield self.kernel.timeout(delay)
-            if not dropped and faults.plan.corrupt_msg_rate:
-                # In-transit bit flip on the delivered copy; the sender's
-                # object is untouched, so a re-send draws a fresh decision
-                # (the repair round uses a fresh tag).
-                msg.data = faults.corrupt_message(msg)
+    def _sequence(self, msg: Message, seq: int, dropped: bool) -> None:
+        """Hand the ``seq``-th message of its pair, off the wire, to
+        the matching engine in send order (MPI's non-overtaking rule)."""
         pair = (msg.source, msg.dest)
         expected = self._pair_next_in.get(pair, 0)
         if seq != expected:
@@ -293,7 +280,7 @@ class Communicator:
             # pair would wait forever on a delivery that never happens.
             self._held_back.setdefault(pair, {})[seq] = (
                 None if dropped else msg)
-            return None
+            return
         if not dropped:
             self._deliver(msg)
         expected += 1
@@ -304,7 +291,6 @@ class Communicator:
                 self._deliver(held_msg)
             expected += 1
         self._pair_next_in[pair] = expected
-        return None
 
     def describe_blocked(self) -> List[str]:
         """Per-rank blocked-state lines for deadlock reports: pending
@@ -312,6 +298,48 @@ class Communicator:
         and (with the sanitizer on) each rank's last collective."""
         from ..check.protocol import describe_blocked
         return describe_blocked(self, MIN_RESERVED_TAG)
+
+
+class _Send:
+    """One message from :meth:`CommHandle.isend` to delivery, without a
+    process: the wire (:meth:`~repro.cluster.Network.start_transfer`),
+    the fault plan's drop or delay (a timer), pair sequencing and
+    delivery, then :attr:`done`, the send request's completion event,
+    fired after the deliveries it made."""
+
+    __slots__ = ("comm", "msg", "seq", "done")
+
+    def __init__(self, comm: Communicator, msg: Message, seq: int) -> None:
+        self.comm = comm
+        self.msg = msg
+        self.seq = seq
+        self.done = Event(comm.kernel, name="send")
+        comm.machine.network.start_transfer(
+            comm._node_of[msg.source], comm._node_of[msg.dest], msg.nbytes,
+            self._arrived)
+
+    def _arrived(self) -> None:
+        faults = self.comm.machine.faults
+        if faults is None:
+            self._land(None, False)
+            return
+        dropped, delay = faults.message_decision(self.msg)
+        if delay > 0:
+            timer = Timeout(self.comm.kernel, delay)
+            timer.callbacks.append(  # type: ignore[union-attr]
+                lambda _timer: self._land(faults, False))
+            return
+        self._land(faults, dropped)
+
+    def _land(self, faults: Any, dropped: bool) -> None:
+        msg = self.msg
+        if not dropped and faults is not None and faults.plan.corrupt_msg_rate:
+            # In-transit bit flip on the delivered copy; the sender's
+            # object is untouched, so a re-send draws a fresh decision
+            # (the repair round uses a fresh tag).
+            msg.data = faults.corrupt_message(msg)
+        self.comm._sequence(msg, self.seq, dropped)
+        self.done.succeed()
 
 
 @dataclass(frozen=True)
@@ -371,10 +399,13 @@ class CommHandle:
     def isend(self, data: Any, dest: int, tag: int = 0,
               nbytes: Optional[int] = None) -> Request:
         """Start a nonblocking send; returns a :class:`Request`."""
-        self.comm.check_rank(dest)
+        comm = self.comm
+        comm.check_rank(dest)
         if tag < 0:
             raise MPIError(f"negative tag {tag}")
         size = wire_size(data) if nbytes is None else int(nbytes)
+        if size < 0:
+            raise MPIError(f"negative message size {size}")
         msg = Message(self.rank, dest, tag, data, size)
         m = metrics.current()
         if m is not None:
@@ -382,11 +413,9 @@ class CommHandle:
             m.count("mpi.wire_bytes", size)
             m.observe("mpi.msg_bytes", size, MSG_BYTES_EDGES)
         pair = (self.rank, dest)
-        seq = self.comm._pair_next_out.get(pair, 0)
-        self.comm._pair_next_out[pair] = seq + 1
-        proc = self.kernel.process(self.comm._send_proc(msg, seq),
-                                   name="send")
-        return Request(proc)
+        seq = comm._pair_next_out.get(pair, 0)
+        comm._pair_next_out[pair] = seq + 1
+        return Request(_Send(comm, msg, seq).done)
 
     def send(self, data: Any, dest: int, tag: int = 0,
              nbytes: Optional[int] = None) -> Generator:

@@ -7,7 +7,7 @@ TB-scale files whose bytes are generated (and cached) on demand.
 **Paper mapping.** The §V testbed's Lustre (156 OSTs, 4 MB stripes,
 35 GB/s peak); OST contention and stripe alignment drive the read phase
 exactly as in Lustre's data path.  The fault injector
-(:mod:`repro.faults`) hooks :meth:`~repro.pfs.ost.OST.service` for
+(:mod:`repro.faults`) hooks :meth:`~repro.pfs.ost.OST.start_service` for
 slow/failed request faults.
 """
 

@@ -2,10 +2,11 @@
 
 :class:`LustreFS` owns the OST pool and the file namespace.  A read or
 write of a contiguous byte extent is split by the file's stripe layout
-into per-OST segments which are serviced **concurrently** (one sim
-process per segment), with queueing at each OST — exactly the behaviour
-that gives striped files their aggregate bandwidth and that makes OST
-contention visible when many aggregators hit the same stripes.
+into per-OST segments which are serviced **concurrently** (one
+background OST request per segment), with queueing at each OST —
+exactly the behaviour that gives striped files their aggregate
+bandwidth and that makes OST contention visible when many aggregators
+hit the same stripes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, Generator, List, Optional
 import numpy as np
 
 from ..config import CostModel
-from ..errors import PFSError, TransientIOError
+from ..errors import PFSError
 from ..sim import Kernel
 from .datasource import DataSource, ProceduralSource
 from .file import PFSFile
@@ -139,29 +140,20 @@ class LustreFS:
             return b""
         segments = file.layout.split_extent(offset, nbytes)
         if self.faults is not None and self.faults.plan.any_faults:
-            # Decide every segment's fate up front (stateless plan), then
-            # absorb per-segment EIOs inside the wrappers so concurrent
-            # failures cannot leave undefused failed processes behind;
-            # the first failing segment (in extent order) is re-raised.
+            # Decide every segment's fate up front (stateless plan).  A
+            # failing segment completes with its EIO, so its siblings
+            # drain their OST queues before the first failure (in
+            # extent order) is raised.
             decisions = [self.faults.ost_decision(seg.ost)
                          for seg in segments]
-            procs = [
-                self.kernel.process(
-                    self._fallible_service(seg, mult, fail),
-                    name=f"read:{file.name}@{seg.file_offset}")
-                for seg, (mult, fail) in zip(segments, decisions)
-            ]
-            outcomes = yield self.kernel.all_of(procs)
-            for err in outcomes:
-                if err is not None:
-                    raise err
         else:
-            procs = [
-                self.kernel.process(self.osts[seg.ost].service(seg.length),
-                                    name=f"read:{file.name}@{seg.file_offset}")
-                for seg in segments
-            ]
-            yield self.kernel.all_of(procs)
+            decisions = [(1.0, False)] * len(segments)
+        osts = self.osts
+        services = [osts[seg.ost].start_service(seg.length, mult, fail)
+                    for seg, (mult, fail) in zip(segments, decisions)]
+        for err in (yield self.kernel.all_of(services)):
+            if err is not None:
+                raise err
         if client is not None and self.network is not None:
             yield from self.network.inject(client, nbytes)
         data = file.source.read(offset, nbytes)
@@ -175,19 +167,6 @@ class LustreFS:
         if self.integrity is not None:
             self.integrity.verify_read(file, offset, data)
         return data
-
-    def _fallible_service(self, seg, fault_mult: float,
-                          fault_fail: bool) -> Generator:
-        """Serve one segment under fault injection, returning the
-        :class:`~repro.errors.TransientIOError` (instead of raising) so
-        sibling segments of the same read can finish draining their
-        OST queues before the caller re-raises."""
-        try:
-            yield from self.osts[seg.ost].service(seg.length, fault_mult,
-                                                  fault_fail)
-        except TransientIOError as exc:
-            return exc
-        return None
 
     def write(self, file: PFSFile, offset: int, data: bytes,
               client: Optional[int] = None) -> Generator:
@@ -207,12 +186,9 @@ class LustreFS:
         if client is not None and self.network is not None:
             yield from self.network.eject(client, nbytes)
         segments = file.layout.split_extent(offset, nbytes)
-        procs = [
-            self.kernel.process(self.osts[seg.ost].service(seg.length),
-                                name=f"write:{file.name}@{seg.file_offset}")
-            for seg in segments
-        ]
-        yield self.kernel.all_of(procs)
+        osts = self.osts
+        yield self.kernel.all_of([osts[seg.ost].start_service(seg.length)
+                                  for seg in segments])
         file.source.write(offset, data)
         # Digested files stay verifiable across in-place writes, also
         # with no manager attached; an attached one counts the blocks.

@@ -10,12 +10,12 @@ it is served (``fault_mult``) and whether it fails.
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import partial
 
 from ..config import CostModel
 from ..errors import TransientIOError
 from ..obs import metrics
-from ..sim import Kernel, Resource, hold
+from ..sim import Event, Kernel, Resource, occupy
 
 
 class OST:
@@ -41,15 +41,19 @@ class OST:
         #: Number of requests served.
         self.requests_served = 0
 
-    def service(self, nbytes: int, fault_mult: float = 1.0,
-                fault_fail: bool = False) -> Generator:
-        """Sub-process: queue for the device, then spend the service time.
+    def start_service(self, nbytes: int, fault_mult: float = 1.0,
+                      fault_fail: bool = False) -> Event:
+        """Serve one request in the background: queue for the device,
+        then spend the service time (:func:`repro.sim.occupy`).
 
-        The caller is responsible for actually producing/consuming the
-        bytes; this models only the device occupancy.  ``fault_mult``
-        scales this one request's service time (an injected straggling
-        device) and ``fault_fail`` makes the request pay its seek cost
-        and then raise :class:`~repro.errors.TransientIOError` — both
+        Returns the request's completion event.  The caller is
+        responsible for actually producing/consuming the bytes; this
+        models only the device occupancy.  ``fault_mult`` scales this
+        one request's service time (an injected straggling device) and
+        ``fault_fail`` makes the request pay its seek cost and then
+        complete with a :class:`~repro.errors.TransientIOError` as its
+        value (it never fails, so sibling segments of the same read
+        drain their queues before the caller raises the error) — both
         decided up front by the fault injector so a fault-free run's
         event order is untouched.
         """
@@ -59,17 +63,24 @@ class OST:
             duration = self.cost.ost_seek
         else:
             duration = self.cost.ost_time(nbytes) * fault_mult
-        yield from hold(self._server, duration)
+        done = Event(self.kernel, name=self._server.name)
+        occupy(self.kernel, (self._server,), duration,
+               partial(self._served, nbytes, fault_fail, done))
+        return done
+
+    def _served(self, nbytes: int, fault_fail: bool, done: Event) -> None:
         self.requests_served += 1
         m = metrics.current()
         if m is not None:
             m.count("pfs.ost.requests")
         if fault_fail:
-            raise TransientIOError(
-                f"injected transient EIO at OST {self.index}")
+            done.succeed(TransientIOError(
+                f"injected transient EIO at OST {self.index}"))
+            return
         self.bytes_served += nbytes
         if m is not None:
             m.count("pfs.ost.bytes", nbytes)
+        done.succeed(None)
 
     @property
     def queue_length(self) -> int:

@@ -2,7 +2,8 @@
 
 **Role.** The substrate for the whole reproduction: the cluster, the
 parallel file system, the MPI library, and the collective-computing
-runtime all execute as coroutine processes on one :class:`Kernel`, with
+runtime all execute on one :class:`Kernel`, as coroutine processes (the
+ranks) and background occupancies (messages, OST requests), with
 events, timeouts, FIFO resources and deadlock detection.  Identical
 inputs replay identical event orders — the determinism contract every
 figure rests on.
@@ -15,11 +16,11 @@ simulation — the substitution DESIGN.md §2 argues for.
 from .events import AllOf, AnyOf, Event, Timeout
 from .kernel import Kernel
 from .process import Interrupt, Process
-from .resources import Request, Resource, hold
+from .resources import Request, Resource, hold, occupy
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Timeout",
     "Kernel",
     "Interrupt", "Process",
-    "Request", "Resource", "hold",
+    "Request", "Resource", "hold", "occupy",
 ]

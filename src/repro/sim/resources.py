@@ -1,21 +1,25 @@
 """Shared-resource primitives built on the event kernel.
 
-Two primitives cover every contention point in the simulated cluster:
+A counted FIFO server and two ways to occupy it cover every contention
+point in the simulated cluster:
 
 * :class:`Resource` — a counted FIFO server (CPU cores, NIC channels,
   OST service slots).  Strict FIFO granting keeps runs deterministic.
-* :func:`hold` — the one way library code occupies a resource:
+* :func:`hold` — occupancy inline from a process (a rank's core work):
   acquire, hold for a simulated duration, release.  A hold whose units
   are free when it starts costs one event (the :class:`Timeout` that
   ends it), and a k-unit hold models k worker threads without a
   process per thread.
+* :func:`occupy` — occupancy in the background (a message on the wire,
+  an OST request): the events a process holding the resources would
+  schedule, driven by callbacks, then a continuation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import (Any, Deque, Generator, List, Optional, Tuple, Union,
+from typing import (Any, Callable, Deque, Generator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
 from ..errors import SimulationError
@@ -121,7 +125,7 @@ class Resource:
         self._release(1)
 
 
-def hold(resource: Union[Resource, Tuple[Resource, ...]], duration: float,
+def hold(resource: Resource, duration: float,
          units: int = 1) -> Generator[Event, Any, List[Span]]:
     """Occupy ``units`` slots of ``resource`` for ``duration`` simulated
     seconds each, inline from a process::
@@ -135,58 +139,98 @@ def hold(resource: Union[Resource, Tuple[Resource, ...]], duration: float,
     unit waits its turn and is released ``duration`` after its own
     grant (as if each were a worker thread), and the hold returns once
     the last unit is released.  An interrupted hold leaves no unit held
-    or queued.
-
-    ``resource`` may also be a tuple of resources, one slot of each
-    (``units`` must be 1): they are acquired in order, each kept from
-    its own grant until the common end, and released in reverse order —
-    a transfer keeps its outbound NIC while it queues for the inbound
-    one.  Once it has waited for one of them, the rest are requested
-    through their grant events even when free.
+    or queued.  :func:`occupy` holds one slot of several resources in
+    the background, without a process.
     """
-    resources = resource if isinstance(resource, tuple) else (resource,)
-    if units < 1 or (units > 1 and len(resources) != 1):
-        raise SimulationError(
-            f"hold of {units} unit(s) on {len(resources)} resource(s)")
-    first = resources[0]
-    kernel = first.kernel
-    if len(resources) == 1 and first._acquire(units):
+    if units < 1:
+        raise SimulationError(f"hold of {units} unit(s)")
+    kernel = resource.kernel
+    if resource._acquire(units):
         start = kernel._now
         try:
             yield Timeout(kernel, duration)
         finally:
-            first._release(units)
+            resource._release(units)
         return [(start, kernel._now)] * units
     if units > 1:
-        fan_out = _FanOut(first, duration, units)
+        fan_out = _FanOut(resource, duration, units)
         try:
             return (yield fan_out.done)
         finally:
             fan_out.abandon()
-    held: List[Tuple[Resource, Optional[Request]]] = []
-    waited = False
+    req = resource.request()
     try:
-        for res in resources:
-            # Only call-time grants skip the grant event.  After a wait
-            # the process resumes from an event, and a grant decided on
-            # the spot there would move its timer ahead of same-instant
-            # events that the grant event keeps it behind.
-            if not waited and res._acquire(1):
-                held.append((res, None))
-            else:
-                waited = True
-                req = res.request()
-                held.append((res, req))
-                yield req
+        yield req
         start = kernel._now
         yield Timeout(kernel, duration)
     finally:
-        for res, req in reversed(held):
-            if req is None:
-                res._release(1)
-            else:
-                res.release(req)
+        resource.release(req)
     return [(start, kernel._now)]
+
+
+def occupy(kernel: "Kernel", resources: Tuple[Resource, ...],
+           duration: float, then: Callable[[], None]) -> None:
+    """Occupy one slot of each of ``resources`` for ``duration``
+    simulated seconds in the background, then call ``then()``.
+
+    It schedules the events of a process started here that takes the
+    resources in order, holds them to a common end and then calls
+    ``then()``, without the process: a start event now, where the
+    process's bootstrap event would sit; from it each resource is taken
+    on the spot while it is free and nobody is queued, and after one
+    wait every later one through its grant event (a grant decided on
+    the spot there would move the timer ahead of same-instant events
+    that the grant event keeps it behind); then the timer, whose end
+    releases the slots in reverse order and calls ``then``.  A transfer
+    keeps its outbound NIC while it queues for the inbound one.  With
+    no resources it is a start event and a timer.
+    """
+    _Occupancy(kernel, resources, duration, then)
+
+
+class _Occupancy(Event):
+    """One :func:`occupy` call; the object is its own start event."""
+
+    __slots__ = ("resources", "duration", "then", "taken")
+
+    def __init__(self, kernel: "Kernel", resources: Tuple[Resource, ...],
+                 duration: float, then: Callable[[], None]) -> None:
+        super().__init__(kernel)
+        self.resources = resources
+        self.duration = duration
+        self.then = then
+        #: Resources acquired so far (a prefix of ``resources``).
+        self.taken = 0
+        self.callbacks.append(self._start)  # type: ignore[union-attr]
+        self.succeed()
+
+    def _start(self, _event: Event) -> None:
+        for res in self.resources:
+            if not res._acquire(1):
+                self._wait(res)
+                return
+            self.taken += 1
+        self._run()
+
+    def _wait(self, res: Resource) -> None:
+        req = res.request()
+        req.callbacks.append(self._granted)  # type: ignore[union-attr]
+
+    def _granted(self, _grant: Event) -> None:
+        self.taken += 1
+        if self.taken < len(self.resources):
+            self._wait(self.resources[self.taken])
+        else:
+            self._run()
+
+    def _run(self) -> None:
+        timer = Timeout(self.kernel, self.duration)
+        timer.callbacks.append(self._end)  # type: ignore[union-attr]
+
+    def _end(self, _timer: Event) -> None:
+        for res in reversed(self.resources):
+            res._release(1)
+        self.then()
 
 
 class _FanOut:

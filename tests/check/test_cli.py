@@ -78,12 +78,20 @@ def test_shake_flag_exclusions(capsys):
     (["--static-only", "--crash-seed", "3"], "--crash-seed", "--crash"),
     (["--chaos", "2", "--crash-seed", "3"], "--crash-seed", "--crash"),
     (["--resume"], "--resume", "--chaos"),
+    (["--chaos", "2"], "a path to lint", "--chaos"),
+    (["--crash", "2"], "a path to lint", "--crash"),
+    (["--smoke-only"], "a path to lint", "--smoke-only"),
+    (["--chaos", "2", "--require-docstrings"], "--require-docstrings",
+     "--chaos"),
 ], ids=["shake-seed", "chaos-seed", "jobs", "jobs-with-shake",
-        "crash-seed", "crash-seed-with-chaos", "resume"])
+        "crash-seed", "crash-seed-with-chaos", "resume", "paths-with-chaos",
+        "paths-with-crash", "paths-with-smoke-only",
+        "require-docstrings-with-chaos"])
 def test_an_option_outside_its_mode_is_a_usage_error(argv, option, mode,
                                                      capsys):
     """An option only one mode reads is refused, never silently dropped,
-    and the message names the option and the mode it needs."""
+    and the message names the option and the mode it needs (for the
+    lint's inputs, the mode that does not lint)."""
     assert main([str(PKG)] + argv) == 2
     err = capsys.readouterr().err
     assert option in err and mode in err

@@ -6,8 +6,10 @@ import pytest
 from repro.cluster import Machine
 from repro.config import small_test_machine
 from repro.errors import MPIError
+from repro.flags import override
 from repro.mpi import Communicator, collectives, mpi_run, wire_size
 from repro.mpi.op import SUM
+from repro.obs import metrics
 from repro.sim import Kernel
 
 
@@ -124,6 +126,25 @@ def test_bad_ranks_and_tags_rejected():
     with pytest.raises(MPIError):
         comm.handle(2)
     assert mpi_run(machine(), 2, main) == ["checked", "checked"]
+
+
+def test_negative_message_size_rejected_at_the_call():
+    """``isend`` refuses a negative ``nbytes`` itself, as it does a
+    negative tag: nothing is counted, and nothing is left to fail later
+    inside ``kernel.run()``."""
+    def main(ctx):
+        yield ctx.kernel.timeout(0)
+        if ctx.rank == 0:
+            with pytest.raises(MPIError, match="negative message size"):
+                ctx.comm.isend(b"x", 1, 0, nbytes=-5)
+        return "checked"
+
+    with override(obs=True):
+        _, res = run(2, main)
+        counters = metrics.current().counters
+    assert res == ["checked", "checked"]
+    assert counters.get("mpi.messages", 0) == 0
+    assert counters.get("mpi.wire_bytes", 0) == 0
 
 
 def test_keyed_tables_match_exactly_and_drain():

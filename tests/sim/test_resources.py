@@ -1,11 +1,11 @@
-"""Unit tests for Resource and hold()."""
+"""Unit tests for Resource, hold() and occupy()."""
 
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Kernel, Resource, hold
+from repro.sim import Kernel, Resource, hold, occupy
 from repro.sim.process import Interrupt
 
 
@@ -235,36 +235,10 @@ def test_interrupted_contended_hold_leaves_nothing_behind(capacity, busy,
     assert r.in_use == 0 and r.queue_length == 0
 
 
-def test_interrupted_multi_resource_hold_releases_what_it_took():
-    """A transfer-shaped hold keeps the first resource while queued for
-    the second; an interrupt gives the first back and leaves the
-    second's queue empty."""
-    k = Kernel()
-    out, inn = Resource(k, name="out"), Resource(k, name="in")
-    seen = []
-
-    def occupant():
-        yield from hold(inn, 10.0)
-
-    def transfer():
-        try:
-            yield from hold((out, inn), 1.0)
-        except Interrupt:
-            seen.append((out.in_use, inn.in_use, inn.queue_length))
-
-    k.process(occupant())
-    victim = k.process(transfer())
-
-    def interrupter():
-        yield k.timeout(2.0)
-        victim.interrupt()
-
-    k.process(interrupter())
-    k.run()
-    assert seen == [(0, 1, 0)]
-
-
 def test_multi_resource_hold_spans_the_common_end():
+    """A background occupancy of two resources keeps the first from its
+    grant while it queues for the second, and releases both at the
+    common end."""
     k = Kernel()
     out, inn = Resource(k), Resource(k)
     got = []
@@ -272,24 +246,23 @@ def test_multi_resource_hold_spans_the_common_end():
     def occupant():
         yield from hold(inn, 3.0)
 
-    def transfer():
-        spans = yield from hold((out, inn), 1.0)
-        got.append((spans, out.in_use))
+    def probe():
+        yield k.timeout(2.0)
+        got.append((k.now, out.in_use, inn.queue_length))
 
     k.process(occupant())
-    k.process(transfer())
+    occupy(k, (out, inn), 1.0,
+           lambda: got.append((k.now, out.in_use, inn.in_use)))
+    k.process(probe())
     k.run()
     # ``out`` was taken at 0 and kept while ``in`` was busy until 3.
-    assert got == [([(3.0, 4.0)], 0)]
+    assert got == [(2.0, 1, 1), (4.0, 0, 0)]
 
 
-@pytest.mark.parametrize("units, resources", [(0, 1), (2, 2)])
-def test_hold_rejects_malformed_requests(units, resources):
+def test_hold_rejects_zero_units():
     k = Kernel()
-    rs = tuple(Resource(k) for _ in range(resources))
-    target = rs if resources > 1 else rs[0]
     with pytest.raises(SimulationError):
-        next(hold(target, 1.0, units))
+        next(hold(Resource(k), 1.0, 0))
 
 
 def _transfer_oracle(k, resources, duration):
@@ -307,8 +280,8 @@ def _transfer_oracle(k, resources, duration):
             res.release(req)
 
 
-@pytest.mark.parametrize("use_hold", [True, False])
-def test_grant_after_a_wait_keeps_its_event(use_hold):
+@pytest.mark.parametrize("use_occupy", [True, False])
+def test_grant_after_a_wait_keeps_its_event(use_occupy):
     """B queues for ``out`` and is granted at t=1; D is woken in the
     same instant, after B's grant event.  Requested through its grant
     event, B's ``inn`` slot starts B's timer after D's, so D finishes
@@ -325,11 +298,12 @@ def test_grant_after_a_wait_keeps_its_event(use_hold):
 
     def b():
         yield k.timeout(0.5)
-        if use_hold:
-            yield from hold((out, inn), 1.0)
+        if use_occupy:
+            occupy(k, (out, inn), 1.0,
+                   lambda: finished.append(("b", k.now)))
         else:
             yield from _transfer_oracle(k, (out, inn), 1.0)
-        finished.append(("b", k.now))
+            finished.append(("b", k.now))
 
     def d():
         yield woken
