@@ -40,7 +40,7 @@ from .config import (CostModel, GiB, KiB, MiB, PlatformSpec, TiB,
 from .core import (CCResult, CCStats, MapReduceOp, ObjectIO, PartialResult,
                    SUM_OP, MAX_OP, MIN_OP, MAXLOC_OP, MINLOC_OP, MEAN_OP,
                    COUNT_OP, MOMENTS_OP, HistogramOp, UserOp, locate,
-                   object_get, op_by_name, traditional_read_compute)
+                   object_get, traditional_read_compute)
 from .dataspace import (DatasetSpec, LogicalBlock, RunList, Subarray,
                         block_partition, flatten_subarray, full_selection,
                         grid_partition, merge_runlists, reconstruct_run)
@@ -79,7 +79,7 @@ __all__ = [
     "CCResult", "CCStats", "MapReduceOp", "ObjectIO", "PartialResult",
     "SUM_OP", "MAX_OP", "MIN_OP", "MAXLOC_OP", "MINLOC_OP", "MEAN_OP",
     "COUNT_OP", "MOMENTS_OP", "HistogramOp", "UserOp",
-    "locate", "object_get", "op_by_name", "traditional_read_compute",
+    "locate", "object_get", "traditional_read_compute",
     # high level
     "NCFile", "Variable", "VariableDef", "create_dataset",
     # profiling

@@ -32,9 +32,9 @@ Three opt-in stages each replace both:
   data results across schedules.
 * ``--crash [N]`` runs the preemption campaign of
   :mod:`repro.check.crash` — ``N`` seeded drills that SIGKILL workers
-  mid-point, hang points past their deadline, and murder whole sweep
-  and chaos runs between journal writes, asserting that supervised
-  retry and ``--resume`` recover every one bit-identically.
+  mid-point and murder whole sweep and chaos runs between journal
+  writes, asserting that supervised retry and ``--resume`` recover
+  every one bit-identically.
 
 An interrupted or killed ``--chaos`` campaign leaves a run journal
 behind; rerun it with ``--resume`` to replay the completed jobs and

@@ -12,9 +12,6 @@ journal (a :class:`~repro.parallel.pointcache.PointCache` at
   The supervisor must detect the death, retry the point on a fresh
   worker, and produce exactly the undisturbed results with exactly one
   recorded death and one retry.
-* ``deadline-hang`` — the trap point instead sleeps far past the
-  sweep's per-point wall deadline.  The supervisor must SIGKILL the
-  hung worker, retry, and finish with exactly one deadline kill.
 * ``parent-kill-sweep`` — a journaled sweep runs in a subprocess that
   the ``REPRO_JOURNAL_DIE_AFTER=K`` hook SIGKILLs right after its
   ``K``-th durable journal put.  A second invocation over the same
@@ -27,7 +24,7 @@ journal (a :class:`~repro.parallel.pointcache.PointCache` at
   reference run's, and the journal must be cleared after the clean
   finish.
 
-Every trap is seeded: instance ``i`` runs scenario ``i mod 4`` with
+Every trap is seeded: instance ``i`` runs scenario ``i mod 3`` with
 seed ``base_seed + i``, and the trap position / kill point ``K`` are
 pure arithmetic on that seed — a failing ``seed=... scenario=...``
 line replays exactly.  First attempts communicate with retries through
@@ -35,9 +32,9 @@ marker files in a scenario-private temporary directory, which is what
 makes "fail once, succeed on retry" deterministic across processes.
 
 The campaign returns its exit status plus a **recovery summary** — the
-supervision counters it measured (deaths, retries, deadline kills) and
-the resume accounting of each completing run (points resumed /
-executed / cached / total).  The summary is deterministic given
+supervision counters it measured (deaths and retries) and the resume
+accounting of each completing run (points resumed / executed / cached
+/ total).  The summary is deterministic given
 ``(n, base_seed)``; ``python -m repro.check --crash`` embeds it as the
 ``recovery`` section of its run manifest, where
 ``python -m repro.obs.report`` checks the recovery invariants.
@@ -51,31 +48,25 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..flags import override
 from ..obs import metrics
 
-#: Points per in-process supervised sweep (worker-death / deadline-hang).
+#: Points per in-process supervised sweep (worker-death).
 SWEEP_POINTS = 4
 
 #: Points per parent-kill subprocess sweep.
 CHILD_POINTS = 6
 
 #: Chaos jobs per parent-kill chaos drill (small: three full campaign
-#: executions per instance ride under the CI crash-smoke ceiling).
+#: executions per instance ride under the CI crash step's ceiling).
 CHAOS_JOBS = 4
 
-#: Per-point wall deadline (seconds) for the deadline-hang scenario —
-#: generous against CI scheduling noise, small against the 600 s hang.
-HANG_DEADLINE = 2.0
-
 #: Counter keys of the recovery summary (manifest ``recovery`` section).
-RECOVERY_KEYS = ("worker_deaths", "point_retries", "deadline_kills",
-                 "points_total", "points_resumed", "points_executed",
-                 "points_cached")
+RECOVERY_KEYS = ("worker_deaths", "point_retries", "points_total",
+                 "points_resumed", "points_executed", "points_cached")
 
 
 def steady_point(index: int, base_seed: int) -> List[int]:
@@ -85,22 +76,18 @@ def steady_point(index: int, base_seed: int) -> List[int]:
     return [index, (base_seed * 31 + index * 7) % 997]
 
 
-def flaky_point(index: int, base_seed: int, marker_dir: str,
-                failure: str = "sigkill") -> List[int]:
+def flaky_point(index: int, base_seed: int, marker_dir: str) -> List[int]:
     """A trap point: the first attempt dies, every retry succeeds.
 
-    The first execution drops a marker file, then either SIGKILLs its
-    own worker process (``failure="sigkill"`` — indistinguishable from
-    the OOM killer to the parent) or sleeps far past any reasonable
-    per-point deadline (``failure="hang"``).  A retry sees the marker
-    and returns :func:`steady_point`'s value — so the recovered sweep's
-    results are exactly the undisturbed ones.
+    The first execution drops a marker file, then SIGKILLs its own
+    worker process (indistinguishable from the OOM killer to the
+    parent).  A retry sees the marker and returns :func:`steady_point`'s
+    value — so the recovered sweep's results are exactly the
+    undisturbed ones.
     """
     marker = Path(marker_dir) / f"trap-{index}.attempted"
     if not marker.exists():
         marker.write_text("first attempt\n")
-        if failure == "hang":
-            time.sleep(600.0)  # the supervisor's deadline kill ends this
         os.kill(os.getpid(), signal.SIGKILL)
     return steady_point(index, base_seed)
 
@@ -125,13 +112,11 @@ def _fold_counters(recovery: Dict[str, int], counters: Dict[str, float]
         recovery[key] += int(counters.get(f"parallel.{key}", 0))
 
 
-def _run_trapped_sweep(seed: int, failure: str,
-                       deadline: Optional[float]
-                       ) -> Tuple[List[object], List[object],
-                                  Dict[str, float]]:
-    """One supervised sweep with a seeded trap point; returns
-    ``(results, expected, supervision counters)``."""
-    from ..parallel import RetrySpec, SweepPoint, run_sweep
+def _scenario_worker_death(seed: int,
+                           recovery: Dict[str, int]) -> Optional[str]:
+    """Scenario 0: a worker SIGKILLed mid-point is detected and the
+    point re-executed — results undisturbed, exactly one death+retry."""
+    from ..parallel import SweepPoint, run_sweep
 
     trap = seed % SWEEP_POINTS
     expected = [steady_point(i, seed) for i in range(SWEEP_POINTS)]
@@ -141,8 +126,7 @@ def _run_trapped_sweep(seed: int, failure: str,
             if i == trap:
                 points.append(SweepPoint.make(
                     "repro.check.crash:flaky_point", label=f"trap#{i}",
-                    index=i, base_seed=seed, marker_dir=marker_dir,
-                    failure=failure))
+                    index=i, base_seed=seed, marker_dir=marker_dir))
             else:
                 points.append(SweepPoint.make(
                     "repro.check.crash:steady_point", label=f"ok#{i}",
@@ -150,20 +134,9 @@ def _run_trapped_sweep(seed: int, failure: str,
         # A fresh registry scopes this sweep's supervision counters so
         # the campaign can assert them exactly (restored on exit).
         with override(obs=True):
-            results = run_sweep(points, jobs=2,
-                                retry=RetrySpec(max_retries=2),
-                                deadline=deadline)
+            results = run_sweep(points, jobs=2)
             registry = metrics.current()
             counters = dict(registry.counters) if registry else {}
-    return results, expected, counters
-
-
-def _scenario_worker_death(seed: int,
-                           recovery: Dict[str, int]) -> Optional[str]:
-    """Scenario 0: a worker SIGKILLed mid-point is detected and the
-    point re-executed — results undisturbed, exactly one death+retry."""
-    results, expected, counters = _run_trapped_sweep(seed, "sigkill",
-                                                     deadline=None)
     if results != expected:
         return f"recovered results diverge: {results} != {expected}"
     deaths = int(counters.get("parallel.worker_deaths", 0))
@@ -175,26 +148,9 @@ def _scenario_worker_death(seed: int,
     return None
 
 
-def _scenario_deadline_hang(seed: int,
-                            recovery: Dict[str, int]) -> Optional[str]:
-    """Scenario 1: a point hanging past the per-point wall deadline is
-    killed and re-executed — exactly one deadline kill."""
-    results, expected, counters = _run_trapped_sweep(
-        seed, "hang", deadline=HANG_DEADLINE)
-    if results != expected:
-        return f"recovered results diverge: {results} != {expected}"
-    kills = int(counters.get("parallel.deadline_kills", 0))
-    retries = int(counters.get("parallel.point_retries", 0))
-    if kills != 1 or retries != 1:
-        return (f"expected exactly 1 deadline kill and 1 retry, measured "
-                f"{kills} kill(s), {retries} retry(ies)")
-    _fold_counters(recovery, counters)
-    return None
-
-
 def _scenario_parent_kill_sweep(seed: int,
                                 recovery: Dict[str, int]) -> Optional[str]:
-    """Scenario 2: the sweep's *parent* is SIGKILLed after its K-th
+    """Scenario 1: the sweep's *parent* is SIGKILLed after its K-th
     journal put; a rerun over the journal replays exactly K points
     and completes with identical results."""
     kill_after = 1 + seed % (CHILD_POINTS - 1)
@@ -243,7 +199,7 @@ def _scenario_parent_kill_sweep(seed: int,
 
 def _scenario_parent_kill_chaos(seed: int,
                                 recovery: Dict[str, int]) -> Optional[str]:
-    """Scenario 3: ``--chaos`` killed mid-campaign and ``--resume``d;
+    """Scenario 2: ``--chaos`` killed mid-campaign and ``--resume``d;
     stdout and run manifest must be byte-identical to an uninterrupted
     reference, and the journal cleared after the clean finish."""
     kill_after = 1 + seed % (CHAOS_JOBS - 1)
@@ -298,7 +254,6 @@ def _scenario_table() -> Tuple[Tuple[str, Callable[[int, Dict[str, int]],
                                                    Optional[str]]], ...]:
     """``(name, body)`` per scenario, cycled by instance index."""
     return (("worker-death", _scenario_worker_death),
-            ("deadline-hang", _scenario_deadline_hang),
             ("parent-kill-sweep", _scenario_parent_kill_sweep),
             ("parent-kill-chaos", _scenario_parent_kill_chaos))
 
@@ -308,8 +263,8 @@ def run_campaign(n: int, base_seed: int = 0, quiet: bool = False
     """Run ``n`` crash-drill instances; returns ``(exit status,
     recovery summary)``.
 
-    Instance ``i`` runs scenario ``i mod 4`` under seed
-    ``base_seed + i`` — every scenario is exercised once per 4
+    Instance ``i`` runs scenario ``i mod 3`` under seed
+    ``base_seed + i`` — every scenario is exercised once per 3
     instances, each cycle under fresh seeds (fresh trap positions and
     kill points).  Failures name the seed and scenario for exact
     replay.  The recovery summary (:data:`RECOVERY_KEYS`) is

@@ -8,7 +8,9 @@ the discipline exactly: a :class:`CollectiveLedger` attached to the
 communicator records every collective call site — op name, communicator
 id, per-rank collective sequence number, and a payload dtype/shape
 signature — and raises a precise :class:`~repro.errors.MPIError` the
-moment one rank's ``n``-th collective disagrees with another rank's.
+moment one rank's ``n``-th collective disagrees with another rank's,
+or, at the end of the job, when one rank entered fewer collectives
+than another.
 
 The ledger is opt-in (created when ``REPRO_CHECK`` is on at communicator
 construction, see :mod:`repro.flags`); with it off the only cost
@@ -121,7 +123,8 @@ class CollectiveLedger:
         """End-of-job check: every rank entered the same number of
         collectives (a rank stuck mid-stream would already have
         deadlocked, but a *missing* trailing collective only shows up
-        here)."""
+        here).  :func:`repro.mpi.mpi_run` calls it on every ledger of
+        the job once the kernel drains."""
         counts = set(self._next_seq)
         if len(counts) > 1:
             detail = ", ".join(

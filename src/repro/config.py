@@ -16,7 +16,7 @@ magnitudes keep the read/shuffle/compute balance honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import ConfigError
@@ -107,10 +107,6 @@ class CostModel:
             raise ConfigError(f"negative memcpy size {nbytes}")
         return nbytes / self.memcpy_bandwidth
 
-    def scaled(self, **overrides) -> "CostModel":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
-
 
 @dataclass(frozen=True)
 class PlatformSpec:
@@ -122,9 +118,6 @@ class PlatformSpec:
         Number of compute nodes.
     cores_per_node:
         Cores available on each node (Hopper: 24).
-    mesh_shape:
-        2-D mesh/torus extent used for hop-count computation.  If ``None``
-        a near-square mesh is derived from ``nodes``.
     torus:
         Whether hop counts wrap around (Gemini is a torus).
     n_osts:
@@ -139,7 +132,6 @@ class PlatformSpec:
 
     nodes: int = 5
     cores_per_node: int = 24
-    mesh_shape: Tuple[int, int] | None = None
     torus: bool = True
     n_osts: int = 156
     default_stripe_size: int = 4 * MiB
@@ -155,12 +147,6 @@ class PlatformSpec:
             raise ConfigError(f"need >= 1 OST, got {self.n_osts}")
         if self.default_stripe_size < 1:
             raise ConfigError("stripe size must be positive")
-        if self.mesh_shape is not None:
-            nx, ny = self.mesh_shape
-            if nx * ny < self.nodes:
-                raise ConfigError(
-                    f"mesh {self.mesh_shape} too small for {self.nodes} nodes"
-                )
 
     @property
     def total_cores(self) -> int:
@@ -168,9 +154,8 @@ class PlatformSpec:
         return self.nodes * self.cores_per_node
 
     def resolved_mesh_shape(self) -> Tuple[int, int]:
-        """The mesh extent, deriving a near-square one when unspecified."""
-        if self.mesh_shape is not None:
-            return self.mesh_shape
+        """The 2-D mesh/torus extent used for hop counts: the
+        near-square one that holds ``nodes``."""
         nx = max(1, int(math.isqrt(self.nodes)))
         ny = (self.nodes + nx - 1) // nx
         return (nx, ny)

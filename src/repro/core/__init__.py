@@ -24,7 +24,7 @@ from .plan_cache import PlanMemo
 from .ops import (COUNT_OP, MAX_OP, MAXLOC_OP, MEAN_OP, MIN_OP, MINLOC_OP,
                   MOMENTS_OP, SUM_OP, CountOp, HistogramOp, MapReduceOp,
                   MaxLocOp, MaxOp, MeanOp, MinLocOp, MinOp, MomentsOp, SumOp,
-                  UserOp, op_by_name)
+                  UserOp)
 from .reduction import (BLOCK_PARSE_COST, COMBINE_ELEMENT_COST,
                         combine_partials,
                         construct_per_rank, global_reduce, make_reduce_op)
@@ -39,7 +39,7 @@ __all__ = [
     "COUNT_OP", "MAX_OP", "MAXLOC_OP", "MEAN_OP", "MIN_OP", "MINLOC_OP",
     "MOMENTS_OP", "SUM_OP",
     "CountOp", "HistogramOp", "MapReduceOp", "MaxLocOp", "MaxOp", "MeanOp",
-    "MinLocOp", "MinOp", "MomentsOp", "SumOp", "UserOp", "op_by_name",
+    "MinLocOp", "MinOp", "MomentsOp", "SumOp", "UserOp",
     "BLOCK_PARSE_COST", "COMBINE_ELEMENT_COST", "combine_partials",
     "construct_per_rank",
     "global_reduce", "make_reduce_op",

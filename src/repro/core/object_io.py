@@ -80,10 +80,6 @@ class ObjectIO:
         launchers that decompose a global region across ranks)."""
         return replace(self, sub=sub)
 
-    def blocking(self) -> "ObjectIO":
-        """Copy with ``block=True`` (the traditional path)."""
-        return replace(self, block=True)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ObjectIO {self.spec.name!r} sub={self.sub} op={self.op.name} "
                 f"mode={self.mode} block={self.block} reduce={self.reduce_mode}>")

@@ -383,17 +383,3 @@ MAXLOC_OP = MaxLocOp()
 MINLOC_OP = MinLocOp()
 MEAN_OP = MeanOp()
 MOMENTS_OP = MomentsOp()
-
-_BY_NAME = {op.name: op for op in
-            (SUM_OP, COUNT_OP, MAX_OP, MIN_OP, MAXLOC_OP, MINLOC_OP,
-             MEAN_OP, MOMENTS_OP)}
-
-
-def op_by_name(name: str) -> MapReduceOp:
-    """Look up a built-in operator (``"sum"``, ``"minloc"``...)."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise CollectiveComputingError(
-            f"unknown operator {name!r}; have {sorted(_BY_NAME)}"
-        ) from None

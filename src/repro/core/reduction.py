@@ -58,7 +58,7 @@ def combine_partials(ctx: RankContext, op: MapReduceOp,
     """
     if not partials:
         return None
-    integ = getattr(ctx.machine, "integrity", None)
+    integ = ctx.machine.integrity
     if integ is not None:
         integ.verify_partials(ctx, partials,
                               f"rank {ctx.rank} local combine")

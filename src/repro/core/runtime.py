@@ -82,7 +82,7 @@ def map_window(ctx: RankContext, oio: ObjectIO, window_data: np.ndarray,
     with ``fan_out=False``, on the rank's own core."""
     t0 = ctx.kernel.now
     op = oio.op
-    stamp = getattr(ctx.machine, "integrity", None) is not None
+    stamp = ctx.machine.integrity is not None
     partials: List[PartialResult] = []
     elements = 0
     for r, pieces in members:
@@ -110,7 +110,7 @@ def construct_at_root(ctx: RankContext, op: MapReduceOp,
     """All-to-one root (paper §III-C): verify stamped partials when
     integrity is attached, then build and charge every per-rank result
     and the global one.  Returns the root's :class:`CCResult`."""
-    integ = getattr(ctx.machine, "integrity", None)
+    integ = ctx.machine.integrity
     if integ is not None:
         integ.verify_partials(ctx, partials, f"rank {ctx.rank} root construct")
     t0 = ctx.kernel.now

@@ -98,15 +98,6 @@ class Subarray:
             count.append(hi - lo)
         return Subarray(tuple(start), tuple(count))
 
-    def shifted(self, origin: Sequence[int]) -> "Subarray":
-        """Selection re-expressed relative to ``origin`` (element-wise
-        subtraction); used to convert global coords to rank-local ones."""
-        if len(origin) != self.ndims:
-            raise DataspaceError("origin rank mismatch")
-        return Subarray(
-            tuple(s - o for s, o in zip(self.start, origin)), self.count
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Subarray(start={self.start}, count={self.count})"
 

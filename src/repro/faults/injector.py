@@ -92,23 +92,6 @@ class FaultInjector:
         machine.kernel.watch_deadlocks(injector)
         return injector
 
-    @staticmethod
-    def detach(machine) -> None:
-        """Remove fault injection from ``machine`` (records survive on
-        the detached injector; the kernel's weak watcher expires).
-
-        The detached injector's droppable-tag ranges and per-OST /
-        per-block counters are cleared, so re-``attach``-ing it (or a
-        fresh injector) to the same machine starts from a clean slate
-        instead of inheriting half a run's worth of decision state."""
-        injector = getattr(machine, "faults", None)
-        machine.faults = None
-        machine.fs.faults = None
-        if injector is not None:
-            injector._droppable.clear()
-            injector._ost_request_index.clear()
-            injector._block_occurrence.clear()
-
     # -- logging -----------------------------------------------------------
     def record(self, kind: str, location: str, detail: str) -> None:
         """Append one :class:`FaultRecord` stamped with simulated now.

@@ -102,8 +102,8 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
     aggregation *role* fail-stops; the rank itself lives on to take part
     in the agreement).  An injected straggle stalls the window's
     handler before it sends."""
-    faults = getattr(ctx.machine, "faults", None)
-    wire_on = getattr(ctx.machine, "integrity", None) is not None
+    faults = ctx.machine.faults
+    wire_on = ctx.machine.integrity is not None
     wrapper = WINDOW_KEY_BYTES + (DIGEST_NBYTES if wire_on else 0)
     crash_at = (faults.crash_iteration(ctx.rank, len(assigned), round_index)
                 if faults is not None else None)
@@ -177,8 +177,8 @@ def _collect_round(ctx: RankContext, expect: List[Tuple[int, WindowKey]],
     silently discarded.  A corrupt delivery does **not** indict its
     server: the message arrived, so the server lives; only timeouts
     feed the suspect set."""
-    faults = getattr(ctx.machine, "faults", None)
-    integ = getattr(ctx.machine, "integrity", None)
+    faults = ctx.machine.faults
+    integ = ctx.machine.integrity
     missed: List[WindowKey] = []
     corrupt: List[WindowKey] = []
     suspects: set = set()
@@ -236,8 +236,8 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
     must cover the rank's expected windows exactly once.
     """
     kernel = ctx.kernel
-    faults = getattr(ctx.machine, "faults", None)
-    wire_on = getattr(ctx.machine, "integrity", None) is not None
+    faults = ctx.machine.faults
+    wire_on = ctx.machine.integrity is not None
     # The windows one round serves: every plan window in round 0, the
     # agreed missing ones in each failover round.
     keys: List[WindowKey] = _plan_keys(plan)

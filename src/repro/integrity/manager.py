@@ -64,16 +64,9 @@ class IntegrityManager:
             manager.ensure_digests(file)
         return manager
 
-    @staticmethod
-    def detach(machine) -> None:
-        """Remove integrity checking from ``machine`` (stored file
-        digests survive; they are inert without a manager)."""
-        machine.integrity = None
-        machine.fs.integrity = None
-
     # -- logging -----------------------------------------------------------
     def _log(self, kind: str, location: str, detail: str) -> None:
-        faults = getattr(self.machine, "faults", None)
+        faults = self.machine.faults
         if faults is not None:
             # FaultInjector.record also feeds the faults.* counters.
             faults.record(kind, location, detail)

@@ -15,7 +15,7 @@ variants (:mod:`repro.faults`) recover it, all reusing this package's
 from .aggregation import (iteration_windows, partition_file_domains,
                           select_aggregators)
 from .hints import CollectiveHints
-from .independent import independent_read, independent_write
+from .independent import independent_read
 from .nonblocking import icollective_read, wait_and_unpack
 from .requests import AccessRequest, RunPlacer
 from .sieving import sieving_read
@@ -25,7 +25,7 @@ from .twophase import (TwoPhasePlan, collective_read, collective_write,
 __all__ = [
     "iteration_windows", "partition_file_domains", "select_aggregators",
     "CollectiveHints",
-    "independent_read", "independent_write",
+    "independent_read",
     "icollective_read", "wait_and_unpack",
     "AccessRequest", "RunPlacer", "sieving_read",
     "TwoPhasePlan", "collective_read", "collective_write", "make_plan",

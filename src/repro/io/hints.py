@@ -25,9 +25,6 @@ class CollectiveHints:
         default 4 MiB in MPICH of the paper's era).
     aggregators_per_node:
         How many ranks per node act as aggregators.
-    align_to_stripes:
-        Align file-domain boundaries to the file's stripe size
-        (Lustre-aware ROMIO behaviour).
     pipeline:
         Overlap iteration ``i``'s shuffle with iteration ``i+1``'s read
         (the nonblocking two-phase variant the paper profiles in Fig 1).
@@ -51,7 +48,6 @@ class CollectiveHints:
 
     cb_buffer_size: int = 4 * MiB
     aggregators_per_node: int = 1
-    align_to_stripes: bool = True
     pipeline: bool = True
     two_level: bool = False
 

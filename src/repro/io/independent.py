@@ -69,7 +69,7 @@ def read_with_retry(ctx, file, offset: int, nbytes: int,
     itself names the failing OST).  Each absorbed failure is logged as
     a ``recover:retry`` record on the machine's injector.
     """
-    faults = getattr(ctx.machine, "faults", None)
+    faults = ctx.machine.faults
     for attempt in range(policy.max_retries + 1):
         try:
             data = yield from ctx.fs.read(file, offset, nbytes,
@@ -118,21 +118,3 @@ def independent_read(ctx: RankContext, file: PFSFile,
             buf[local:local + piece] = np.frombuffer(data, dtype=np.uint8)
         yield from ctx.memcpy(length)
     return buf
-
-
-def independent_write(ctx: RankContext, file: PFSFile,
-                      request: AccessRequest, data: np.ndarray) -> Generator:
-    """Write the packed byte buffer ``data`` to the request's runs, one
-    PFS operation per run."""
-    flat = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    pos = 0
-    for offset, length in request.runs:
-        piece = flat[pos:pos + length].tobytes()
-        yield from ctx.memcpy(length)
-        write = ctx.kernel.process(
-            ctx.fs.write(file, offset, piece, client=ctx.node.index),
-            name=f"iwrite:r{ctx.rank}@{offset}",
-        )
-        yield from ctx.wait_recording(write)
-        pos += length
-    return None

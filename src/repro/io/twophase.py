@@ -377,8 +377,8 @@ def derive_plan(machine, nprocs: int, all_runs: List[RunList],
         return TwoPhasePlan(all_runs, aggregators,
                             [(0, 0)] * len(aggregators),
                             [[] for _ in aggregators])
-    stripe = file.layout.stripe_size if hints.align_to_stripes else None
-    domains = partition_file_domains(ext, len(aggregators), stripe, grid)
+    domains = partition_file_domains(ext, len(aggregators),
+                                     file.layout.stripe_size, grid)
     windows = [
         iteration_windows(dom, global_runs, hints.cb_buffer_size, grid)
         for dom in domains
@@ -434,13 +434,13 @@ def make_plan(ctx: RankContext, my_runs: RunList, file: PFSFile,
     schedule from the exchanged lists is memoized per communicator (all
     ranks derive the identical plan from the identical inputs, and
     experiment loops repeat identical requests), keyed by the run-list
-    signatures, hints, grid and stripe alignment.  Ranks holding the
+    signatures, hints, grid and the file's stripe size.  Ranks holding the
     very RunList objects of the newest entry (all but the first rank
     of one collective) match it by identity, so no rank pays P
     signature lookups after the first.
     """
     all_runs: List[RunList] = yield from _offset_exchange(ctx, my_runs, hints)
-    stripe = file.layout.stripe_size if hints.align_to_stripes else None
+    stripe = file.layout.stripe_size
     cache = _plan_cache_for(ctx.comm.comm)
     if cache:
         # Within one collective every rank holds the same RunList

@@ -149,7 +149,12 @@ def mpi_run(machine: Machine, nprocs: int,
             profiler: Optional[CpuProfiler] = None) -> List[Any]:
     """Run ``main(ctx, *args)`` as an ``nprocs``-rank MPI job.
 
-    Returns the list of per-rank return values (rank order).
+    Returns the list of per-rank return values (rank order).  Under
+    ``REPRO_CHECK`` the job ends with the collective ledger's
+    end-of-job check (:meth:`~repro.check.protocol.CollectiveLedger.finish`)
+    on the world communicator and every communicator split from it:
+    a rank that skipped a trailing collective raises
+    :class:`~repro.errors.MPIError` here.
     """
     contexts = build_contexts(machine, nprocs, profiler=profiler)
     procs = [
@@ -168,4 +173,10 @@ def mpi_run(machine: Machine, nprocs: int,
     for p in procs:
         if not p.triggered:  # pragma: no cover - defensive
             raise MPIError(f"rank process {p!r} never finished")
+    # Breadth-first over the world communicator and its splits.
+    comms = [contexts[0].comm.comm]
+    for comm in comms:
+        if comm.sanitizer is not None:
+            comm.sanitizer.finish()
+        comms.extend(comm._subcomms.values())
     return [p.value for p in procs]

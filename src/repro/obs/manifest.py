@@ -32,7 +32,7 @@ Schema (``"schema": 1``)::
     }
 
 The optional ``recovery`` section summarizes supervised-sweep recovery
-(deaths, retries, deadline kills, resumed/executed/cached points).
+(deaths, retries, resumed/executed/cached points).
 Only the crash campaign — whose kill plan is seeded, making the
 summary deterministic — embeds it; ordinary figure/chaos manifests
 never do, which is what keeps a crashed-and-resumed run's manifest
@@ -87,7 +87,7 @@ def build_manifest(run: str, config: Optional[Dict[str, Any]] = None,
 
     ``recovery``, when given, lands as an optional top-level section
     summarizing supervised-sweep recovery (worker deaths, retries,
-    deadline kills, resumed/executed/cached point counts — see
+    resumed/executed/cached point counts — see
     :data:`repro.check.crash.RECOVERY_KEYS`).  Only runs whose recovery
     accounting is itself deterministic embed it (the crash campaign's
     seeded kill plan); figure and chaos manifests never carry one, so

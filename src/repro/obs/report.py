@@ -26,9 +26,9 @@ Every invocation also cross-checks the manifest invariants:
   ``faults.*`` counters;
 * a ``recovery`` section, when present (crash-campaign manifests),
   satisfies the supervised-sweep accounting invariants: every count
-  non-negative, ``point_retries >= worker_deaths``,
-  ``deadline_kills <= point_retries``, and ``points_resumed +
-  points_executed + points_cached == points_total``.
+  non-negative, ``point_retries >= worker_deaths``, and
+  ``points_resumed + points_executed + points_cached ==
+  points_total``.
 
 Exit status: 0 clean, 1 invariant violation, 2 usage/load error.
 """
@@ -142,8 +142,6 @@ def check_recovery(recovery: Dict[str, Any], origin: str = "manifest"
     * every worker death was retried (or surfaced as a hard failure,
       which never produces a manifest): ``point_retries >=
       worker_deaths``;
-    * a deadline kill is one flavor of retry: ``deadline_kills <=
-      point_retries``;
     * recovery never invents or loses work: ``points_resumed +
       points_executed + points_cached == points_total``.
     """
@@ -155,16 +153,10 @@ def check_recovery(recovery: Dict[str, Any], origin: str = "manifest"
                 f"({_fmt(value)})")
     deaths = recovery.get("worker_deaths", 0)
     retries = recovery.get("point_retries", 0)
-    kills = recovery.get("deadline_kills", 0)
     if retries < deaths:
         violations.append(
             f"{origin}: {_fmt(deaths)} worker death(s) but only "
             f"{_fmt(retries)} retry(ies) — a death went unretried")
-    if kills > retries:
-        violations.append(
-            f"{origin}: {_fmt(kills)} deadline kill(s) exceed "
-            f"{_fmt(retries)} retry(ies) — a killed point was never "
-            f"re-executed")
     total = recovery.get("points_total", 0)
     accounted = (recovery.get("points_resumed", 0)
                  + recovery.get("points_executed", 0)

@@ -23,11 +23,10 @@ This package is the engine that exploits that:
   chaos verdict and ledger summary is bit-identical to the serial run.
 * :mod:`~repro.parallel.supervisor` — the supervised execution loop
   behind ``jobs > 1``: detects worker deaths (SIGKILL/OOM) and
-  per-point deadline overruns, and re-executes affected points under a
-  deterministic bounded :class:`~repro.parallel.supervisor.RetrySpec`
-  (backoff recorded, never slept).
+  re-executes the affected point, at most
+  :data:`~repro.parallel.supervisor.MAX_RETRIES` times.
 * :class:`~repro.parallel.sweep.PointError` — raised when a point
-  fails (or exhausts its crash/hang retries); it names the point
+  fails (or its worker dies too often); it names the point
   (function, index, kwargs) and every prior attempt so the failure
   replays exactly with ``jobs=1``.
 * :class:`~repro.parallel.pointcache.PointCache` — the one on-disk
@@ -56,15 +55,15 @@ from __future__ import annotations
 from ..errors import SweepInterrupted
 from .pointcache import (JOURNAL_ROOT, PointCache, code_digest, journal_root,
                          point_key)
-from .supervisor import Attempt, RetrySpec
+from .supervisor import MAX_RETRIES, Attempt
 from .sweep import PointError, SweepPoint, default_jobs, run_sweep
 
 __all__ = [
     "Attempt",
     "JOURNAL_ROOT",
+    "MAX_RETRIES",
     "PointCache",
     "PointError",
-    "RetrySpec",
     "SweepInterrupted",
     "SweepPoint",
     "code_digest",

@@ -1,10 +1,10 @@
-"""Supervised pool execution: crash/hang recovery for sweep points.
+"""Supervised pool execution: worker-death recovery for sweep points.
 
 The plain ``multiprocessing.Pool`` used by earlier versions of
 :func:`~repro.parallel.run_sweep` had a fatal blind spot: a worker
-SIGKILLed by the OOM killer (or a point that never returns) either
-wedges ``pool.map`` forever or poisons every in-flight task.  This
-module replaces it with an explicit supervision loop in the parent:
+SIGKILLed by the OOM killer either wedges ``pool.map`` forever or
+poisons every in-flight task.  This module replaces it with an
+explicit supervision loop in the parent:
 
 * **one process per worker slot** — each slot is a ``spawn``-started
   :func:`~repro.parallel.worker.worker_main` process holding one end of
@@ -15,14 +15,11 @@ module replaces it with an explicit supervision loop in the parent:
   wakes ``multiprocessing.connection.wait`` immediately; a liveness
   sweep backstops pathological cases.  The affected point (and only
   that point) is re-executed on a fresh worker.
-* **hang detection** — with a ``deadline``, a point that exceeds its
-  per-point wall-clock budget has its worker SIGKILLed and is retried
-  like a death (``parallel.deadline_kills``).
-* **deterministic bounded retry** — each crash/hang failure appends an
-  :class:`Attempt` with a *recorded* exponential-backoff figure
-  (:meth:`RetrySpec.backoff`); nothing ever sleeps, so a recovered
-  run's results and metrics stay bit-identical to an undisturbed one.
-  A point that fails ``max_retries + 1`` times raises
+* **bounded retry** — each death appends an :class:`Attempt` and
+  re-executes the point at once (the points are pure functions, so
+  immediate re-execution is always safe, and a recovered run's results
+  and metrics stay bit-identical to an undisturbed one).  A point whose
+  worker dies :data:`MAX_RETRIES` ``+ 1`` times raises
   :class:`~repro.parallel.sweep.PointError` naming every attempt.
 * **landing** — every completed point's entry is handed to the
   caller's ``land`` callback the moment it arrives; the sweep engine
@@ -37,7 +34,6 @@ them in point order, so supervision never changes any output byte.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,74 +42,44 @@ from .. import flags
 from ..obs import metrics
 
 
-@dataclass(frozen=True)
-class RetrySpec:
-    """Bounded deterministic retry policy for crashed/hung points.
-
-    ``max_retries`` is the number of *re*-executions allowed per point
-    (so a point runs at most ``max_retries + 1`` times).  The backoff
-    schedule ``backoff_base * backoff_factor**(n-1)`` is **recorded**
-    in each :class:`Attempt` for the post-mortem, never slept: sleeping
-    would couple results to host timing, and the simulator's points
-    are pure functions for which immediate re-execution is always safe.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-
-    def backoff(self, attempt: int) -> float:
-        """The recorded backoff (seconds) for failure number ``attempt``."""
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
+#: Re-executions allowed per point after a worker death, so a point
+#: runs at most ``MAX_RETRIES + 1`` times.
+MAX_RETRIES = 2
 
 
 @dataclass(frozen=True)
 class Attempt:
-    """One failed execution of a sweep point (picklable, for
-    :class:`~repro.parallel.sweep.PointError` post-mortems)."""
+    """One execution of a sweep point that lost its worker (picklable,
+    for :class:`~repro.parallel.sweep.PointError` post-mortems)."""
 
     number: int
-    #: ``"worker-death"`` or ``"deadline"``.
-    kind: str
     detail: str
-    #: The retry policy's recorded (never slept) backoff, seconds.
-    backoff: float
 
     def format(self) -> str:
         """One post-mortem line."""
-        return (f"attempt {self.number}: {self.kind} ({self.detail}); "
-                f"recorded backoff {self.backoff:g}s")
+        return f"attempt {self.number}: worker-death ({self.detail})"
 
 
 class _Slot:
     """One live worker process and what it is currently running."""
 
-    __slots__ = ("proc", "conn", "task", "started")
+    __slots__ = ("proc", "conn", "task")
 
     def __init__(self, proc: Any, conn: Any) -> None:
         self.proc = proc
         self.conn = conn
         #: Point index in flight on this slot (``None`` = idle).
         self.task: Optional[int] = None
-        #: Host-monotonic dispatch time of the in-flight task.
-        self.started = 0.0
 
 
 def run_supervised(points: Sequence[Any], pending: Sequence[int],
-                   jobs: int, land: Callable[[int, Any], None], *,
-                   retry: Optional[RetrySpec] = None,
-                   deadline: Optional[float] = None) -> None:
+                   jobs: int, land: Callable[[int, Any], None]) -> None:
     """Fan ``pending`` over supervised workers; see the module docstring.
 
     Calls ``land(index, entry)`` with each point's entry ``(value, obs
     snapshot)`` as it arrives.
     Raises :class:`~repro.parallel.sweep.PointError` on a point that
-    raised, or that exhausted its crash/hang retries.  On
+    raised, or whose worker died more than :data:`MAX_RETRIES` times.  On
     ``KeyboardInterrupt`` (the sweep engine converts SIGINT/SIGTERM to
     it), every worker is killed before the exception propagates —
     completed points have already landed, so nothing is lost.
@@ -124,14 +90,13 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
     from .sweep import PointError
     from .worker import worker_main
 
-    retry = retry if retry is not None else RetrySpec()
     ctx = multiprocessing.get_context("spawn")
     record = flags.current()
     max_slots = min(jobs, len(pending))
     m = metrics.current()
 
     queue = deque(pending)
-    #: point index -> failure history (crash/hang attempts only).
+    #: point index -> the attempts whose worker died.
     attempts: Dict[int, List[Attempt]] = {i: [] for i in pending}
     slots: List[_Slot] = []
 
@@ -167,26 +132,11 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
 
     def dispatch(slot: _Slot, index: int) -> None:
         slot.task = index
-        slot.started = time.monotonic()  # repro: allow[wallclock] — host supervision deadline, never simulated ordering
         point = points[index]
         slot.conn.send((index, point.fn, point.kwargs))
 
-    def record_failure(index: int, kind: str, detail: str) -> None:
-        """One crash/hang on ``index``; requeue or raise when exhausted."""
-        history = attempts[index]
-        number = len(history) + 1
-        history.append(Attempt(number, kind, detail,
-                               retry.backoff(number)))
-        if number > retry.max_retries:
-            teardown()
-            raise PointError(
-                points[index], index,
-                f"gave up after {number} attempt(s): last failure was "
-                f"{kind} ({detail})", attempts=tuple(history))
-        count("parallel.point_retries")
-        queue.append(index)
-
     def handle_death(slot: _Slot) -> None:
+        """A worker died; requeue its point, or raise when exhausted."""
         index = slot.task
         detail = (f"worker pid {slot.proc.pid} died "
                   f"(exit code {slot.proc.exitcode})")
@@ -194,7 +144,16 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
         if index is None:
             return  # an idle worker died
         count("parallel.worker_deaths")
-        record_failure(index, "worker-death", detail)
+        history = attempts[index]
+        history.append(Attempt(len(history) + 1, detail))
+        if len(history) > MAX_RETRIES:
+            teardown()
+            raise PointError(
+                points[index], index,
+                f"gave up after {len(history)} attempt(s): last failure "
+                f"was worker-death ({detail})", attempts=tuple(history))
+        count("parallel.point_retries")
+        queue.append(index)
 
     def handle_outcome(slot: _Slot, task_id: int,
                        outcome: Tuple[Any, ...]) -> None:
@@ -208,14 +167,6 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                              attempts=tuple(attempts[task_id]))
         land(task_id, outcome[1:])
 
-    def next_timeout(busy: List[_Slot], now: float) -> float:
-        """Seconds until the earliest deadline (capped)."""
-        horizon = 1.0  # liveness-backstop poll
-        if deadline is not None:
-            for slot in busy:
-                horizon = min(horizon, slot.started + deadline - now)
-        return max(horizon, 0.01)
-
     try:
         while queue or any(slot.task is not None for slot in slots):
             # Keep every slot busy: reuse idle slots, spawn up to jobs.
@@ -226,10 +177,9 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                 if idle is None:
                     break
                 dispatch(idle, queue.popleft())
-            busy = [s for s in slots if s.task is not None]
-            now = time.monotonic()  # repro: allow[wallclock] — host supervision deadline, never simulated ordering
-            by_conn = {s.conn: s for s in busy}
-            ready = conn_wait(list(by_conn), next_timeout(busy, now))
+            by_conn = {s.conn: s for s in slots if s.task is not None}
+            # The timeout is the liveness backstop's poll interval.
+            ready = conn_wait(list(by_conn), 1.0)
             for conn in ready:
                 slot = by_conn[conn]
                 try:
@@ -249,18 +199,6 @@ def run_supervised(points: Sequence[Any], pending: Sequence[int],
                     has_buffered = False
                 if not has_buffered:
                     handle_death(slot)
-            now = time.monotonic()  # repro: allow[wallclock] — host supervision deadline, never simulated ordering
-            if deadline is not None:
-                for slot in list(slots):
-                    index = slot.task
-                    if index is None or now - slot.started <= deadline:
-                        continue
-                    count("parallel.deadline_kills")
-                    kill_slot(slot)
-                    record_failure(
-                        index, "deadline",
-                        f"exceeded the {deadline:g}s per-point wall "
-                        f"deadline")
     except BaseException:  # noqa: BLE001 - teardown, then propagate
         teardown()
         raise

@@ -27,11 +27,10 @@ contract:
   here as :class:`PointError` naming the function, index and kwargs of
   the failing point, so it can be replayed exactly with ``jobs=1``.
 * **Supervision** — at ``jobs > 1`` the fan-out runs under
-  :func:`~repro.parallel.supervisor.run_supervised`: worker deaths
-  (SIGKILL/OOM) and per-point ``deadline`` overruns are detected and
-  the affected points re-executed under a deterministic bounded
-  :class:`~repro.parallel.supervisor.RetrySpec`; exhausted points raise
-  :class:`PointError` naming every attempt.
+  :func:`~repro.parallel.supervisor.run_supervised`: a worker death
+  (SIGKILL/OOM) is detected and the affected point re-executed, at
+  most :data:`~repro.parallel.supervisor.MAX_RETRIES` times; a point
+  that exhausts them raises :class:`PointError` naming every attempt.
 * **Journaling & resume** — with a journal (an unbounded
   :class:`~repro.parallel.pointcache.PointCache` at
   :func:`~repro.parallel.pointcache.journal_root`), every completed
@@ -92,7 +91,7 @@ class PointError(ReproError):
     appended verbatim (the exception object itself never crosses the
     pool boundary — only its rendering does, so unpicklable exception
     args can never wedge the pool).  When supervision retried the point
-    (worker deaths, deadline kills) every prior
+    after worker deaths, every prior
     :class:`~repro.parallel.supervisor.Attempt` is listed too.
     """
 
@@ -226,7 +225,6 @@ def _restore_sigterm(token: Optional[Tuple[Any]]) -> None:
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
               cache: Optional[Any] = None, journal: Optional[Any] = None,
-              retry: Optional[Any] = None, deadline: Optional[float] = None,
               resume_hint: str = "") -> List[Any]:
     """Run every point and return their results in point order.
 
@@ -247,13 +245,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
         completes — including cache hits — is ``put`` durably the
         moment it lands, so an interrupted or killed run loses only
         in-flight points.
-    retry:
-        Optional :class:`~repro.parallel.supervisor.RetrySpec` bounding
-        how often a crashed/hung point is re-executed (default: two
-        retries, recorded exponential backoff).  Supervised runs only.
-    deadline:
-        Optional per-point wall-clock budget in seconds; a supervised
-        point exceeding it has its worker killed and is retried.
     resume_hint:
         The exact command that resumes this run; embedded in
         :class:`~repro.errors.SweepInterrupted` on SIGINT/SIGTERM.
@@ -261,7 +252,8 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     Raises
     ------
     PointError
-        If any point fails (or exhausts its crash/hang retries).
+        If any point fails (or its worker dies more than
+        :data:`~repro.parallel.supervisor.MAX_RETRIES` times).
     SweepInterrupted
         On SIGINT/SIGTERM, after tearing the workers down.  With a
         ``journal``, every point completed before the signal is already
@@ -327,8 +319,7 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
                                     POINT_WALL_EDGES)
             else:
                 from .supervisor import run_supervised
-                run_supervised(points, pending, jobs, land, retry=retry,
-                               deadline=deadline)
+                run_supervised(points, pending, jobs, land)
         except KeyboardInterrupt:
             completed = sum(entry is not None for entry in entries)
             raise SweepInterrupted(

@@ -12,8 +12,8 @@ slow/failed request faults.
 """
 
 from .datasource import (ArraySource, BlockCache, CompositeSource,
-                         DataSource, ProceduralSource, ZeroSource,
-                         default_field, linear_field)
+                         DataSource, ProceduralSource, default_field,
+                         linear_field)
 from .file import PFSFile
 from .lustre import LustreFS
 from .ost import OST
@@ -21,6 +21,6 @@ from .striping import Segment, StripeLayout
 
 __all__ = [
     "ArraySource", "BlockCache", "CompositeSource", "DataSource",
-    "ProceduralSource", "ZeroSource", "default_field", "linear_field",
+    "ProceduralSource", "default_field", "linear_field",
     "PFSFile", "LustreFS", "OST", "Segment", "StripeLayout",
 ]

@@ -360,17 +360,3 @@ class CompositeSource(DataSource):
         for part, rel, n in self._segments(offset, len(data)):
             part.write(rel, data[pos:pos + n])
             pos += n
-
-
-class ZeroSource(DataSource):
-    """All-zero bytes of a given size; a cheap stand-in when only timing
-    matters and values are never inspected."""
-
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise PFSError(f"negative size {size}")
-        self.size = int(size)
-
-    def read(self, offset: int, nbytes: int) -> bytes:
-        self._check_range(offset, nbytes)
-        return bytes(nbytes)

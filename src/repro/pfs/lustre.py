@@ -108,16 +108,6 @@ class LustreFS:
         except KeyError:
             raise PFSError(f"no such file: {name!r}") from None
 
-    def unlink(self, name: str) -> None:
-        """Remove ``name`` from the namespace."""
-        if name not in self._files:
-            raise PFSError(f"no such file: {name!r}")
-        del self._files[name]
-
-    def exists(self, name: str) -> bool:
-        """Whether ``name`` is a registered file."""
-        return name in self._files
-
     # -- data path -----------------------------------------------------------
     def read(self, file: PFSFile, offset: int, nbytes: int,
              client: Optional[int] = None) -> Generator:

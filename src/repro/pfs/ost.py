@@ -82,10 +82,5 @@ class OST:
             m.count("pfs.ost.bytes", nbytes)
         done.succeed(None)
 
-    @property
-    def queue_length(self) -> int:
-        """Requests currently waiting for this OST."""
-        return self._server.queue_length
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<OST {self.index} served={self.requests_served}>"

@@ -49,13 +49,6 @@ class PhaseTimeline:
         if m is not None:
             m.count(f"sim.phase.{phase}", end - start)
 
-    def phases(self) -> List[str]:
-        """Distinct phase names, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for s in self.samples:
-            seen.setdefault(s.phase, None)
-        return list(seen)
-
     def per_iteration(self, phase: str, reduce: str = "max"
                       ) -> List[Tuple[int, float]]:
         """``(iteration, duration)`` series for ``phase``.
@@ -82,15 +75,7 @@ class PhaseTimeline:
             out.append((it, v))
         return out
 
-    def total(self, phase: str) -> float:
-        """Sum of all sample durations for ``phase`` (rank-seconds)."""
-        return sum(s.duration for s in self.samples if s.phase == phase)
-
     def critical_total(self, phase: str) -> float:
         """Sum over iterations of the slowest rank's duration — the
         phase's contribution to the critical path."""
         return sum(d for _, d in self.per_iteration(phase, reduce="max"))
-
-    def clear(self) -> None:
-        """Drop all samples (reuse between experiment phases)."""
-        self.samples.clear()

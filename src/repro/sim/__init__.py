@@ -15,12 +15,12 @@ simulation — the substitution DESIGN.md §2 argues for.
 
 from .events import AllOf, AnyOf, Event, Timeout
 from .kernel import Kernel
-from .process import Interrupt, Process
-from .resources import Request, Resource, hold, occupy
+from .process import Process
+from .resources import Resource, hold, occupy
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Timeout",
     "Kernel",
-    "Interrupt", "Process",
-    "Request", "Resource", "hold", "occupy",
+    "Process",
+    "Resource", "hold", "occupy",
 ]

@@ -67,8 +67,8 @@ class Kernel:
                  "_live_processes", "_deadlock_watchers", "_tiebreak",
                  "__weakref__")
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         #: Schedule-shaker seed; ``None`` keeps the FIFO tie-break.

@@ -14,6 +14,9 @@ each other::
     def parent(k):
         value = yield k.process(child(k))
         assert value == 42
+
+Nothing outside a process stops or redirects it: it runs until its
+generator returns or raises.
 """
 
 from __future__ import annotations
@@ -25,19 +28,6 @@ from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Kernel
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``;
-    used e.g. by failure-injection scenarios to knock over a waiting
-    process.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Process(Event):
@@ -74,56 +64,12 @@ class Process(Event):
 
     # -- state -------------------------------------------------------------
     @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    @property
     def waiting_on(self) -> Optional[Event]:
         """The event this process is currently blocked on (None when
         finished or between resumptions); used by deadlock reports."""
         return self._waiting_on
 
-    # -- control -----------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process that is waiting on an event detaches it from that event
-        (the event itself still fires for other waiters).
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        # Deliver via an urgent event so the interrupt happens "now".
-        carrier = Event(self.kernel, name=f"interrupt:{self.name}")
-        carrier.callbacks.append(
-            lambda _ev: self._throw_in(Interrupt(cause))
-        )  # type: ignore[union-attr]
-        carrier.succeed()
-
     # -- internals -----------------------------------------------------------
-    def _detach(self) -> None:
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._waiting_on = None
-
-    def _throw_in(self, exc: BaseException) -> None:
-        if self.triggered:  # finished in the meantime; drop the interrupt
-            return
-        self._detach()
-        try:
-            next_event = self._generator.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-        except BaseException as error:
-            self._crash(error)
-        else:
-            self._wait_on(next_event)
-
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         try:

@@ -32,22 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Span = Tuple[float, float]
 
 
-class Request(Event):
-    """The event returned by :meth:`Resource.request`.
-
-    It fires when the resource grants a slot to the requester.  Pass it to
-    :meth:`Resource.release` to free the slot.
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, kernel: "Kernel", resource: "Resource") -> None:
-        # Plain attribute reference: request events are created on the
-        # per-message hot path, so skip per-instance string formatting.
-        super().__init__(kernel, name=resource.name)
-        self.resource = resource
-
-
 class Resource:
     """A counted resource with strict-FIFO granting.
 
@@ -69,7 +53,8 @@ class Resource:
         self.capacity = int(capacity)
         self.name = name
         self._in_use = 0
-        self._waiting: Deque[Request] = deque()
+        #: Grant events of the queued requests, oldest first.
+        self._waiting: Deque[Event] = deque()
 
     @property
     def in_use(self) -> int:
@@ -81,7 +66,7 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
-    # -- the acquire/release pair -------------------------------------------
+    # -- acquire, request, release -------------------------------------------
     def _acquire(self, units: int) -> bool:
         """Take ``units`` slots on the spot if they are free and nobody
         is queued; schedules nothing.  False leaves the resource as is."""
@@ -90,7 +75,20 @@ class Resource:
         self._in_use += units
         return True
 
-    def _release(self, units: int) -> None:
+    def request(self) -> Event:
+        """Ask for one slot.  The returned grant event fires once the
+        slot is the requester's; the holder frees it with
+        :meth:`release`."""
+        # The resource's own name: no per-request string formatting on
+        # this hot path.
+        grant = Event(self.kernel, name=self.name)
+        if self._acquire(1):
+            grant.succeed(self)
+        else:
+            self._waiting.append(grant)
+        return grant
+
+    def release(self, units: int = 1) -> None:
         """Free ``units`` held slots and grant waiters in FIFO order."""
         if self._in_use < units:  # pragma: no cover - defensive
             raise SimulationError(f"release() on idle resource {self.name}")
@@ -100,29 +98,6 @@ class Resource:
             nxt = waiting.popleft()
             self._in_use += 1
             nxt.succeed(self)
-
-    # -- the event interface --------------------------------------------------
-    def request(self) -> Request:
-        """Ask for a slot.  The returned event fires once granted."""
-        req = Request(self.kernel, self)
-        if self._acquire(1):
-            req.succeed(self)
-        else:
-            self._waiting.append(req)
-        return req
-
-    def release(self, request: Request) -> None:
-        """Free the slot held by ``request`` and grant the next waiter."""
-        if request.resource is not self:
-            raise SimulationError("release() with a foreign request")
-        if not request.triggered:
-            # The request never got the slot: cancel it from the queue.
-            try:
-                self._waiting.remove(request)
-            except ValueError:
-                raise SimulationError("release() of an unknown pending request")
-            return
-        self._release(1)
 
 
 def hold(resource: Resource, duration: float,
@@ -138,33 +113,23 @@ def hold(resource: Resource, duration: float,
     costs one event: the :class:`Timeout` that ends it.  Otherwise each
     unit waits its turn and is released ``duration`` after its own
     grant (as if each were a worker thread), and the hold returns once
-    the last unit is released.  An interrupted hold leaves no unit held
-    or queued.  :func:`occupy` holds one slot of several resources in
-    the background, without a process.
+    the last unit is released.  :func:`occupy` holds one slot of
+    several resources in the background, without a process.
     """
     if units < 1:
         raise SimulationError(f"hold of {units} unit(s)")
     kernel = resource.kernel
     if resource._acquire(units):
         start = kernel._now
-        try:
-            yield Timeout(kernel, duration)
-        finally:
-            resource._release(units)
+        yield Timeout(kernel, duration)
+        resource.release(units)
         return [(start, kernel._now)] * units
     if units > 1:
-        fan_out = _FanOut(resource, duration, units)
-        try:
-            return (yield fan_out.done)
-        finally:
-            fan_out.abandon()
-    req = resource.request()
-    try:
-        yield req
-        start = kernel._now
-        yield Timeout(kernel, duration)
-    finally:
-        resource.release(req)
+        return (yield _FanOut(resource, duration, units).done)
+    yield resource.request()
+    start = kernel._now
+    yield Timeout(kernel, duration)
+    resource.release()
     return [(start, kernel._now)]
 
 
@@ -213,8 +178,8 @@ class _Occupancy(Event):
         self._run()
 
     def _wait(self, res: Resource) -> None:
-        req = res.request()
-        req.callbacks.append(self._granted)  # type: ignore[union-attr]
+        grant = res.request()
+        grant.callbacks.append(self._granted)  # type: ignore[union-attr]
 
     def _granted(self, _grant: Event) -> None:
         self.taken += 1
@@ -229,7 +194,7 @@ class _Occupancy(Event):
 
     def _end(self, _timer: Event) -> None:
         for res in reversed(self.resources):
-            res._release(1)
+            res.release()
         self.then()
 
 
@@ -241,43 +206,28 @@ class _FanOut:
     spans — the worker threads are modelled without a process each.
     """
 
-    __slots__ = ("resource", "duration", "requests", "spans", "left", "done")
+    __slots__ = ("resource", "duration", "spans", "left", "done")
 
     def __init__(self, resource: Resource, duration: float,
                  units: int) -> None:
         self.resource = resource
         self.duration = duration
         self.spans: List[Optional[Span]] = [None] * units
-        #: Units not yet released; -1 once abandoned.
+        #: Units not yet released.
         self.left = units
         self.done = Event(resource.kernel, name=resource.name)
-        self.requests: List[Request] = []
         for unit in range(units):
-            req = resource.request()
-            req.callbacks.append(partial(self._start, unit))
-            self.requests.append(req)
+            grant = resource.request()
+            grant.callbacks.append(partial(self._start, unit))
 
     def _start(self, unit: int, _grant: Event) -> None:
-        if self.left < 0:
-            return
         kernel = self.resource.kernel
         timer = Timeout(kernel, self.duration)
         timer.callbacks.append(partial(self._end, unit, kernel._now))
 
     def _end(self, unit: int, start: float, _timer: Event) -> None:
-        if self.left < 0:
-            return
-        self.resource.release(self.requests[unit])
+        self.resource.release()
         self.spans[unit] = (start, self.resource.kernel._now)
         self.left -= 1
         if self.left == 0:
             self.done.succeed(self.spans)
-
-    def abandon(self) -> None:
-        """Cancel queued units and free running ones (no-op once done)."""
-        if self.left <= 0:
-            return
-        self.left = -1
-        for unit, req in enumerate(self.requests):
-            if self.spans[unit] is None:
-                self.resource.release(req)

@@ -124,6 +124,43 @@ def test_finish_reports_differing_collective_counts():
         ledger.finish()
 
 
+def test_a_missing_trailing_collective_fails_the_job():
+    """Every rank barriers, then only rank 0 broadcasts.  The root's
+    sends complete and every rank returns, so only the end-of-job
+    ledger check sees the collective the other ranks skipped."""
+    m = machine()
+
+    def main(ctx):
+        yield from coll.barrier(ctx.comm)
+        if ctx.rank == 0:
+            yield from coll.bcast(ctx.comm, "late", root=0)
+        return ctx.rank
+
+    with override(check=True):
+        with pytest.raises(MPIError, match=(
+                r"differing numbers of collectives \(rank 0: 2, "
+                r"rank 1: 1, rank 2: 1, rank 3: 1\)")):
+            mpi_run(m, 4, main)
+
+
+def test_a_split_communicator_is_finished_too():
+    """The same skipped collective on a communicator split from the
+    world one: the world ledger balances, the split one does not."""
+    m = machine()
+
+    def main(ctx):
+        half = yield from ctx.comm.split(ctx.rank % 2)
+        if half.rank == 0:
+            yield from coll.bcast(half, "late", root=0)
+        return ctx.rank
+
+    with override(check=True):
+        with pytest.raises(MPIError, match=(
+                r"differing numbers of collectives \(rank 0: 1, "
+                r"rank 1: 0\)")):
+            mpi_run(m, 4, main)
+
+
 def test_payload_signature_shapes():
     assert payload_signature(None) == ("none",)
     assert payload_signature(np.zeros((2, 3), np.int32)) == \

@@ -102,24 +102,14 @@ def _hold_in_order(k, resources, duration):
     """The tuple form ``hold`` had: one slot of each resource in order,
     on the spot until the first wait and through grant events after it,
     all kept to the common end and released in reverse order."""
-    held = []
     waited = False
-    try:
-        for res in resources:
-            if not waited and res._acquire(1):
-                held.append((res, None))
-            else:
-                waited = True
-                req = res.request()
-                held.append((res, req))
-                yield req
-        yield k.timeout(duration)
-    finally:
-        for res, req in reversed(held):
-            if req is None:
-                res._release(1)
-            else:
-                res.release(req)
+    for res in resources:
+        if waited or not res._acquire(1):
+            waited = True
+            yield res.request()
+    yield k.timeout(duration)
+    for res in reversed(resources):
+        res.release()
 
 
 def _send_proc(comm, msg, seq):

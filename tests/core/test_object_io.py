@@ -33,10 +33,8 @@ def test_subarray_validated_against_spec():
         ObjectIO(SPEC, Subarray((3, 3), (2, 2)), SUM_OP)
 
 
-def test_for_rank_and_blocking_copies():
+def test_for_rank_copy():
     oio = ObjectIO(SPEC, SUB, SUM_OP)
     other = oio.for_rank(Subarray((2, 2), (2, 2)))
     assert other.sub.start == (2, 2)
     assert oio.sub.start == (0, 0)
-    b = oio.blocking()
-    assert b.block and not oio.block

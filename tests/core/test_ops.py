@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (COUNT_OP, HistogramOp, MAXLOC_OP, MAX_OP, MEAN_OP,
-                        MINLOC_OP, MIN_OP, MOMENTS_OP, SUM_OP, UserOp,
-                        op_by_name)
+                        MINLOC_OP, MIN_OP, MOMENTS_OP, SUM_OP, UserOp)
 from repro.errors import CollectiveComputingError
 
 VALUES = np.array([3.0, -1.0, 7.0, 7.0, 0.5])
@@ -115,13 +114,6 @@ def test_partial_nbytes_defaults():
     assert MEAN_OP.partial_nbytes((1.0, 2)) == 16
     assert MOMENTS_OP.partial_nbytes((1, 2.0, 3.0)) == 24
     assert SUM_OP.partial_nbytes(np.zeros(3)) == 24
-
-
-def test_op_by_name():
-    assert op_by_name("sum") is SUM_OP
-    assert op_by_name("minloc") is MINLOC_OP
-    with pytest.raises(CollectiveComputingError):
-        op_by_name("nope")
 
 
 @settings(max_examples=60, deadline=None)

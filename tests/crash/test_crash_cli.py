@@ -18,14 +18,14 @@ def _run_check(args, cwd, extra_env=None, timeout=300):
 
 @pytest.mark.slow
 def test_crash_campaign_passes_and_writes_recovery_manifest(tmp_path):
-    # Two drills = one worker-death + one deadline-hang scenario; with
-    # REPRO_OBS on the CLI must embed the (deterministic) recovery
+    # Two drills = one worker-death + one parent-kill-sweep scenario;
+    # with REPRO_OBS on the CLI must embed the (deterministic) recovery
     # summary in its manifest, and the report invariants must hold.
     proc = _run_check(["--crash", "2", "--crash-seed", "3"], tmp_path,
                       extra_env={"REPRO_OBS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert "seed=3 scenario=worker-death ok" in proc.stdout
-    assert "seed=4 scenario=deadline-hang ok" in proc.stdout
+    assert "seed=4 scenario=parent-kill-sweep ok" in proc.stdout
     assert "2 drill(s), all recovered bit-identically" in proc.stdout
 
     from repro.obs.manifest import load_manifest
@@ -34,8 +34,9 @@ def test_crash_campaign_passes_and_writes_recovery_manifest(tmp_path):
                              "manifest.json")
     recovery = manifest["recovery"]
     assert recovery["worker_deaths"] == 1
-    assert recovery["deadline_kills"] == 1
-    assert recovery["point_retries"] == 2
+    assert recovery["point_retries"] == 1
+    # Seed 4 kills the sweep's parent after 1 + 4 % 5 = 5 journal puts.
+    assert recovery["points_resumed"] == 5
     assert (recovery["points_resumed"] + recovery["points_executed"]
             + recovery["points_cached"]) == recovery["points_total"]
     assert check_invariants(manifest) == []

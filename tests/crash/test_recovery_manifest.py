@@ -6,7 +6,7 @@ from repro.obs.report import check_invariants, check_recovery, render_manifest
 
 
 def _clean_recovery():
-    return {"worker_deaths": 1, "point_retries": 2, "deadline_kills": 1,
+    return {"worker_deaths": 1, "point_retries": 2,
             "points_total": 10, "points_resumed": 3,
             "points_executed": 6, "points_cached": 1}
 
@@ -37,18 +37,13 @@ def test_recovery_invariant_violations_are_each_reported():
     [msg] = check_recovery(unretried)
     assert "a death went unretried" in msg
 
-    unreexecuted = _clean_recovery()
-    unreexecuted["deadline_kills"] = 3
-    [msg] = check_recovery(unreexecuted)
-    assert "never" in msg and "re-executed" in msg
-
     lost = _clean_recovery()
     lost["points_executed"] = 5
     [msg] = check_recovery(lost)
     assert "lost or invented work" in msg
 
     negative = _clean_recovery()
-    negative["deadline_kills"] = -1
+    negative["worker_deaths"] = -1
     msgs = check_recovery(negative)
     assert any("negative" in m for m in msgs)
 

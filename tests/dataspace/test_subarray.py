@@ -52,13 +52,6 @@ def test_intersect():
         a.intersect(Subarray((0,), (1,)))
 
 
-def test_shifted():
-    s = Subarray((5, 6), (2, 2))
-    assert s.shifted((5, 6)) == Subarray((0, 0), (2, 2))
-    with pytest.raises(DataspaceError):
-        s.shifted((1,))
-
-
 def test_full_selection():
     spec = DatasetSpec((3, 4, 5))
     f = full_selection(spec)

@@ -36,45 +36,7 @@ def test_attach_wires_machine_and_fs():
     inj = FaultInjector.attach(m, FaultPlan(seed=1, ost_fail_rate=0.5))
     assert m.faults is inj
     assert m.fs.faults is inj
-    FaultInjector.detach(m)
-    assert m.faults is None
-    assert m.fs.faults is None
-    # Records survive on the detached injector object.
     assert inj.records == []
-
-
-def test_detach_clears_ranges_and_counters():
-    """Detach hygiene: a machine handed back after a faulted run must
-    not leak droppable tag ranges or decision counters into the next
-    attachment — re-attaching starts the schedule from scratch."""
-    m = machine()
-    plan = FaultPlan(seed=4, msg_drop_rate=1.0, ost_fail_rate=0.5,
-                     corrupt_ost_rate=1.0)
-    inj = FaultInjector.attach(m, plan)
-    inj.allow_drops(10, 12)
-    inj.ost_decision(0)
-    f = m.fs.create_procedural_file("d.bin", 128, dtype=np.float64,
-                                    stripe_size=512)
-    inj.corrupt_served(f, 0, bytes(f.source.read(0, 512)))
-    assert inj._droppable and inj._ost_request_index
-    assert inj._block_occurrence
-    n_records = len(inj.records)
-    FaultInjector.detach(m)
-    assert inj._droppable == []
-    assert inj._ost_request_index == {}
-    assert inj._block_occurrence == {}
-    # The ledger survives detach; only decision state is reset.
-    assert len(inj.records) == n_records
-    # A re-attached injector replays the schedule from request #0.
-    inj2 = FaultInjector.attach(m, plan)
-    assert inj2.ost_decision(0) == plan.ost_fault(0, 0)
-    assert not inj2._droppable_tag(10)
-
-
-def test_detach_tolerates_a_bare_machine():
-    m = machine()
-    FaultInjector.detach(m)  # never attached: still a clean no-op
-    assert m.faults is None
 
 
 # -- OST hook ---------------------------------------------------------------

@@ -112,7 +112,10 @@ def test_mixed_collective_calls_in_one_program(workload):
         first = yield from object_get(ctx, f, oio)
         total = yield from coll.allreduce(ctx.comm, 1, __import__(
             "repro.mpi", fromlist=["SUM"]).SUM)
-        second = yield from object_get(ctx, f, oio.blocking())
+        second = yield from object_get(
+            ctx, f, ObjectIO(workload.dspec, workload.parts[ctx.rank],
+                             SUM_OP, block=True,
+                             hints=CollectiveHints(cb_buffer_size=16384)))
         yield from coll.barrier(ctx.comm)
         return (first.global_result, total, second.global_result)
 

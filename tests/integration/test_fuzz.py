@@ -61,7 +61,6 @@ def test_cc_vs_traditional_fuzz(data):
         cb_buffer_size=data.draw(st.sampled_from([96, 300, 1024, 10 ** 5])),
         aggregators_per_node=data.draw(
             st.sampled_from([1, 2] if min_ranks_per_node >= 2 else [1])),
-        align_to_stripes=data.draw(st.booleans()),
         pipeline=data.draw(st.booleans()),
     )
     op = data.draw(st.sampled_from([SUM_OP, MEAN_OP, MINLOC_OP]))

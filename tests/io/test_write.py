@@ -1,4 +1,4 @@
-"""Tests for independent and collective writes."""
+"""Tests for collective writes."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.config import small_test_machine
 from repro.dataspace import DatasetSpec, Subarray, block_partition
 from repro.errors import IOLayerError
 from repro.io import (AccessRequest, CollectiveHints, collective_read,
-                      collective_write, independent_write)
+                      collective_write)
 from repro.mpi import mpi_run
 from repro.pfs import ArraySource
 from repro.sim import Kernel
@@ -31,8 +31,7 @@ def rank_payload(sub: Subarray) -> np.ndarray:
     return idx[sl].astype(np.float64)
 
 
-@pytest.mark.parametrize("collective", [True, False])
-def test_write_then_readback(collective):
+def test_write_then_readback():
     k, m, f, src = build()
     gsub = Subarray((1, 1, 1), (4, 6, 8))
     parts = block_partition(gsub, 6, axis=1)
@@ -40,12 +39,8 @@ def test_write_then_readback(collective):
     def main(ctx):
         sub = parts[ctx.rank]
         req = AccessRequest.from_subarray(DSPEC, sub)
-        data = rank_payload(sub)
-        if collective:
-            yield from collective_write(ctx, f, req, data,
-                                        CollectiveHints(cb_buffer_size=256))
-        else:
-            yield from independent_write(ctx, f, req, data)
+        yield from collective_write(ctx, f, req, rank_payload(sub),
+                                    CollectiveHints(cb_buffer_size=256))
         return None
 
     mpi_run(m, 6, main)

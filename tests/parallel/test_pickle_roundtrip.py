@@ -21,7 +21,6 @@ from repro.errors import (CollectiveComputingError, ConfigError,
 from repro.experiments.common import ExperimentResult
 from repro.faults import FaultPlan, FaultRecord
 from repro.parallel import PointError, SweepPoint
-from repro.sim.process import Interrupt
 
 
 def roundtrip(obj):
@@ -84,13 +83,6 @@ def test_errors(exc_type):
     back = roundtrip(exc)
     assert type(back) is exc_type
     assert back.args == exc.args
-
-
-def test_interrupt():
-    # Interrupt's custom __init__ routes ``cause`` through args.
-    back = roundtrip(Interrupt(cause="timeout fired"))
-    assert type(back) is Interrupt
-    assert back.cause == "timeout fired"
 
 
 def test_point_error():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PFSError
 from repro.pfs import (ArraySource, CompositeSource, ProceduralSource,
-                       ZeroSource, linear_field)
+                       linear_field)
 
 
 def test_procedural_linear_values():
@@ -63,13 +63,6 @@ def test_array_source_read_write():
     assert src.as_array()[0] == 99
     # The original array is untouched (source copies).
     assert arr[0] == 0
-
-
-def test_zero_source():
-    src = ZeroSource(100)
-    assert src.read(10, 20) == bytes(20)
-    with pytest.raises(PFSError):
-        ZeroSource(-1)
 
 
 def test_composite_source_layout_and_reads():

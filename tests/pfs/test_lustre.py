@@ -20,15 +20,10 @@ def test_create_and_lookup():
     k, fs = make_fs()
     f = fs.create_file("a", ProceduralSource(100))
     assert fs.lookup("a") is f
-    assert fs.exists("a")
     with pytest.raises(PFSError):
         fs.create_file("a", ProceduralSource(10))
     with pytest.raises(PFSError):
         fs.lookup("missing")
-    fs.unlink("a")
-    assert not fs.exists("a")
-    with pytest.raises(PFSError):
-        fs.unlink("a")
 
 
 def test_stripe_count_all_by_default():

@@ -10,10 +10,6 @@ def test_clock_starts_at_zero():
     assert Kernel().now == 0.0
 
 
-def test_clock_custom_start():
-    assert Kernel(start_time=5.0).now == 5.0
-
-
 def test_timeout_advances_clock():
     k = Kernel()
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Kernel, Resource, hold, occupy
-from repro.sim.process import Interrupt
 
 
 def test_resource_capacity_validation():
@@ -21,14 +20,12 @@ def test_resource_grants_immediately_when_free():
     done = []
 
     def body(k):
-        req = r.request()
-        yield req
-        done.append(k.now)
-        r.release(req)
+        spans = yield from hold(r, 1.0)
+        done.append(spans)
 
     k.process(body(k))
     k.run()
-    assert done == [0.0]
+    assert done == [[(0.0, 1.0)]]
     assert r.in_use == 0
 
 
@@ -62,59 +59,6 @@ def test_resource_capacity_two_parallelism():
     assert finish == [1.0, 1.0, 2.0, 2.0]
 
 
-def test_release_foreign_request_rejected():
-    k = Kernel()
-    r1, r2 = Resource(k), Resource(k)
-    req = r1.request()
-    with pytest.raises(SimulationError):
-        r2.release(req)
-
-
-def test_release_cancels_pending_request():
-    k = Kernel()
-    r = Resource(k, capacity=1)
-    held = r.request()  # takes the slot
-    pending = r.request()
-    assert not pending.triggered
-    r.release(pending)  # cancel from queue
-    assert r.queue_length == 0
-    r.release(held)
-    assert r.in_use == 0
-
-
-def test_interrupt_waiting_process():
-    k = Kernel()
-    out = []
-
-    def sleeper(k):
-        try:
-            yield k.timeout(100)
-        except Interrupt as i:
-            out.append(("interrupted", i.cause, k.now))
-
-    p = k.process(sleeper(k))
-
-    def interrupter(k):
-        yield k.timeout(1)
-        p.interrupt("because")
-
-    k.process(interrupter(k))
-    k.run()
-    assert out == [("interrupted", "because", 1.0)]
-
-
-def test_interrupt_finished_process_rejected():
-    k = Kernel()
-
-    def quick(k):
-        yield k.timeout(1)
-
-    p = k.process(quick(k))
-    k.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
 # -- hold against the per-unit worker-process fan-out it replaced ---------
 
 def _fan_out_oracle(k, r, duration, units):
@@ -122,13 +66,10 @@ def _fan_out_oracle(k, r, duration, units):
     requesting, holding and releasing one slot; returns the per-unit
     spans in grant (= unit) order."""
     def worker():
-        req = r.request()
-        yield req
+        yield r.request()
         start = k.now
-        try:
-            yield k.timeout(duration)
-        finally:
-            r.release(req)
+        yield k.timeout(duration)
+        r.release()
         return (start, k.now)
 
     if units == 1:
@@ -193,48 +134,6 @@ def test_uncontended_fan_out_is_one_event(units):
         assert seen == [(expected, [(0.0, 0.5)] * units)]
 
 
-def _interrupted(capacity, busy_units, units):
-    """A holder of ``busy_units`` runs 0..10; a second holder asks for
-    ``units`` at t=1 and is interrupted at t=2."""
-    k = Kernel()
-    r = Resource(k, capacity=capacity)
-    outcome = []
-
-    def first():
-        yield from hold(r, 10.0, busy_units)
-
-    def second():
-        yield k.timeout(1.0)
-        try:
-            yield from hold(r, 5.0, units)
-        except Interrupt:
-            outcome.append((k.now, r.in_use, r.queue_length))
-
-    k.process(first())
-    victim = k.process(second())
-
-    def interrupter():
-        yield k.timeout(2.0)
-        victim.interrupt()
-
-    k.process(interrupter())
-    k.run()
-    return outcome, r
-
-
-@pytest.mark.parametrize("capacity, busy, units", [
-    (1, 1, 1),   # single unit, queued
-    (2, 2, 2),   # every unit queued
-    (3, 2, 2),   # one unit running, one queued
-])
-def test_interrupted_contended_hold_leaves_nothing_behind(capacity, busy,
-                                                         units):
-    outcome, r = _interrupted(capacity, busy, units)
-    # Only the first holder's units remain, and nobody is queued.
-    assert outcome == [(2.0, busy, 0)]
-    assert r.in_use == 0 and r.queue_length == 0
-
-
 def test_multi_resource_hold_spans_the_common_end():
     """A background occupancy of two resources keeps the first from its
     grant while it queues for the second, and releases both at the
@@ -268,16 +167,11 @@ def test_hold_rejects_zero_units():
 def _transfer_oracle(k, resources, duration):
     """Event-per-grant acquisition of several resources: each grant is
     an event the holder resumes from, as before ``hold``."""
-    reqs = []
-    try:
-        for res in resources:
-            req = res.request()
-            reqs.append((res, req))
-            yield req
-        yield k.timeout(duration)
-    finally:
-        for res, req in reversed(reqs):
-            res.release(req)
+    for res in resources:
+        yield res.request()
+    yield k.timeout(duration)
+    for res in reversed(resources):
+        res.release()
 
 
 @pytest.mark.parametrize("use_occupy", [True, False])
