@@ -1,10 +1,11 @@
 """repro.check — the verification layer (DESIGN.md §8).
 
 **Role.** Coordinated analyzers guarding the repo's determinism and
-protocol contracts, runnable together as ``python -m repro.check`` and
-wired into CI.  **Paper mapping.** Not in the paper: where its claims
-were backed by a physical testbed (§V), a simulation's claims are only
-as good as its invariants, so this layer checks them mechanically:
+protocol contracts, run stage by stage or all together by ``python -m
+repro.check``, the command CI runs.  **Paper mapping.** Not in the
+paper: where its claims were backed by a physical testbed (§V), a
+simulation's claims are only as good as its invariants, so this layer
+checks them mechanically:
 
 1. **Determinism lint** (:mod:`repro.check.lint`) — a static AST pass
    over the library source enforcing the determinism contract.
@@ -30,44 +31,11 @@ as good as its invariants, so this layer checks them mechanically:
 The runtime sanitizers hang off the ``check`` field of the
 :class:`~repro.flags.Flags` record (``REPRO_CHECK``); the test suite
 turns it on globally.  The shaker has its own ``shake`` seed
-(``REPRO_SHAKE``).
+(``REPRO_SHAKE``).  The integrity (:mod:`repro.check.chaos`) and
+preemption (:mod:`repro.check.crash`) campaigns drive the same stack
+end to end.
 
-``protocol`` and ``plan`` are exported lazily: they import the layers
-they verify — eager re-export here would make that a cycle.
+Import the analyzers from their modules: the package root exports
+nothing, because ``protocol`` and ``plan`` import the layers they
+verify.
 """
-
-from __future__ import annotations
-
-from .faults import check_recovery_coverage
-from .lint import (ALL_RULES, DEFAULT_CONFIG, Finding, LintConfig,
-                   lint_file, lint_paths, lint_source)
-
-__all__ = [
-    "ALL_RULES", "DEFAULT_CONFIG", "Finding", "LintConfig",
-    "lint_file", "lint_paths", "lint_source",
-    "check_recovery_coverage",
-    "CollectiveLedger", "payload_signature",
-    "check_plan", "check_translation",
-    "run_battery", "shake_seeds",
-]
-
-_LAZY = {  # repro: allow[pool-global] — static lazy-export map, assigned once
-    "CollectiveLedger": ("protocol", "CollectiveLedger"),
-    "payload_signature": ("protocol", "payload_signature"),
-    "check_plan": ("plan", "check_plan"),
-    "check_translation": ("plan", "check_translation"),
-    "run_battery": ("shake", "run_battery"),
-    "shake_seeds": ("shake", "shake_seeds"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.check' has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value

@@ -1,6 +1,6 @@
 """Chaos campaign: seeded corruption sweeps over the resilient stack.
 
-``python -m repro.check --chaos N`` runs ``N`` simulated jobs, sweeping
+``python -m repro.check chaos N`` runs ``N`` simulated jobs, sweeping
 seeds x corruption rates x scenarios (collective computing in both
 reduce modes, the raw resilient two-phase read, and a
 degraded-to-independent configuration), each under a *mixed* fault plan:
@@ -60,8 +60,8 @@ def _plan_fields(rate: float, agg_crash_rate: float) -> Dict[str, float]:
 def _scenarios():
     """``(name, body factory, agg crash rate, policy)`` per scenario.
 
-    Imported lazily so ``python -m repro.check --static-only`` never
-    pays the simulator import.
+    Imported lazily so ``python -m repro.check lint`` never pays the
+    simulator import.
     """
     from ..core import ObjectIO, SUM_OP
     from ..dataspace import DatasetSpec, block_partition, full_selection

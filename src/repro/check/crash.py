@@ -1,6 +1,6 @@
 """Crash campaign: seeded preemption drills for the sweep supervisor.
 
-``python -m repro.check --crash N`` runs ``N`` scenario instances that
+``python -m repro.check crash N`` runs ``N`` scenario instances that
 murder sweep executions at deterministic points and assert that the
 supervision layer (:mod:`repro.parallel.supervisor`) and the run
 journal (a :class:`~repro.parallel.pointcache.PointCache` at
@@ -18,7 +18,7 @@ journal (a :class:`~repro.parallel.pointcache.PointCache` at
   journal must replay exactly ``K`` points, execute only the rest, and
   print exactly the results an uninterrupted run prints.
 * ``parent-kill-chaos`` — the same drill against the real integrity
-  campaign: ``python -m repro.check --chaos M`` is killed mid-campaign
+  campaign: ``python -m repro.check chaos M`` is killed mid-campaign
   and resumed with ``--resume`` under ``REPRO_OBS=1``; its stdout and
   its run manifest must be **byte-identical** to an uninterrupted
   reference run's, and the journal must be cleared after the clean
@@ -35,7 +35,7 @@ The campaign returns its exit status plus a **recovery summary** — the
 supervision counters it measured (deaths and retries) and the resume
 accounting of each completing run (points resumed / executed / cached
 / total).  The summary is deterministic given
-``(n, base_seed)``; ``python -m repro.check --crash`` embeds it as the
+``(n, base_seed)``; ``python -m repro.check crash`` embeds it as the
 ``recovery`` section of its run manifest, where
 ``python -m repro.obs.report`` checks the recovery invariants.
 """
@@ -61,7 +61,7 @@ SWEEP_POINTS = 4
 CHILD_POINTS = 6
 
 #: Chaos jobs per parent-kill chaos drill (small: three full campaign
-#: executions per instance ride under the CI crash step's ceiling).
+#: executions per instance ride under the CI check step's ceiling).
 CHAOS_JOBS = 4
 
 #: Counter keys of the recovery summary (manifest ``recovery`` section).
@@ -199,12 +199,12 @@ def _scenario_parent_kill_sweep(seed: int,
 
 def _scenario_parent_kill_chaos(seed: int,
                                 recovery: Dict[str, int]) -> Optional[str]:
-    """Scenario 2: ``--chaos`` killed mid-campaign and ``--resume``d;
+    """Scenario 2: ``chaos`` killed mid-campaign and ``--resume``d;
     stdout and run manifest must be byte-identical to an uninterrupted
     reference, and the journal cleared after the clean finish."""
     kill_after = 1 + seed % (CHAOS_JOBS - 1)
-    cmd = [sys.executable, "-m", "repro.check", "--chaos",
-           str(CHAOS_JOBS), "--chaos-seed", str(seed), "--jobs", "1"]
+    cmd = [sys.executable, "-m", "repro.check", "chaos", str(CHAOS_JOBS),
+           "--seed", str(seed), "--jobs", "1"]
     env = _child_env()
     env["REPRO_OBS"] = "1"
     with tempfile.TemporaryDirectory() as ref_dir, \

@@ -11,7 +11,7 @@ the reduction without any crash to point at it.
 :func:`check_recovery_coverage` asserts that partition.  The resilient
 exchange calls it when the ``check`` flag (:mod:`repro.flags`) is on, so —
 like the other runtime sanitizers — it costs nothing in production runs
-and guards every faulted scenario in the smoke battery and the tests.
+and guards every faulted scenario in the shake battery and the tests.
 """
 
 from __future__ import annotations

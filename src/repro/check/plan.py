@@ -23,8 +23,8 @@ which compares its closed form with ``wire_size`` of the real payload.
 
 Both raise :class:`~repro.errors.IOLayerError` with the failing
 coordinate.  They run when ``REPRO_CHECK`` is on (see
-:mod:`repro.flags`) and from ``python -m repro.check``'s runtime
-smoke battery; they are never on the hot path otherwise.
+:mod:`repro.flags`), as in ``python -m repro.check shake``'s scenario
+battery; they are never on the hot path otherwise.
 """
 
 from __future__ import annotations

@@ -12,12 +12,16 @@ that run's data diverges from the FIFO baseline.
 
 The scenario list
 -----------------
-:func:`scenarios` is the one list of small simulated jobs both
-``repro.check`` batteries run: the smoke battery (``python -m
-repro.check``) runs each once under ``override(check=True)`` and adds
-its own equality checks; :func:`run_battery` (``--shake``) runs each,
-plus the chaos scenarios, under ``override(check=True, shake=seed)``
-for the FIFO baseline and every shaken seed.
+:func:`scenarios` is the list of small simulated jobs the battery
+(``python -m repro.check shake K``) runs, plus the chaos scenarios,
+under ``override(check=True, shake=seed)`` for the FIFO baseline and
+every shaken seed, so the protocol verifier, the plan sanitizers and the
+recovery-coverage check see every schedule.  Besides returning data to
+compare, three scenarios assert an invariant of their own and raise
+when it breaks: an iterative sweep must reuse its translated plan,
+two-level aggregation must equal one-level bit for bit, and a faulted
+run must equal a fault-free one.  ``shake 0`` runs each scenario once,
+under FIFO only.
 
 What must be invariant
 ----------------------
@@ -45,12 +49,15 @@ import numpy as np
 
 from ..cluster import Machine
 from ..config import small_test_machine
-from ..core import ObjectIO, SUM_OP, object_get
-from ..dataspace import DatasetSpec, block_partition, full_selection
+from ..core import (MAXLOC_OP, IterativeAnalysis, ObjectIO, SUM_OP,
+                    object_get, sliding_windows)
+from ..dataspace import (DatasetSpec, Subarray, block_partition,
+                         full_selection)
 from ..faults import (FaultInjector, FaultPlan, RecoveryPolicy,
                       resilient_object_get as resilient)
 from ..flags import override
-from ..io import AccessRequest, collective_read, collective_write
+from ..io import (AccessRequest, CollectiveHints, collective_read,
+                  collective_write)
 from ..mpi import collectives as coll, mpi_run
 from ..mpi.op import SUM
 from ..pfs import ArraySource
@@ -131,20 +138,98 @@ def sum_job(faulted: Any) -> Any:
     return results
 
 
+def iterative_plan_reuse() -> Any:
+    """A three-step translated sweep through
+    :class:`~repro.core.iterative.IterativeAnalysis`; fails unless every
+    rank reused its plan."""
+    m = machine()
+    spec = DatasetSpec((12, 8, 8), np.float64, name="sweep")
+    file = m.fs.create_procedural_file("sweep.nc", spec.n_elements)
+    parts = block_partition(Subarray((0, 0, 0), (4, 8, 8)), NPROCS, axis=1)
+
+    def body(ctx):
+        analysis = IterativeAnalysis(
+            file, ObjectIO(spec, parts[ctx.rank], SUM_OP))
+        results = yield from analysis.run(
+            ctx, sliding_windows(parts[ctx.rank], axis=0, steps=3,
+                                 stride=4))
+        return (analysis.stats.plans_reused,
+                tuple(r.global_result for r in results))
+    out = mpi_run(m, NPROCS, body)
+    if any(reused == 0 for reused, _results in out):
+        raise AssertionError(
+            "IterativeAnalysis never reused a translated plan")
+    return out
+
+
+def two_level_equals_one_level() -> Any:
+    """Two-level (node-aware) aggregation equals one-level exactly, for
+    the raw two-phase read and write and a CC reduction; fails
+    otherwise."""
+    spec, parts = dataset()
+
+    def run(two_level):
+        m = machine()
+        file = m.fs.create_procedural_file("battery.nc", spec.n_elements)
+        hints = CollectiveHints(cb_buffer_size=1024, two_level=two_level)
+        out = m.fs.create_file(
+            "battery_out.nc",
+            ArraySource(np.zeros(spec.n_elements, dtype=spec.dtype)))
+
+        def body(ctx):
+            request = AccessRequest.from_subarray(spec, parts[ctx.rank])
+            buf = yield from collective_read(ctx, file, request,
+                                             hints=hints)
+            data = np.asarray(request.as_array(buf))
+            yield from collective_write(ctx, out, request, data,
+                                        hints=hints)
+            oio = ObjectIO(spec, parts[ctx.rank], MAXLOC_OP, hints=hints)
+            result = yield from object_get(ctx, file, oio)
+            return float(data.sum()), result.global_result
+        return (mpi_run(m, NPROCS, body),
+                out.source.read(0, out.source.size))
+
+    one = run(False)
+    two = run(True)
+    if two[0] != one[0]:
+        raise AssertionError(
+            f"two-level results diverge from one-level: {two[0]} != "
+            f"{one[0]}")
+    if two[1] != one[1]:
+        raise AssertionError(
+            "two-level collective_write produced different file bytes")
+    return one
+
+
+def faulted_equals_healthy() -> Any:
+    """The faulted resilient run recovers the fault-free results
+    exactly; fails otherwise."""
+    healthy = sum_job(faulted=False)
+    faulted = sum_job(faulted=True)
+    if faulted != healthy:
+        raise AssertionError(
+            f"recovered results diverge from fault-free run: "
+            f"{faulted} != {healthy}")
+    return healthy
+
+
 def scenarios() -> List[Tuple[str, Callable[[], Any]]]:
-    """The one scenario list: label → callable returning plain,
-    comparable data."""
+    """The scenario list: label → callable returning plain, comparable
+    data (never a numpy array) and raising when its invariant breaks."""
     return [
         ("collective battery", collective_battery),
         ("two-phase read+write", two_phase_read_write),
         ("object_get reduction", lambda: sum_job(None)),
         ("faulted resilient object_get", lambda: sum_job(True)),
+        ("iterative plan reuse", iterative_plan_reuse),
+        ("two-level equals one-level", two_level_equals_one_level),
+        ("faulted equals healthy", faulted_equals_healthy),
     ]
 
 
 def _chaos_scenarios() -> List[Tuple[str, Callable[[], Any]]]:
-    """The chaos campaign's scenarios, slot 0 of each (shake battery
-    only: each already runs a faulted job against its reference)."""
+    """The chaos campaign's scenarios, slot 0 of each (each already
+    runs a faulted job against its reference)."""
     _spec, chaos_scenarios = chaos._scenarios()
     return [(f"chaos {name}", lambda i=i: chaos.run_point(i, 0))
             for i, (name, _body, _rate, _policy)

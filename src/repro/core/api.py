@@ -31,23 +31,8 @@ from ..profiling import PhaseTimeline
 from .map_engine import linear_indices_of_runs
 from .metadata import CCStats, PartialResult
 from .object_io import ObjectIO
-from .plan_cache import PlanMemo
 from .reduction import combine_partials, global_reduce
 from .runtime import CCResult, cc_read_compute, map_window
-
-
-def _memoized_plan(ctx: RankContext, file: PFSFile, oio: ObjectIO,
-                   plan_memo: PlanMemo, runs, grid) -> Generator:
-    """Plan for ``runs`` via the caller's memo: reuse a shifted cached
-    plan when the request is a translation, else exchange and store."""
-    from ..io.twophase import make_plan
-
-    itemsize = grid[1] if grid is not None else 1
-    plan = plan_memo.lookup(runs, itemsize)
-    if plan is None:
-        plan = yield from make_plan(ctx, runs, file, oio.hints, grid)
-        plan_memo.store(runs, plan)
-    return plan
 
 
 def compute_after_read(ctx: RankContext, oio: ObjectIO,
@@ -82,8 +67,7 @@ def compute_after_read(ctx: RankContext, oio: ObjectIO,
 
 def traditional_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                              timeline: Optional[PhaseTimeline] = None,
-                             stats: Optional[CCStats] = None,
-                             plan_memo: Optional[PlanMemo] = None
+                             stats: Optional[CCStats] = None
                              ) -> Generator:
     """The baseline: complete the I/O, then compute, then MPI_Reduce.
 
@@ -94,12 +78,8 @@ def traditional_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
     """
     request = AccessRequest.from_subarray(oio.spec, oio.sub)
     if oio.mode == "collective":
-        plan = None
-        if plan_memo is not None:
-            plan = yield from _memoized_plan(ctx, file, oio, plan_memo,
-                                             request.runs, None)
         buf = yield from collective_read(ctx, file, request, oio.hints,
-                                         timeline, plan=plan)
+                                         timeline)
     else:
         buf = yield from independent_read(ctx, file, request)
     result = yield from compute_after_read(ctx, oio, request, buf, timeline,
@@ -149,8 +129,7 @@ def local_read_compute(ctx: RankContext, file: PFSFile, oio: ObjectIO,
 
 def object_get(ctx: RankContext, file: PFSFile, oio: ObjectIO,
                timeline: Optional[PhaseTimeline] = None,
-               stats: Optional[CCStats] = None,
-               plan_memo: Optional[PlanMemo] = None) -> Generator:
+               stats: Optional[CCStats] = None) -> Generator:
     """Analysis-in-I/O front door (collective call on all ranks).
 
     Dispatch rules (paper §III-A): ``block=True`` runs the traditional
@@ -158,34 +137,15 @@ def object_get(ctx: RankContext, file: PFSFile, oio: ObjectIO,
     I/O mode; ``block=False`` runs the collective-computing pipeline
     for ``mode="collective"`` and the local per-rank pipeline
     (:func:`local_read_compute`) for ``mode="independent"``.
-
-    ``plan_memo`` (opt-in) caches the two-phase schedule across repeated
-    calls on *both* collective paths: a call whose request is a
-    whole-element byte translation of the memo's base skips the offset
-    exchange and reuses the shifted plan — the general form of
-    :class:`repro.core.iterative.IterativeAnalysis`'s reuse.  All ranks
-    must pass memos with the same call history (SPMD), and one memo must
-    not be shared between block and non-block calls (their window grids
-    differ).  Ignored on the independent path, which builds no plan.
     """
     if oio.block:
         result = yield from traditional_read_compute(ctx, file, oio,
-                                                     timeline, stats,
-                                                     plan_memo)
+                                                     timeline, stats)
     elif oio.mode == "independent":
         result = yield from local_read_compute(ctx, file, oio, timeline,
                                                stats)
     else:
-        plan = None
-        if plan_memo is not None:
-            request = AccessRequest.from_subarray(oio.spec, oio.sub)
-            # Element-aligned grid, matching cc_read_compute's own
-            # planning (the map must never see a split value).
-            grid = (oio.spec.file_offset, oio.spec.itemsize)
-            plan = yield from _memoized_plan(ctx, file, oio, plan_memo,
-                                             request.runs, grid)
-        result = yield from cc_read_compute(ctx, file, oio, timeline, stats,
-                                            plan=plan)
+        result = yield from cc_read_compute(ctx, file, oio, timeline, stats)
     return result
 
 

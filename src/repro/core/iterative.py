@@ -22,10 +22,10 @@ from typing import Generator, List, Optional, Sequence
 
 from ..dataspace import Subarray, flatten_subarray
 from ..errors import CollectiveComputingError
+from ..io.twophase import make_plan
 from ..mpi import RankContext
 from ..pfs import PFSFile
 from ..profiling import PhaseTimeline
-from .api import _memoized_plan
 from .metadata import CCStats
 from .object_io import ObjectIO
 from .plan_cache import PlanMemo, translation_delta
@@ -100,8 +100,11 @@ class IterativeAnalysis:
         for sub in regions:
             step_oio = self.oio.for_rank(sub)
             runs = flatten_subarray(step_oio.spec, sub)
-            plan = yield from _memoized_plan(ctx, self.file, step_oio,
-                                             self.memo, runs, grid)
+            plan = self.memo.lookup(runs, step_oio.spec.itemsize)
+            if plan is None:
+                plan = yield from make_plan(ctx, runs, self.file,
+                                            step_oio.hints, grid)
+                self.memo.store(runs, plan)
             result = yield from cc_read_compute(
                 ctx, self.file, step_oio, timeline, stats, plan=plan)
             results.append(result)

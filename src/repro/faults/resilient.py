@@ -92,10 +92,12 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
                  assigned: List[Tuple[int, WindowKey]],
                  targets: Dict[WindowKey, List[int]], base_tag: int,
                  policy: RecoveryPolicy, round_index: int, pipeline: bool,
-                 make_payload: Callable[..., Generator]) -> Generator:
+                 make_payload: Callable[..., Generator],
+                 timeline: Optional[PhaseTimeline]) -> Generator:
     """One rank's serving side of one round: read each assigned window
     through the shared reader (retrying under ``policy.retry``, reading
-    ahead when ``pipeline``), build each target's payload, send.
+    ahead when ``pipeline``), build each target's payload, send.  The
+    reads and sends land on ``timeline`` as ``read`` and ``shuffle``.
 
     A crash injected for this (rank, round) stops serving at the drawn
     window; a read that exhausts its retries does the same (the rank's
@@ -120,9 +122,12 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
             if delay > 0:
                 yield ctx.kernel.timeout(delay)
         sends = []
+        t_sh = None
         for dest in targets[key]:
             payload, closed = yield from make_payload(ctx, window_data,
                                                       read_lo, key, dest)
+            if t_sh is None:
+                t_sh = ctx.kernel.now
             wire = ((key, payload, payload_digest(payload)) if wire_on
                     else (key, payload))
             sends.append(ctx.comm.isend(wire, dest, tag) if closed is None
@@ -131,12 +136,14 @@ def _serve_round(ctx: RankContext, file: PFSFile, plan: TwoPhasePlan,
                                            "resilient window"))
         for req in sends:
             yield from ctx.wait_recording(req.event)
+        if timeline is not None and t_sh is not None:
+            timeline.record(ctx.rank, k, "shuffle", t_sh, ctx.kernel.now)
         served = k + 1
 
     try:
         yield from read_windows(ctx, file,
                                 [plan.read_span(*key) for _s, key in assigned],
-                                pipeline, serve, retry=policy.retry)
+                                pipeline, serve, timeline, policy.retry)
     except RecoveryError:
         if faults is not None:
             faults.record(
@@ -261,7 +268,8 @@ def _resilient_exchange(ctx: RankContext, file: PFSFile,
         if assigned:
             procs.append(kernel.process(
                 _serve_round(ctx, file, plan, assigned, targets, base_tag,
-                             policy, round_index, pipeline, make_payload),
+                             policy, round_index, pipeline, make_payload,
+                             timeline),
                 name=f"fserve:r{ctx.rank}.{round_index}"))
         recv_proc = None
         if expect:
@@ -443,7 +451,7 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
         partials = yield from map_window(
             ctx, oio, window_data, read_lo,
             [(r, plan.window_pieces(r, agg_idx, t)) for r in ranks], t,
-            stats)
+            stats, timeline)
         return (partials[0] if all_to_all else partials), None
 
     def self_map(key: WindowKey) -> Generator:
@@ -454,7 +462,7 @@ def resilient_cc_read_compute(ctx: RankContext, file: PFSFile,
         pieces, lo, data = own
         partials = yield from map_window(ctx, oio, data, lo,
                                          [(ctx.rank, pieces)], key[1],
-                                         stats, fan_out=False)
+                                         stats, timeline, fan_out=False)
         return partials[0]
 
     def receivers_of(key: WindowKey) -> List[int]:

@@ -649,20 +649,14 @@ def _leader_read_relay(ctx: RankContext, plan: TwoPhasePlan, ns: NodeSplit,
 
 def collective_read(ctx: RankContext, file: PFSFile, request: AccessRequest,
                     hints: Optional[CollectiveHints] = None,
-                    timeline: Optional[PhaseTimeline] = None,
-                    plan: Optional[TwoPhasePlan] = None) -> Generator:
+                    timeline: Optional[PhaseTimeline] = None) -> Generator:
     """Two-phase collective read of ``request``.
 
     Collective over the whole communicator.  Returns this rank's packed
     ``uint8`` buffer (convert with :meth:`AccessRequest.as_array`).
-
-    ``plan`` short-circuits the offset exchange with a pre-computed
-    schedule (see :class:`repro.core.plan_cache.PlanMemo`); the caller
-    is responsible for its consistency across ranks.
     """
     hints = hints or CollectiveHints()
-    if plan is None:
-        plan = yield from make_plan(ctx, request.runs, file, hints)
+    plan = yield from make_plan(ctx, request.runs, file, hints)
     ns, base_tag = yield from _shuffle_setup(ctx, plan, hints)
     agg_idx = plan.aggregator_index(ctx.rank)
     procs = []

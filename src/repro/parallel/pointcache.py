@@ -40,7 +40,7 @@ deleting a store is always safe.
 
 **Crash-drill hook.**  With ``REPRO_JOURNAL_DIE_AFTER=K`` (a positive
 integer) in the environment, a store SIGKILLs its process right after
-its ``K``-th durable ``put``: ``python -m repro.check --crash`` kills a
+its ``K``-th durable ``put``: ``python -m repro.check crash`` kills a
 sweep's parent at a deterministic point this way.  A sweep puts each
 point to its journal before its cache, so the journal reaches ``K``
 first.  The hook is not one of the flags and never enters the key, so

@@ -92,9 +92,9 @@ class CpuProfiler:
         return (min(iv.start for iv in self.intervals),
                 max(iv.end for iv in self.intervals))
 
-    def series(self, bin_width: float, t_start: float | None = None,
-               t_end: float | None = None) -> List[Dict[str, float]]:
-        """Percentage of rank-time per state, binned over simulated time.
+    def series(self, bin_width: float) -> List[Dict[str, float]]:
+        """Percentage of rank-time per state, binned over the busy span
+        (:meth:`span`) of simulated time.
 
         Each entry: ``{"t": bin_start, "user": %, "sys": %, "wait": %,
         "idle": %}``; percentages are of ``nprocs * bin_width`` rank-
@@ -103,24 +103,16 @@ class CpuProfiler:
         if bin_width <= 0:
             raise ReproError(f"bin width must be positive, got {bin_width}")
         lo, hi = self.span()
-        if t_start is not None:
-            lo = t_start
-        if t_end is not None:
-            hi = t_end
         if hi <= lo:
             return []
         nbins = int((hi - lo) // bin_width) + 1
         acc = [{k: 0.0 for k in KINDS} for _ in range(nbins)]
         for iv in self.merged_intervals():
-            start = max(iv.start, lo)
-            end = min(iv.end, hi)
-            if end <= start:
-                continue
-            b_first = max(0, int((start - lo) // bin_width))
-            b_last = min(nbins - 1, int((end - lo) // bin_width))
+            b_first = int((iv.start - lo) // bin_width)
+            b_last = min(nbins - 1, int((iv.end - lo) // bin_width))
             for b in range(b_first, b_last + 1):
                 bin_lo = lo + b * bin_width
-                chunk = min(end, bin_lo + bin_width) - max(start, bin_lo)
+                chunk = min(iv.end, bin_lo + bin_width) - max(iv.start, bin_lo)
                 if chunk > 0:
                     acc[b][iv.kind] += chunk
         denom = self.nprocs * bin_width

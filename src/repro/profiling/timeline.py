@@ -49,33 +49,17 @@ class PhaseTimeline:
         if m is not None:
             m.count(f"sim.phase.{phase}", end - start)
 
-    def per_iteration(self, phase: str, reduce: str = "max"
-                      ) -> List[Tuple[int, float]]:
-        """``(iteration, duration)`` series for ``phase``.
-
-        Multiple ranks contribute to the same iteration; ``reduce``
-        selects how they merge: ``"max"`` (the critical path, as the
-        paper plots), ``"sum"`` or ``"mean"``.
-        """
-        if reduce not in ("max", "sum", "mean"):
-            raise ReproError(f"unknown reduce {reduce!r}")
+    def per_iteration(self, phase: str) -> List[Tuple[int, float]]:
+        """``(iteration, duration)`` series for ``phase``: the slowest
+        rank's duration per iteration (the critical path, as the paper
+        plots)."""
         buckets: Dict[int, List[float]] = defaultdict(list)
         for s in self.samples:
             if s.phase == phase:
                 buckets[s.iteration].append(s.duration)
-        out = []
-        for it in sorted(buckets):
-            vals = buckets[it]
-            if reduce == "max":
-                v = max(vals)
-            elif reduce == "sum":
-                v = sum(vals)
-            else:
-                v = sum(vals) / len(vals)
-            out.append((it, v))
-        return out
+        return [(it, max(buckets[it])) for it in sorted(buckets)]
 
     def critical_total(self, phase: str) -> float:
         """Sum over iterations of the slowest rank's duration — the
         phase's contribution to the critical path."""
-        return sum(d for _, d in self.per_iteration(phase, reduce="max"))
+        return sum(d for _, d in self.per_iteration(phase))

@@ -7,6 +7,8 @@ non-zero naming the seed and scenario, which is the property the CI
 gate depends on.
 """
 
+import pytest
+
 from repro.check.__main__ import main as check_main
 from repro.check.chaos import run_campaign
 from repro.faults import resilient
@@ -27,9 +29,13 @@ def test_campaign_reports_injections(capsys):
 
 
 def test_cli_chaos_flag(capsys):
-    assert check_main(["--chaos", "2", "-q"]) == 0
-    assert check_main(["--chaos", "0"]) == 2
-    assert check_main(["--chaos", "2", "--static-only"]) == 2
+    """The chaos stage runs N jobs and refuses N < 1 or a negative
+    worker count."""
+    assert check_main(["chaos", "2", "-q"]) == 0
+    for bad in (["0"], ["2", "--jobs", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            check_main(["chaos"] + bad)
+        assert exc.value.code == 2
 
 
 def test_campaign_catches_double_combine(monkeypatch, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cluster import Machine
 from repro.config import small_test_machine
-from repro.core import ObjectIO, PlanMemo, SUM_OP, object_get
+from repro.core import (IterativeAnalysis, ObjectIO, PlanMemo, SUM_OP,
+                        object_get)
 from repro.core.plan_cache import translation_delta
 from repro.dataspace import (DatasetSpec, RunList, Subarray,
                              block_partition)
@@ -36,25 +37,30 @@ def build():
     return k, m, f
 
 
-def run_sweep(memos=None, steps=4, block=False):
-    """Run ``steps`` translated object_get calls; returns
-    (global results per step, final kernel.now)."""
+def run_sweep(iterative, steps=4):
+    """Run ``steps`` translated CC passes, as separate object_get calls
+    or as one :class:`IterativeAnalysis`; returns (global results per
+    step, final kernel.now, each rank's IterativeStats or None)."""
     k, m, f = build()
 
     def main(ctx):
+        regions = [block_partition(Subarray((4 * s, 0, 0), (4, 8, 16)),
+                                   ctx.size, axis=1)[ctx.rank]
+                   for s in range(steps)]
+        oio = ObjectIO(DSPEC, regions[0], SUM_OP,
+                       hints=CollectiveHints(cb_buffer_size=1024))
+        if iterative:
+            analysis = IterativeAnalysis(f, oio)
+            results = yield from analysis.run(ctx, regions)
+            return [r.global_result for r in results], analysis.stats
         out = []
-        memo = memos[ctx.rank] if memos is not None else None
-        for s in range(steps):
-            region = Subarray((4 * s, 0, 0), (4, 8, 16))
-            parts = block_partition(region, ctx.size, axis=1)
-            oio = ObjectIO(DSPEC, parts[ctx.rank], SUM_OP, block=block,
-                           hints=CollectiveHints(cb_buffer_size=1024))
-            res = yield from object_get(ctx, f, oio, plan_memo=memo)
+        for region in regions:
+            res = yield from object_get(ctx, f, oio.for_rank(region))
             out.append(res.global_result)
-        return out
+        return out, None
 
     res = mpi_run(m, 4, main)
-    return res[0], k.now
+    return res[0][0], k.now, [stats for _out, stats in res]
 
 
 def test_memo_lookup_store_and_counters():
@@ -98,30 +104,19 @@ def test_store_rebases_the_memo():
 
 
 def test_object_get_plan_memo_reuses_and_matches_baseline():
-    baseline, t_base = run_sweep(memos=None)
-    memos = [PlanMemo() for _ in range(4)]
-    with_memo, t_memo = run_sweep(memos=memos)
+    baseline, t_base, _ = run_sweep(iterative=False)
+    with_memo, t_memo, stats = run_sweep(iterative=True)
     # Numerically identical results on every step.
     for s, (a, b) in enumerate(zip(baseline, with_memo)):
         assert a == b, s
         assert a == pytest.approx(truth_sum(Subarray((4 * s, 0, 0),
                                                      (4, 8, 16))))
     # Every rank paid one exchange and reused the rest.
-    for memo in memos:
-        assert memo.exchanges == 1
-        assert memo.reuses == 3
+    for rank_stats in stats:
+        assert rank_stats.plans_exchanged == 1
+        assert rank_stats.plans_reused == 3
     # Skipping the offset exchange can only shorten the simulated run.
     assert t_memo <= t_base
-
-
-def test_object_get_plan_memo_on_traditional_path():
-    baseline, _ = run_sweep(memos=None, block=True)
-    memos = [PlanMemo() for _ in range(4)]
-    with_memo, _ = run_sweep(memos=memos, block=True)
-    assert baseline == with_memo
-    for memo in memos:
-        assert memo.exchanges == 1
-        assert memo.reuses == 3
 
 
 def test_translation_delta_reexported_from_iterative():

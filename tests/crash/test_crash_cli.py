@@ -1,4 +1,4 @@
-"""The ``python -m repro.check --crash`` CLI: drills, manifest, usage."""
+"""The ``python -m repro.check crash`` CLI: drills, manifest, usage."""
 
 import subprocess
 import sys
@@ -21,7 +21,7 @@ def test_crash_campaign_passes_and_writes_recovery_manifest(tmp_path):
     # Two drills = one worker-death + one parent-kill-sweep scenario;
     # with REPRO_OBS on the CLI must embed the (deterministic) recovery
     # summary in its manifest, and the report invariants must hold.
-    proc = _run_check(["--crash", "2", "--crash-seed", "3"], tmp_path,
+    proc = _run_check(["crash", "2", "--seed", "3"], tmp_path,
                       extra_env={"REPRO_OBS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert "seed=3 scenario=worker-death ok" in proc.stdout
@@ -44,17 +44,17 @@ def test_crash_campaign_passes_and_writes_recovery_manifest(tmp_path):
 
 
 def test_crash_count_must_be_positive(tmp_path):
-    proc = _run_check(["--crash", "0"], tmp_path)
+    proc = _run_check(["crash", "0"], tmp_path)
     assert proc.returncode == 2
-    assert "--crash" in proc.stderr
+    assert "crash: error: argument N: must be at least 1" in proc.stderr
 
 
 def test_crash_and_chaos_are_mutually_exclusive(tmp_path):
-    proc = _run_check(["--crash", "2", "--chaos", "2"], tmp_path)
+    proc = _run_check(["crash", "2", "chaos", "2"], tmp_path)
     assert proc.returncode == 2
 
 
 def test_resume_requires_chaos(tmp_path):
-    proc = _run_check(["--resume"], tmp_path)
+    proc = _run_check(["crash", "--resume"], tmp_path)
     assert proc.returncode == 2
     assert "--resume" in proc.stderr

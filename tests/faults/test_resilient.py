@@ -15,6 +15,7 @@ from repro.faults import (FaultInjector, FaultPlan, RecoveryPolicy,
 from repro.io import AccessRequest, CollectiveHints
 from repro.io.twophase import collective_read
 from repro.mpi import mpi_run
+from repro.profiling import PhaseTimeline
 from repro.sim import Kernel
 
 DSPEC = DatasetSpec((16, 8, 16), np.float64, name="T")
@@ -39,26 +40,27 @@ def build():
     return k, m, f
 
 
-def run_plain(**oio_kw):
+def run_plain(timeline=None, **oio_kw):
     k, m, f = build()
 
     def main(ctx):
         oio = ObjectIO(DSPEC, PARTS[ctx.rank], SUM_OP, hints=HINTS,
                        **oio_kw)
-        res = yield from object_get(ctx, f, oio)
+        res = yield from object_get(ctx, f, oio, timeline)
         return res
 
     return mpi_run(m, NPROCS, main)
 
 
-def run_resilient(plan=None, policy=None, **oio_kw):
+def run_resilient(plan=None, policy=None, timeline=None, **oio_kw):
     k, m, f = build()
     inj = FaultInjector.attach(m, plan) if plan is not None else None
 
     def main(ctx):
         oio = ObjectIO(DSPEC, PARTS[ctx.rank], SUM_OP, hints=HINTS,
                        **oio_kw)
-        res = yield from resilient_object_get(ctx, f, oio, policy)
+        res = yield from resilient_object_get(ctx, f, oio, policy,
+                                              timeline)
         return res
 
     results = mpi_run(m, NPROCS, main)
@@ -106,6 +108,29 @@ def test_fault_free_matches_plain_all_to_one():
 def test_fault_free_matches_plain_traditional():
     res, inj, _ = run_resilient(block=True)
     assert_same_results(res, run_plain(block=True))
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_resilient_run_records_the_plain_phases(block):
+    """The caller's timeline sees a fault-free resilient run's phases
+    exactly as object_get records them for the same pipeline, and a
+    faulted run's recovery rounds and degraded tail besides."""
+    def phases(run, **kw):
+        timeline = PhaseTimeline()
+        run(timeline=timeline, block=block, **kw)
+        return {s.phase for s in timeline.samples}
+
+    plain = phases(run_plain)
+    assert plain == ({"compute", "read", "shuffle"} if block
+                     else {"map", "read", "shuffle"})
+    assert phases(run_resilient) == plain
+    failover = phases(run_resilient, plan=FaultPlan(
+        seed=crash_seed(), agg_crash_rate=0.35))
+    assert failover >= plain | {"recovery"}
+    degraded = phases(run_resilient, plan=FaultPlan(
+        seed=13, agg_crash_rate=1.0), policy=RecoveryPolicy(
+            read_timeout=0.1))
+    assert "degraded" in degraded
 
 
 def test_raw_read_matches_collective_read():

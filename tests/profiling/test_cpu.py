@@ -63,8 +63,10 @@ def test_series_percentages():
 
 def test_series_interval_spanning_bins():
     p = CpuProfiler(1)
+    p.record(0, "wait", 0.0, 0.25)  # anchors the first bin at t = 0
     p.record(0, "user", 0.25, 2.75)
-    rows = p.series(1.0, t_start=0.0, t_end=3.0)
+    rows = p.series(1.0)
+    assert [r["t"] for r in rows] == [0.0, 1.0, 2.0]
     fracs = [r["user"] for r in rows]
     assert fracs == [pytest.approx(75.0), pytest.approx(100.0),
                      pytest.approx(75.0)]

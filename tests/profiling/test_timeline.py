@@ -17,15 +17,14 @@ def test_record_and_phases():
 
 
 def test_per_iteration_reduces():
+    """Ranks sharing an iteration reduce to the slowest one."""
     tl = PhaseTimeline()
     tl.record(0, 0, "read", 0.0, 1.0)
     tl.record(1, 0, "read", 0.0, 3.0)
     tl.record(0, 1, "read", 0.0, 2.0)
-    assert tl.per_iteration("read", "max") == [(0, 3.0), (1, 2.0)]
-    assert tl.per_iteration("read", "sum") == [(0, 4.0), (1, 2.0)]
-    assert tl.per_iteration("read", "mean") == [(0, 2.0), (1, 2.0)]
-    with pytest.raises(ReproError):
-        tl.per_iteration("read", "median")
+    tl.record(0, 1, "shuffle", 2.0, 9.0)
+    assert tl.per_iteration("read") == [(0, 3.0), (1, 2.0)]
+    assert tl.per_iteration("write") == []
 
 
 def test_totals():
